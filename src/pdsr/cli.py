@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-se", action="store_true",
                    help="skip per-representative effectiveness re-solves")
     p.add_argument("--worst-case-bound", type=float, default=2.0)
-    p.add_argument("--benchmark-time-limit", type=float, default=None)
+    p.add_argument("--benchmark-time-limit", type=float, default=None,
+                   help="seconds; when hit, the gap is reported as null")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="run several reduction methods at one K")
@@ -270,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", default="pdsr,km_e,kd_e,hc,ws")
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--worst-case-bound", type=float, default=2.0)
-    p.add_argument("--benchmark-time-limit", type=float, default=None)
+    p.add_argument("--benchmark-time-limit", type=float, default=None,
+                   help="seconds; when hit, the gap is reported as null")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("make-desk", help="generate a desk-scale instance")

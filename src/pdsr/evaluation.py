@@ -72,54 +72,84 @@ class GapOutcome:
     decision: FirstStageDecision
     per_scenario: list[float]     # reduced decision evaluated on each scenario
     reduced_objective: float      # objective of the reduced program itself
+    mean_components: dict         # mean objective slices over the full set
 
 
-def reduced_scenario_args(scenario_set: ScenarioSet, result: ReductionResult):
-    reps = result.representatives
-    scenarios = [scenario_set.scenarios[r] for r in reps]
-    weights = np.array([result.weights[r] for r in reps])
-    return scenarios, weights
+def verification_costs(problem: TssoProblem, decision: FirstStageDecision,
+                       scenario_set: ScenarioSet,
+                       gap_tol: float = DEFAULT_GAP_TOL, workers: int = 1):
+    """Per-scenario objective and component costs of a fixed decision."""
+    pairs = pmap(lambda s: evaluate_with_fixed_first_stage(
+        problem, decision, s, gap_tol=gap_tol, with_components=True),
+        scenario_set.scenarios, workers)
+    values = [float(v) for v, _ in pairs]
+    groups = sorted(pairs[0][1]) if pairs else []
+    means = {g: float(np.mean([comp[g] for _, comp in pairs])) for g in groups}
+    return values, means
+
+
+def _benchmark(problem: TssoProblem, scenario_set: ScenarioSet, gap_tol: float,
+               time_limit: float | None):
+    """Full-set (decision, objective), or None when the time limit ends the
+    solve (with or without an incumbent)."""
+    zb, bench_obj, sol = solve_benchmark(problem, scenario_set, gap_tol=gap_tol,
+                                         time_limit=time_limit)
+    return None if sol.status == GAP_LIMIT else (zb, bench_obj)
+
+
+def _reduced_gap(problem: TssoProblem, scenario_set: ScenarioSet, reps,
+                 weights, bench_obj: float | None, gap_tol: float,
+                 workers: int) -> GapOutcome:
+    """Solve the program on scenarios ``reps`` with ``weights``, then verify
+    its decision on every scenario of the full set."""
+    z_red, red_obj, _ = solve_stochastic(
+        problem, [scenario_set.scenarios[r] for r in reps], weights,
+        gap_tol=gap_tol)
+    vals, means = verification_costs(problem, z_red, scenario_set,
+                                     gap_tol=gap_tol, workers=workers)
+    reduced_on_full = float(np.dot(scenario_set.probabilities, vals))
+    og_abs = og_pct = None
+    if bench_obj is not None:
+        og_abs = reduced_on_full - bench_obj
+        og_pct = None if abs(bench_obj) < 1e-6 else 100.0 * og_abs / bench_obj
+    return GapOutcome(og_abs, og_pct, reduced_on_full, bench_obj, z_red, vals,
+                      float(red_obj), means)
 
 
 def optimality_gap(problem: TssoProblem, scenario_set: ScenarioSet,
                    result: ReductionResult, gap_tol: float = DEFAULT_GAP_TOL,
-                   workers: int = 1, benchmark=None,
-                   benchmark_time_limit: float | None = None) -> GapOutcome:
+                   workers: int = 1, benchmark=None) -> GapOutcome:
     """Loss from dispatching on the reduced set, verified on the full set.
 
-    ``benchmark`` may carry a precomputed (decision, objective) pair; when
-    the benchmark solve hits its time limit the gap is reported as
-    not-computed (None) and only the full-set cost of the reduced decision
-    is available.
+    ``benchmark`` is the full-set (decision, objective) pair the loss is
+    measured against.  When it is falsy (None or False, e.g. the benchmark
+    solve hit its time limit) the gap is reported as not-computed (None)
+    and only the full-set cost of the reduced decision is available.
     """
-    scenarios, weights = reduced_scenario_args(scenario_set, result)
-    z_red, red_obj, _ = solve_stochastic(problem, scenarios, weights,
-                                         gap_tol=gap_tol)
-    gamma = scenario_set.probabilities
-    vals = pmap(lambda s: evaluate_with_fixed_first_stage(
-        problem, z_red, s, gap_tol=gap_tol), scenario_set.scenarios, workers)
-    reduced_on_full = float(np.dot(gamma, vals))
+    reps = result.representatives
+    return _reduced_gap(problem, scenario_set, reps,
+                        [result.weights[r] for r in reps],
+                        float(benchmark[1]) if benchmark else None,
+                        gap_tol, workers)
 
-    # benchmark: a precomputed (decision, objective) pair, False to skip,
-    # or None to solve it here (timing out marks the gap not-computed)
-    bench_obj = None
-    if benchmark is False:
-        pass
-    elif benchmark is not None:
-        bench_obj = float(benchmark[1])
-    else:
-        zb, ob, sol = solve_benchmark(problem, scenario_set, gap_tol=gap_tol,
-                                      time_limit=benchmark_time_limit)
-        if sol.status != GAP_LIMIT:
-            bench_obj = float(ob)
 
-    if bench_obj is None:
-        return GapOutcome(None, None, reduced_on_full, None, z_red,
-                          [float(v) for v in vals], float(red_obj))
-    og_abs = reduced_on_full - bench_obj
-    og_pct = None if abs(bench_obj) < 1e-6 else 100.0 * og_abs / bench_obj
-    return GapOutcome(og_abs, og_pct, reduced_on_full, bench_obj, z_red,
-                      [float(v) for v in vals], float(red_obj))
+def _drop_one_effectiveness(problem: TssoProblem, scenario_set: ScenarioSet,
+                            result: ReductionResult, base: GapOutcome,
+                            gap_tol: float, workers: int) -> dict[int, float]:
+    """Gap increase of each drop-one reduction over ``base``, the gap
+    outcome of ``result`` itself."""
+    if base.og_pct is None:
+        raise PdsrError("scenario effectiveness needs a percent gap (no "
+                        "benchmark, or its objective is too close to zero)")
+    se = {}
+    for drop in result.representatives:
+        keep = [r for r in result.representatives if r != drop]
+        mass = sum(result.weights[r] for r in keep)
+        out = _reduced_gap(problem, scenario_set, keep,
+                           [result.weights[r] / mass for r in keep],
+                           base.benchmark_objective, gap_tol, workers)
+        se[drop] = out.og_pct - base.og_pct
+    return se
 
 
 def scenario_effectiveness(problem: TssoProblem, scenario_set: ScenarioSet,
@@ -127,30 +157,16 @@ def scenario_effectiveness(problem: TssoProblem, scenario_set: ScenarioSet,
                            gap_tol: float = DEFAULT_GAP_TOL, workers: int = 1,
                            benchmark=None) -> dict[int, float]:
     """Increase in percent optimality gap when one representative is
-    removed (remaining weights renormalized to sum to one)."""
+    removed (remaining weights renormalized to sum to one).  Without a
+    ``benchmark`` pair the full-set program is solved here."""
     if result.k < 2:
         raise ValueError("scenario effectiveness requires at least 2 representatives")
     if benchmark is None:
-        zb, bench_obj, _ = solve_benchmark(problem, scenario_set, gap_tol=gap_tol)
-        benchmark = (zb, bench_obj)
+        benchmark = _benchmark(problem, scenario_set, gap_tol, None)
     base = optimality_gap(problem, scenario_set, result, gap_tol=gap_tol,
                           workers=workers, benchmark=benchmark)
-    if base.og_pct is None:
-        raise PdsrError("scenario effectiveness needs a percent gap "
-                        "(benchmark objective too close to zero)")
-    se = {}
-    for drop in result.representatives:
-        keep = [r for r in result.representatives if r != drop]
-        mass = sum(result.weights[r] for r in keep)
-        scenarios = [scenario_set.scenarios[r] for r in keep]
-        weights = np.array([result.weights[r] / mass for r in keep])
-        z_red, _, _ = solve_stochastic(problem, scenarios, weights, gap_tol=gap_tol)
-        vals = pmap(lambda s: evaluate_with_fixed_first_stage(
-            problem, z_red, s, gap_tol=gap_tol), scenario_set.scenarios, workers)
-        on_full = float(np.dot(scenario_set.probabilities, vals))
-        og_pct = 100.0 * (on_full - benchmark[1]) / benchmark[1]
-        se[drop] = og_pct - base.og_pct
-    return se
+    return _drop_one_effectiveness(problem, scenario_set, result, base,
+                                   gap_tol, workers)
 
 
 @dataclass
@@ -248,19 +264,6 @@ class EvaluationReport:
         }
 
 
-def verification_costs(problem: TssoProblem, decision: FirstStageDecision,
-                       scenario_set: ScenarioSet,
-                       gap_tol: float = DEFAULT_GAP_TOL, workers: int = 1):
-    """Per-scenario objective and component costs of a fixed decision."""
-    pairs = pmap(lambda s: evaluate_with_fixed_first_stage(
-        problem, decision, s, gap_tol=gap_tol, with_components=True),
-        scenario_set.scenarios, workers)
-    values = [float(v) for v, _ in pairs]
-    groups = sorted(pairs[0][1]) if pairs else []
-    means = {g: float(np.mean([comp[g] for _, comp in pairs])) for g in groups}
-    return values, means
-
-
 def evaluate_reduction(problem: TssoProblem, scenario_set: ScenarioSet,
                        result: ReductionResult, matrix: ProblemSpaceMatrix,
                        pdd: PddMatrix, gap_tol: float = DEFAULT_GAP_TOL,
@@ -270,17 +273,12 @@ def evaluate_reduction(problem: TssoProblem, scenario_set: ScenarioSet,
     """Assemble the full evaluation report for one reduction."""
     timings = {}
     t0 = time.monotonic()
-    bench = None
-    zb, bench_obj, sol = solve_benchmark(problem, scenario_set, gap_tol=gap_tol,
-                                         time_limit=benchmark_time_limit)
-    if sol.status != GAP_LIMIT:
-        bench = (zb, bench_obj)
+    bench = _benchmark(problem, scenario_set, gap_tol, benchmark_time_limit)
     timings["benchmark_seconds"] = time.monotonic() - t0
 
     t0 = time.monotonic()
     gap = optimality_gap(problem, scenario_set, result, gap_tol=gap_tol,
-                         workers=workers,
-                         benchmark=bench if bench is not None else False)
+                         workers=workers, benchmark=bench)
     timings["gap_seconds"] = time.monotonic() - t0
 
     try:
@@ -291,17 +289,14 @@ def evaluate_reduction(problem: TssoProblem, scenario_set: ScenarioSet,
     se = None
     if with_se and result.k >= 2 and bench is not None:
         t0 = time.monotonic()
-        se = scenario_effectiveness(problem, scenario_set, result,
-                                    gap_tol=gap_tol, workers=workers,
-                                    benchmark=bench)
+        se = _drop_one_effectiveness(problem, scenario_set, result, gap,
+                                     gap_tol, workers)
         timings["se_seconds"] = time.monotonic() - t0
 
     wc = detect_worst_case(matrix, bound=worst_case_bound)
     captured = sum(1 for r in result.representatives if wc.flags[r])
-
-    _, means = verification_costs(problem, gap.decision, scenario_set,
-                                  gap_tol=gap_tol, workers=workers)
-    ver = {"per_scenario_value": gap.per_scenario, "mean_components": means}
+    ver = {"per_scenario_value": gap.per_scenario,
+           "mean_components": gap.mean_components}
 
     return EvaluationReport(
         spdd=spdd(pdd, scenario_set.probabilities, result),
@@ -342,24 +337,20 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
     wc = detect_worst_case(matrix, bound=worst_case_bound)
     flagged = wc.flagged_indices()
 
-    bench = None
     t0 = time.monotonic()
-    zb, bench_obj, sol = solve_benchmark(problem, scenario_set, gap_tol=gap_tol,
-                                         time_limit=benchmark_time_limit)
+    bench = _benchmark(problem, scenario_set, gap_tol, benchmark_time_limit)
     bench_seconds = time.monotonic() - t0
-    if sol.status != GAP_LIMIT:
-        bench = (zb, bench_obj)
 
     bench_row = {"method": "benchmark", "status": "ok", "k": len(scenario_set),
                  "kappa": len(flagged), "og_pct": 0.0 if bench else None,
                  "og_abs": 0.0 if bench else None,
-                 "objective_on_full": bench_obj if bench else None,
+                 "objective_on_full": bench[1] if bench else None,
                  "representatives": list(range(len(scenario_set)))}
     if bench:
-        _, means = verification_costs(problem, zb, scenario_set,
+        _, means = verification_costs(problem, bench[0], scenario_set,
                                       gap_tol=gap_tol, workers=workers)
         bench_row["mean_components"] = means
-        bench_row["first_stage"] = problem_first_stage_summary(problem, zb)
+        bench_row["first_stage"] = problem_first_stage_summary(problem, bench[0])
     rows.append(bench_row)
     timings["benchmark"] = {"solve_seconds": bench_seconds}
 
@@ -379,19 +370,15 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
 
             t0 = time.monotonic()
             gap = optimality_gap(problem, scenario_set, result, gap_tol=gap_tol,
-                                 workers=workers,
-                                 benchmark=bench if bench is not None else False)
+                                 workers=workers, benchmark=bench)
             tm["evaluation_seconds"] = time.monotonic() - t0
-
-            _, means = verification_costs(problem, gap.decision, scenario_set,
-                                          gap_tol=gap_tol, workers=workers)
             row.update({
                 "status": "ok",
                 "representatives": result.representatives,
                 "kappa": sum(1 for r in result.representatives if wc.flags[r]),
                 "og_pct": gap.og_pct, "og_abs": gap.og_abs,
                 "objective_on_full": gap.reduced_on_full,
-                "mean_components": means,
+                "mean_components": gap.mean_components,
                 "first_stage": problem_first_stage_summary(problem, gap.decision),
             })
         except Exception as exc:  # per-method isolation, row marked failed

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RecourseError
-from .milp import DEFAULT_GAP_TOL, MixedBinaryModel, OPTIMAL, solve_milp
+from .milp import DEFAULT_GAP_TOL, GAP_LIMIT, MixedBinaryModel, OPTIMAL, solve_milp
 
 
 class TssoProblem(ABC):
@@ -59,7 +59,8 @@ def solve_stochastic(problem: TssoProblem, scenarios, weights,
     """Solve the weighted two-stage program in one monolithic MILP.
 
     Used both for the full-set benchmark and for reduced sets.  Returns
-    (FirstStageDecision, objective, Solution).
+    (FirstStageDecision, objective, Solution); when ``time_limit`` ends the
+    solve before any incumbent the decision is None (status gap_limit).
     """
     weights = np.asarray(weights, dtype=float)
     if len(scenarios) == 0:
@@ -68,7 +69,9 @@ def solve_stochastic(problem: TssoProblem, scenarios, weights,
         raise ValueError(f"weights sum to {weights.sum()!r}, expected 1")
     model = problem.build_model(scenarios, weights)
     sol = solve_milp(model, gap_tol=gap_tol, time_limit=time_limit)
-    if sol.status not in (OPTIMAL, "gap_limit") or sol.x is None:
+    if sol.status == GAP_LIMIT and sol.x is None:
+        return None, sol.objective, sol
+    if sol.status not in (OPTIMAL, GAP_LIMIT) or sol.x is None:
         raise RecourseError(
             f"stochastic program ended {sol.status}; the problem violates "
             "relatively complete recourse or is misconfigured")

@@ -189,3 +189,27 @@ def test_console_entry_point(instance, tmp_path):
     assert result.returncode == 0
     assert (tmp_path / "uc" / "config.json").exists()
     assert (tmp_path / "uc" / "scenarios.csv").exists()
+
+
+def test_evaluate_benchmark_time_limit_reports_null_gap(instance, tmp_path):
+    # a limit hit before any incumbent leaves the gap not-computed instead
+    # of aborting the command
+    out = tmp_path / "run"
+    out.mkdir()
+    run_ok(["cluster", *common(instance, out), "--K", "2"])
+    run_ok(["evaluate", *common(instance, out), "--reduction",
+            out / "reduction.json", "--benchmark-time-limit", "1e-9"])
+    report = json.loads((out / "report.json").read_text())
+    for key in ("og_pct", "og_abs", "benchmark_objective",
+                "scenario_effectiveness"):
+        assert report[key] is None, key
+
+
+def test_compare_benchmark_time_limit_reports_null_gap(instance, tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    run_ok(["compare", *common(instance, out), "--methods", "pdsr,km_e",
+            "--K", "2", "--benchmark-time-limit", "1e-9"])
+    table = json.loads((out / "table.json").read_text())
+    assert table[0]["method"] == "benchmark" and table[0]["og_pct"] is None
+    assert [r["status"] for r in table[1:]] == ["ok", "ok"]

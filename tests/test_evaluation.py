@@ -6,7 +6,8 @@ import pytest
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.clustering import (PddMatrix, ReductionResult, compute_pdd,
                              identity_reduction, solve_clustering)
-from pdsr.evaluation import (detect_worst_case, optimality_gap, pddbi,
+from pdsr.evaluation import (compare_methods, detect_worst_case,
+                             evaluate_reduction, optimality_gap, pddbi,
                              scenario_effectiveness, spdd)
 from pdsr.projection import ProblemSpaceMatrix, build_problem_space_matrix, solve_benchmark
 from pdsr.scenarios import bad_scenario_ids
@@ -273,3 +274,52 @@ def test_worst_case_flags_on_desk_instance(desk):
     rep = detect_worst_case(matrix)
     bad = [ss.index_of(b) for b in bad_scenario_ids(ss)]
     assert set(bad) <= set(rep.flagged_indices())
+
+
+def test_verification_costs_match_independent_loop(desk):
+    problem, ss, matrix, bench = desk
+    from pdsr.tsso import evaluate_with_fixed_first_stage
+    pdd = compute_pdd(matrix)
+    red = solve_clustering(pdd, ss.probabilities, fixed_k=3)
+    report = evaluate_reduction(problem, ss, red, matrix, pdd, workers=2,
+                                with_se=False)
+    gap = optimality_gap(problem, ss, red, workers=2, benchmark=bench)
+    pairs = [evaluate_with_fixed_first_stage(problem, gap.decision, s,
+                                             with_components=True)
+             for s in ss.scenarios]
+    groups = sorted(pairs[0][1])
+    assert report.verification_costs == {
+        "per_scenario_value": [float(v) for v, _ in pairs],
+        "mean_components": {g: float(np.mean([c[g] for _, c in pairs]))
+                            for g in groups}}
+    assert gap.mean_components == report.verification_costs["mean_components"]
+
+
+def test_each_decision_solved_and_verified_once(monkeypatch):
+    # every reduced decision is solved once and verified once per scenario,
+    # and the full-set benchmark is solved once per command
+    import pdsr.tsso
+    config, ss = make_desk_instance(seed=3, n_scenarios=6, t_steps=12,
+                                    buses=5, bad_fraction=0.2)
+    problem = AdnProblem(config, ss.source_names)
+    matrix = build_problem_space_matrix(problem, ss)
+    pdd = compute_pdd(matrix)
+    red = solve_clustering(pdd, ss.probabilities, fixed_k=4)
+    methods = ["pdsr", "km_e", "kd_e", "hc", "ws"]
+
+    calls = []
+    solve = pdsr.tsso.solve_milp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(pdsr.tsso, "solve_milp", counted)
+    n, k, m = len(ss), red.k, len(methods)
+
+    evaluate_reduction(problem, ss, red, matrix, pdd)
+    assert len(calls) == (k + 1) * (n + 1) + 1 == 36
+    calls.clear()
+    rows, _ = compare_methods(problem, ss, methods, k, matrix=matrix)
+    assert [r["status"] for r in rows] == ["ok"] * (m + 1)
+    assert len(calls) == (m + 1) * (n + 1) == 42
