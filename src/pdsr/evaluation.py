@@ -354,6 +354,8 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
     rows.append(bench_row)
     timings["benchmark"] = {"solve_seconds": bench_seconds}
 
+    # methods that pick the same reduction share one solve and verification
+    gaps: dict[tuple, GapOutcome] = {}
     for name in methods:
         row = {"method": name, "k": k}
         tm: dict[str, float] = {}
@@ -369,8 +371,13 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
             tm["clustering_seconds"] = time.monotonic() - t0
 
             t0 = time.monotonic()
-            gap = optimality_gap(problem, scenario_set, result, gap_tol=gap_tol,
-                                 workers=workers, benchmark=bench)
+            key = (tuple(result.representatives),
+                   tuple(result.weights[r] for r in result.representatives))
+            if key not in gaps:
+                gaps[key] = optimality_gap(problem, scenario_set, result,
+                                           gap_tol=gap_tol, workers=workers,
+                                           benchmark=bench)
+            gap = gaps[key]
             tm["evaluation_seconds"] = time.monotonic() - t0
             row.update({
                 "status": "ok",

@@ -2,14 +2,18 @@
 
 Every stochastic program in the toolkit compiles down to a
 :class:`MixedBinaryModel`: bounded variables (some binary), a sparse linear
-objective to minimize, and sparse linear rows.  LP relaxations are solved
-with HiGHS dual simplex (vertex solutions, single-threaded, deterministic),
-and binaries are resolved by a best-first branch-and-bound that proves a
-relative gap before declaring optimality.
+objective to minimize, and sparse linear rows.  :func:`solve_milp` solves
+the LP relaxation with HiGHS, repairs the binaries of its point with the
+model's gating triples, and returns that point when it is feasible and
+within the relative gap of the LP bound; otherwise HiGHS branch-and-cut
+proves the gap.  :func:`solve_milp_reference` is a best-first
+branch-and-bound over HiGHS dual-simplex relaxations with the same
+contract, kept as a cross-check.
 
 Determinism contract: two solves of the same model produce identical
-variable values.  Branching is most-fractional with ties broken by lowest
-variable index; the node queue is ordered by (bound, creation order).
+variable values.  In the reference solver, branching is most-fractional
+with ties broken by lowest variable index; the node queue is ordered by
+(bound, creation order).
 """
 
 from __future__ import annotations
@@ -88,9 +92,10 @@ class MixedBinaryModel:
         self.obj_group_consts: dict[str, float] = {}
         self.rows: list[tuple[dict[int, float], str, float]] = []
         # (binary, active-when-0 var, active-when-1 var) triples used by the
-        # incumbent repair heuristic; populated by the problem compilers.
+        # root step's binary repair; populated by the problem compilers.
         self.gating: list[tuple[int, int, int]] = []
         self._cache = None
+        self._ranges = None
 
     # -- construction -----------------------------------------------------
 
@@ -104,7 +109,7 @@ class MixedBinaryModel:
         self.lb.append(float(lb))
         self.ub.append(float(ub))
         self.is_binary.append(bool(binary))
-        self._cache = None
+        self._cache = self._ranges = None
         return len(self.var_names) - 1
 
     def add_constraint(self, coeffs: dict[int, float], relation: str, rhs: float):
@@ -121,7 +126,7 @@ class MixedBinaryModel:
         if not math.isfinite(rhs):
             raise ModelError("non-finite right-hand side")
         self.rows.append((dict(coeffs), relation, float(rhs)))
-        self._cache = None
+        self._cache = self._ranges = None
 
     def add_expr_constraint(self, expr: LinExpr, relation: str, rhs: float):
         """Add ``expr <relation> rhs``; the expression constant moves to the
@@ -136,7 +141,7 @@ class MixedBinaryModel:
                     f"constant constraint violated: 0 {relation} {resid:g}")
             return
         self.rows.append((coeffs, relation, float(resid)))
-        self._cache = None
+        self._cache = self._ranges = None
 
     def add_objective(self, handle, coef: float, group: str | None = None):
         """Accumulate ``coef * handle`` into the objective (and a group)."""
@@ -188,19 +193,15 @@ class MixedBinaryModel:
                 raise ModelError("non-finite objective coefficient")
 
     def max_violation(self, x: np.ndarray) -> float:
-        """Largest constraint violation of ``x`` (equalities two-sided)."""
-        worst = 0.0
-        for coeffs, rel, rhs in self.rows:
-            lhs = sum(a * x[j] for j, a in coeffs.items())
-            if rel == LE:
-                worst = max(worst, lhs - rhs)
-            elif rel == GE:
-                worst = max(worst, rhs - lhs)
-            else:
-                worst = max(worst, abs(lhs - rhs))
-        for j in range(self.num_vars):
-            worst = max(worst, self.lb[j] - x[j], x[j] - self.ub[j])
-        return worst
+        """Largest constraint or bound violation of ``x`` (equalities
+        two-sided); one sparse mat-vec over the cached row ranges."""
+        x = np.asarray(x, dtype=float)
+        A, lo, hi = self._row_ranges()
+        act = A @ x
+        return max(float(np.max(lo - act, initial=0.0)),
+                   float(np.max(act - hi, initial=0.0)),
+                   float(np.max(np.asarray(self.lb) - x, initial=0.0)),
+                   float(np.max(x - np.asarray(self.ub), initial=0.0)))
 
     # -- solver-facing arrays ----------------------------------------------
 
@@ -235,7 +236,10 @@ class MixedBinaryModel:
         return self._cache
 
     def _row_ranges(self):
-        """Single constraint matrix with [lower, upper] row activities."""
+        """Build (and cache) the single constraint matrix with [lower,
+        upper] row activities used by the MILP solve and the re-check."""
+        if self._ranges is not None:
+            return self._ranges
         n = self.num_vars
         rr, cc, vv, lo, hi = [], [], [], [], []
         for i, (coeffs, rel, rhs) in enumerate(self.rows):
@@ -253,7 +257,8 @@ class MixedBinaryModel:
                 lo.append(rhs)
                 hi.append(rhs)
         A = sparse.csr_matrix((vv, (rr, cc)), shape=(len(self.rows), n))
-        return A, np.array(lo), np.array(hi)
+        self._ranges = (A, np.array(lo), np.array(hi))
+        return self._ranges
 
 
 @dataclass
@@ -356,11 +361,17 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
                time_limit: float | None = None) -> Solution:
     """Exactly solve the mixed-binary model to a proven relative gap.
 
-    Runs HiGHS branch-and-bound single-threaded (deterministic: identical
-    input gives identical variable values).  On ``time_limit`` the best
-    incumbent is returned with status ``gap_limit``.  The pure-Python
-    reference algorithm :func:`solve_milp_reference` implements the same
-    contract and is cross-checked against this routine in the test suite.
+    First a root step: the LP relaxation is solved and its binaries set by
+    :func:`_gating_repair`.  When that point is feasible and its objective
+    is within ``gap_tol`` of the LP bound, it is returned as optimal with
+    ``node_count=1`` (the same bound-plus-incumbent proof branch-and-cut
+    makes, closed at the root).  Otherwise HiGHS branch-and-cut runs
+    single-threaded.  Both are deterministic: identical input gives
+    identical variable values.  With ``time_limit`` the root step is
+    skipped and, when the limit is hit, the best incumbent is returned with
+    status ``gap_limit``.  The pure-Python reference algorithm
+    :func:`solve_milp_reference` implements the same contract and is
+    cross-checked against this routine in the test suite.
     """
     model.validate()
     if gap_tol < 0:
@@ -374,12 +385,16 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
     if model.rows:
         A, lo, hi = model._row_ranges()
         constraints = LinearConstraint(A, lo, hi)
+    bounds = Bounds(np.array(model.lb), np.array(model.ub))
+    if time_limit is None and integrality.any():
+        root = _root_step(model, c, constraints, bounds, gap_tol)
+        if root is not None:
+            return root
     options = {"mip_rel_gap": gap_tol, "presolve": True}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     res = highs_milp(c, constraints=constraints, integrality=integrality,
-                     bounds=Bounds(np.array(model.lb), np.array(model.ub)),
-                     options=options)
+                     bounds=bounds, options=options)
     nodes = max(1, int(getattr(res, "mip_node_count", 0) or 0))
     if res.status == 0:
         x = np.asarray(res.x)
@@ -399,6 +414,31 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
         gap = float(getattr(res, "mip_gap", math.inf) or math.inf)
         return Solution(GAP_LIMIT, obj, x, mip_gap=gap, node_count=nodes)
     raise SolverError(f"MILP solve failed (HiGHS status {res.status}): {res.message}")
+
+
+def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
+               bounds: Bounds, gap_tol: float) -> Solution | None:
+    """The LP relaxation's point with its binaries repaired, as an optimal
+    Solution when it is feasible and proves ``gap_tol`` against the LP
+    bound; None when branch-and-cut is needed.  Like HiGHS's
+    ``mip_rel_gap``, the gap leaves out the objective constant."""
+    res = highs_milp(c, constraints=constraints,
+                     integrality=np.zeros(model.num_vars, dtype=int),
+                     bounds=bounds, options={"presolve": True})
+    if res.status != 0:
+        return None
+    x = np.array(res.x, dtype=float)
+    for j, v in _gating_repair(model, x).items():
+        x[j] = v
+    if model.max_violation(x) > 1e-5:
+        return None
+    obj = float(c @ x)
+    slack = obj - float(res.fun)
+    if slack > gap_tol * abs(obj):
+        return None
+    gap = slack / abs(obj) if slack > 0.0 else 0.0
+    return Solution(OPTIMAL, obj + model.obj_const, x, mip_gap=gap,
+                    node_count=1)
 
 
 def solve_milp_reference(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,

@@ -296,8 +296,8 @@ def test_verification_costs_match_independent_loop(desk):
 
 
 def test_each_decision_solved_and_verified_once(monkeypatch):
-    # every reduced decision is solved once and verified once per scenario,
-    # and the full-set benchmark is solved once per command
+    # every distinct reduced decision is solved once and verified once per
+    # scenario, and the full-set benchmark is solved once per command
     import pdsr.tsso
     config, ss = make_desk_instance(seed=3, n_scenarios=6, t_steps=12,
                                     buses=5, bad_fraction=0.2)
@@ -322,4 +322,7 @@ def test_each_decision_solved_and_verified_once(monkeypatch):
     calls.clear()
     rows, _ = compare_methods(problem, ss, methods, k, matrix=matrix)
     assert [r["status"] for r in rows] == ["ok"] * (m + 1)
-    assert len(calls) == (m + 1) * (n + 1) == 42
+    # on this instance two methods pick the same reduction
+    distinct = len({tuple(r["representatives"]) for r in rows[1:]})
+    assert distinct < m
+    assert len(calls) == (distinct + 1) * (n + 1)

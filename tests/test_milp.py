@@ -1,14 +1,19 @@
-"""Solver backend: trivial cases, oracle cross-checks, LP-file round trip."""
+"""Solver backend: trivial cases, oracle cross-checks, the root step, LP-file
+round trip."""
 
 import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
+import pdsr.milp
 from pdsr.errors import ModelError
 from pdsr.milp import (GE, LE, EQ, MixedBinaryModel, export_lp_file, solve_lp,
                        solve_milp, solve_milp_reference)
+from pdsr.tsso import solve_scenario_specific
+from pdsr.uc import UcProblem, make_uc_desk_instance
 from oracles import (brute_force_milp, enumerate_vertices_optimum, random_lp,
                      random_milp)
 
@@ -165,6 +170,115 @@ def test_determinism():
     r1 = solve_milp_reference(model)
     r2 = solve_milp_reference(model)
     assert np.array_equal(r1.x, r2.x)
+
+
+# -- root step: LP relaxation plus gating repair ----------------------------
+
+
+def _count_highs_calls(monkeypatch):
+    """Record the integrality vector of every HiGHS call solve_milp makes."""
+    calls = []
+    highs = pdsr.milp.highs_milp
+
+    def counted(c, **kwargs):
+        calls.append(np.asarray(kwargs["integrality"]).copy())
+        return highs(c, **kwargs)
+
+    monkeypatch.setattr(pdsr.milp, "highs_milp", counted)
+    return calls
+
+
+def test_root_step_closes_uc_cross_evaluation(monkeypatch):
+    cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
+    problem = UcProblem(cfg, ss.source_names)
+    z, _ = solve_scenario_specific(problem, ss.scenarios[0])
+    model = problem.build_model([ss.scenarios[1]], [1.0],
+                                fixed_first_stage=z.values)
+    assert model.binary_indices
+    calls = _count_highs_calls(monkeypatch)
+    gap = 1e-4
+    sol = solve_milp(model, gap_tol=gap)
+    assert len(calls) == 1 and not calls[0].any()
+    assert sol.status == "optimal" and sol.node_count == 1
+    xb = sol.x[model.binary_indices]
+    assert np.array_equal(xb, np.round(xb))
+    assert model.max_violation(sol.x) <= 1e-5
+    # independent branch-and-cut on the same arrays
+    c = np.zeros(model.num_vars)
+    for j, a in model.obj.items():
+        c[j] = a
+    A, lo, hi = model._row_ranges()
+    ref = milp(c, constraints=LinearConstraint(A, lo, hi),
+               integrality=np.array(model.is_binary, dtype=int),
+               bounds=Bounds(model.lb, model.ub), options={"mip_rel_gap": gap})
+    assert ref.status == 0
+    expected = ref.fun + model.obj_const
+    assert abs(sol.objective - expected) <= gap * abs(expected)
+    assert 0.0 <= sol.mip_gap <= gap
+
+
+def _lp_weak_model():
+    # max b + y s.t. 2b + 2y <= 3: LP bound -1.5, integral optimum -1
+    m = MixedBinaryModel()
+    b = m.add_var("b", 0.0, 1.0, binary=True)
+    y = m.add_var("y", 0.0, 1.0, binary=True)
+    m.add_objective(b, -1.0)
+    m.add_objective(y, -1.0)
+    m.add_constraint({b: 2.0, y: 2.0}, LE, 3.0)
+    return m
+
+
+def test_root_step_falls_back_to_branch_and_cut(monkeypatch):
+    calls = _count_highs_calls(monkeypatch)
+    sol = solve_milp(_lp_weak_model())
+    assert len(calls) == 2
+    assert not calls[0].any() and calls[1].all()
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_root_step_skipped_under_time_limit(monkeypatch):
+    calls = _count_highs_calls(monkeypatch)
+    sol = solve_milp(_lp_weak_model(), time_limit=10.0)
+    assert len(calls) == 1 and calls[0].all()
+    assert sol.x is not None
+    assert np.array_equal(sol.x, np.round(sol.x))
+
+
+def test_max_violation_rows_and_bounds():
+    m = MixedBinaryModel()
+    x = m.add_var("x", 0.0, 2.0)
+    y = m.add_var("y", -1.0, 1.0)
+    m.add_constraint({x: 1.0, y: 1.0}, LE, 2.0)
+    m.add_constraint({x: 1.0}, GE, 0.5)
+    m.add_constraint({x: 1.0, y: -1.0}, EQ, 0.0)
+    assert m.max_violation(np.array([1.0, 1.0])) == 0.0
+    assert m.max_violation(np.array([1.5, 1.0])) == pytest.approx(0.5)
+    assert m.max_violation(np.array([0.2, 0.2])) == pytest.approx(0.3)
+    assert m.max_violation(np.array([1.0, 0.25])) == pytest.approx(0.75)
+    assert m.max_violation(np.array([2.5, 2.5])) == pytest.approx(3.0)
+    # the cached rows follow a later mutation
+    m.add_constraint({y: 1.0}, LE, 0.0)
+    assert m.max_violation(np.array([1.0, 1.0])) == pytest.approx(1.0)
+
+
+def test_max_violation_matches_row_loop():
+    def loop_violation(model, x):
+        worst = 0.0
+        for coeffs, rel, rhs in model.rows:
+            lhs = sum(a * x[j] for j, a in coeffs.items())
+            worst = max(worst, {LE: lhs - rhs, GE: rhs - lhs,
+                                EQ: abs(lhs - rhs)}[rel])
+        for j in range(model.num_vars):
+            worst = max(worst, model.lb[j] - x[j], x[j] - model.ub[j])
+        return worst
+
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        model = random_lp(rng)
+        x = rng.uniform(-4.0, 4.0, model.num_vars)
+        assert model.max_violation(x) == pytest.approx(
+            loop_violation(model, x), rel=1e-12, abs=1e-12)
 
 
 def test_time_limit_returns_gap_limit():
