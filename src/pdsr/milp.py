@@ -4,9 +4,12 @@ Every stochastic program in the toolkit compiles down to a
 :class:`MixedBinaryModel`: bounded variables (some binary), a sparse linear
 objective to minimize, and sparse linear rows.  :func:`solve_milp` solves
 the LP relaxation with HiGHS, repairs the binaries of its point with the
-model's gating triples, and returns that point when it is feasible and
-within the relative gap of the LP bound; otherwise HiGHS branch-and-cut
-proves the gap.  :func:`solve_milp_reference` is a best-first
+model's gating triples and returns that point when it is feasible and
+within the relative gap of the LP bound.  When the repaired point is
+infeasible but only gating binaries were fractional, a second LP with every
+binary fixed at its repaired value supplies the continuous part and is held
+to the same gap test against the first LP's bound.  Otherwise HiGHS
+branch-and-cut proves the gap.  :func:`solve_milp_reference` is a best-first
 branch-and-bound over HiGHS dual-simplex relaxations with the same
 contract, kept as a cross-check.
 
@@ -361,17 +364,20 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
                time_limit: float | None = None) -> Solution:
     """Exactly solve the mixed-binary model to a proven relative gap.
 
-    First a root step: the LP relaxation is solved and its binaries set by
-    :func:`_gating_repair`.  When that point is feasible and its objective
-    is within ``gap_tol`` of the LP bound, it is returned as optimal with
-    ``node_count=1`` (the same bound-plus-incumbent proof branch-and-cut
-    makes, closed at the root).  Otherwise HiGHS branch-and-cut runs
-    single-threaded.  Both are deterministic: identical input gives
-    identical variable values.  With ``time_limit`` the root step is
-    skipped and, when the limit is hit, the best incumbent is returned with
-    status ``gap_limit``.  The pure-Python reference algorithm
-    :func:`solve_milp_reference` implements the same contract and is
-    cross-checked against this routine in the test suite.
+    First a root step (:func:`_root_step`): the LP relaxation is solved and
+    its binaries set by :func:`_gating_repair`.  If that point is
+    infeasible and every binary fractional at the LP point is a gating
+    binary, the LP is solved once more with all binaries fixed at their
+    repaired values.  When the resulting point is feasible and its
+    objective is within ``gap_tol`` of the first LP's bound, it is returned
+    as optimal with ``node_count=1`` (the same bound-plus-incumbent proof
+    branch-and-cut makes, closed at the root).  Otherwise HiGHS
+    branch-and-cut runs single-threaded.  Both are deterministic: identical
+    input gives identical variable values.  With ``time_limit`` the root
+    step is skipped and, when the limit is hit, the best incumbent is
+    returned with status ``gap_limit``.  The pure-Python reference
+    algorithm :func:`solve_milp_reference` implements the same contract and
+    is cross-checked against this routine in the test suite.
     """
     model.validate()
     if gap_tol < 0:
@@ -420,20 +426,44 @@ def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
                bounds: Bounds, gap_tol: float) -> Solution | None:
     """The LP relaxation's point with its binaries repaired, as an optimal
     Solution when it is feasible and proves ``gap_tol`` against the LP
-    bound; None when branch-and-cut is needed.  Like HiGHS's
-    ``mip_rel_gap``, the gap leaves out the objective constant."""
-    res = highs_milp(c, constraints=constraints,
-                     integrality=np.zeros(model.num_vars, dtype=int),
+    bound; None when branch-and-cut is needed.
+
+    A repaired point that breaks a row (typically simultaneous charge and
+    discharge left by the LP under a repaired gate) gets one more LP with
+    every binary fixed at its repaired value, but only when no binary
+    outside the gating triples was fractional: a fractional commitment or
+    clustering binary signals a weak bound a fixed-binary LP cannot close.
+    Like HiGHS's ``mip_rel_gap``, the gap leaves out the objective
+    constant."""
+    relaxed = np.zeros(model.num_vars, dtype=int)
+    res = highs_milp(c, constraints=constraints, integrality=relaxed,
                      bounds=bounds, options={"presolve": True})
     if res.status != 0:
         return None
+    bound = float(res.fun)
     x = np.array(res.x, dtype=float)
-    for j, v in _gating_repair(model, x).items():
-        x[j] = v
+    fix = _gating_repair(model, x)
+    binaries = np.fromiter(fix, dtype=int, count=len(fix))
+    values = np.fromiter(fix.values(), dtype=float, count=len(fix))
+    lp_binaries = x[binaries]
+    x[binaries] = values
     if model.max_violation(x) > 1e-5:
-        return None
+        gates = {d for d, _, _ in model.gating}
+        fractional = np.abs(lp_binaries - np.round(lp_binaries)) > _INT_TOL
+        if any(int(j) not in gates for j in binaries[fractional]):
+            return None
+        lb, ub = bounds.lb.copy(), bounds.ub.copy()
+        lb[binaries] = ub[binaries] = values
+        res = highs_milp(c, constraints=constraints, integrality=relaxed,
+                         bounds=Bounds(lb, ub), options={"presolve": True})
+        if res.status != 0:
+            return None
+        x = np.array(res.x, dtype=float)
+        x[binaries] = values
+        if model.max_violation(x) > 1e-5:
+            return None
     obj = float(c @ x)
-    slack = obj - float(res.fun)
+    slack = obj - bound
     if slack > gap_tol * abs(obj):
         return None
     gap = slack / abs(obj) if slack > 0.0 else 0.0

@@ -227,6 +227,8 @@ def load_matrix(path, expected_fingerprint: str | None = None) -> ProblemSpaceMa
                 values.append([float(v) for v in row[1:]])
             if len(values) != len(ids):
                 raise CacheError(f"cache {p} is truncated")
+            if next(reader, None) is not None:
+                raise CacheError(f"cache {p} has rows after its last scenario")
     except CacheError:
         raise
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:

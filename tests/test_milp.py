@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 import pdsr.milp
+from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.errors import ModelError
 from pdsr.milp import (GE, LE, EQ, MixedBinaryModel, export_lp_file, solve_lp,
                        solve_milp, solve_milp_reference)
@@ -203,7 +204,13 @@ def test_root_step_closes_uc_cross_evaluation(monkeypatch):
     xb = sol.x[model.binary_indices]
     assert np.array_equal(xb, np.round(xb))
     assert model.max_violation(sol.x) <= 1e-5
-    # independent branch-and-cut on the same arrays
+    expected = _branch_and_cut_objective(model, gap)
+    assert abs(sol.objective - expected) <= gap * abs(expected)
+    assert 0.0 <= sol.mip_gap <= gap
+
+
+def _branch_and_cut_objective(model, gap):
+    """Objective of an independent scipy branch-and-cut on the model's arrays."""
     c = np.zeros(model.num_vars)
     for j, a in model.obj.items():
         c[j] = a
@@ -212,9 +219,38 @@ def test_root_step_closes_uc_cross_evaluation(monkeypatch):
                integrality=np.array(model.is_binary, dtype=int),
                bounds=Bounds(model.lb, model.ub), options={"mip_rel_gap": gap})
     assert ref.status == 0
-    expected = ref.fun + model.obj_const
+    return ref.fun + model.obj_const
+
+
+def test_root_step_resolves_adn_full_set_with_fixed_binaries(monkeypatch):
+    # the repaired LP point charges and discharges at once, so the root step
+    # re-solves the LP with every binary fixed; that point proves the gap
+    cfg, ss = make_desk_instance(seed=0, n_scenarios=6, t_steps=12, buses=6)
+    model = AdnProblem(cfg, ss.source_names).build_model(
+        list(ss.scenarios), list(ss.probabilities))
+    calls = _count_highs_calls(monkeypatch)
+    gap = 1e-4
+    sol = solve_milp(model, gap_tol=gap)
+    assert len(calls) == 2 and not calls[0].any() and not calls[1].any()
+    assert sol.status == "optimal" and sol.node_count == 1
+    xb = sol.x[model.binary_indices]
+    assert np.array_equal(xb, np.round(xb))
+    assert model.max_violation(sol.x) <= 1e-5
+    expected = _branch_and_cut_objective(model, gap)
     assert abs(sol.objective - expected) <= gap * abs(expected)
     assert 0.0 <= sol.mip_gap <= gap
+
+
+def test_root_step_sends_fractional_commitments_to_branch_and_cut(monkeypatch):
+    # fractional UC commitments are not gating binaries: no second LP
+    cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
+    model = UcProblem(cfg, ss.source_names).build_model([ss.scenarios[0]], [1.0])
+    calls = _count_highs_calls(monkeypatch)
+    sol = solve_milp(model)
+    assert len(calls) == 2
+    assert not calls[0].any()
+    assert np.array_equal(calls[1], np.array(model.is_binary, dtype=int))
+    assert sol.status == "optimal"
 
 
 def _lp_weak_model():

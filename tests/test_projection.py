@@ -92,6 +92,15 @@ def test_truncated_cache_rejected(tmp_path, matrix):
         load_matrix(path, expected_fingerprint=matrix.fingerprint)
 
 
+def test_extra_cache_rows_rejected(tmp_path, matrix):
+    path = tmp_path / "F.csv"
+    save_matrix(matrix, path)
+    with open(path, "a") as fh:
+        fh.write("extra" + ",9" * len(matrix.scenario_ids) + "\n")
+    with pytest.raises(CacheError, match="after its last scenario"):
+        load_matrix(path, expected_fingerprint=matrix.fingerprint)
+
+
 def test_corrupt_meta_rejected(tmp_path, matrix):
     path = tmp_path / "F.csv"
     save_matrix(matrix, path)
