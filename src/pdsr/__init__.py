@@ -9,7 +9,7 @@ program and distribution-driven baselines.
 from .errors import (CacheError, ConfigError, InconsistencyError, ModelError,
                      PdsrError, RecourseError, ScenarioFormatError, SolverError)
 from .milp import (DEFAULT_GAP_TOL, MixedBinaryModel, Solution, export_lp_file,
-                   solve_lp, solve_milp, solve_milp_reference)
+                   solve_milp)
 from .scenarios import (Scenario, ScenarioSet, bad_scenario_ids, load_scenarios,
                         normalize_probabilities, save_scenarios)
 from .tsso import (FirstStageDecision, TssoProblem,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .adn import AdnConfig, AdnProblem, make_desk_instance
 from .clustering import compute_pdd, solve_clustering, sweep_beta, ReductionResult
-from .errors import CacheError, PdsrError
+from .errors import CacheError, ConfigError, PdsrError
 from .evaluation import compare_methods, evaluate_reduction
 from .milp import DEFAULT_GAP_TOL
 from .projection import (build_problem_space_matrix, fingerprint, load_matrix,
@@ -135,11 +135,28 @@ def cmd_sweep_beta(args) -> int:
     return 0
 
 
+def _load_reduction(path, probabilities) -> ReductionResult:
+    """Read a reduction file and check that it partitions the scenario set:
+    every scenario 0..N-1 assigned, and weights equal to member masses."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    n = len(probabilities)
+    try:
+        result = ReductionResult.from_json_dict(payload)
+        if sorted(result.assignment) != list(range(n)):
+            raise ValueError(f"the assignment must cover scenarios 0..{n - 1} "
+                             "exactly once")
+        result.validate(probabilities)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"reduction {path} does not fit the scenario set: "
+                          f"{exc}") from None
+    return result
+
+
 def cmd_evaluate(args) -> int:
     problem, scenario_set = _load_problem(args)
+    result = _load_reduction(args.reduction, scenario_set.probabilities)
     matrix, tau_p, _ = _ensure_matrix(args, problem, scenario_set)
-    with open(args.reduction) as fh:
-        result = ReductionResult.from_json_dict(json.load(fh))
     pdd = compute_pdd(matrix, mu=args.mu,
                       scenario_set=scenario_set if args.mu > 0 else None)
     report = evaluate_reduction(problem, scenario_set, result, matrix, pdd,

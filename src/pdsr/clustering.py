@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InconsistencyError
-from .milp import DEFAULT_GAP_TOL, EQ, LE, GE, MixedBinaryModel, OPTIMAL, solve_milp
+from .milp import DEFAULT_GAP_TOL, EQ, LE, MixedBinaryModel, OPTIMAL, solve_milp
 from .projection import ProblemSpaceMatrix
 
 
@@ -27,7 +27,6 @@ class PddMatrix:
 
     values: np.ndarray
     mu: float = 0.0
-    norm_cache: np.ndarray | None = None   # pairwise L2 norms when mu > 0
 
     @property
     def n(self) -> int:
@@ -136,7 +135,6 @@ def compute_pdd(matrix: ProblemSpaceMatrix, mu: float = 0.0,
             f"pairwise distance d[{i},{j}] = {worst:.6g} is negative beyond "
             f"the solver-gap tolerance {tol:.3g}")
     np.clip(d, 0.0, None, out=d)
-    norms = None
     if mu > 0:
         n = matrix.n
         norms = np.zeros((n, n))
@@ -147,16 +145,19 @@ def compute_pdd(matrix: ProblemSpaceMatrix, mu: float = 0.0,
                 norms[i, j] = norms[j, i] = v
         d = d + mu * norms
     np.fill_diagonal(d, 0.0)
-    return PddMatrix(values=d, mu=mu, norm_cache=norms)
+    return PddMatrix(values=d, mu=mu)
 
 
 def _clustering_model(d: np.ndarray, gamma: np.ndarray, beta: float | None,
                       fixed_k: int | None):
-    """Compile the representative-selection MILP.
+    """Compile the representative-selection MILP (a p-median model).
 
-    Binary u_j marks scenario j as a representative; binary v_ij assigns
-    scenario i to representative j; continuous l_j collects the weighted
-    within-cluster distances of cluster j through an epigraph row.
+    Binary u_j marks scenario j as a representative; continuous v_ij in
+    [0, 1] is the share of scenario i assigned to representative j, and
+    gamma_i d_ij v_ij enters the objective directly.  Only u needs to be
+    binary: with u integral, the rows left on v split into one simplex per
+    scenario, so a vertex optimum sends each scenario wholly to a nearest
+    open representative (ReVelle & Swain 1970).
     """
     n = len(gamma)
     m = MixedBinaryModel()
@@ -164,15 +165,10 @@ def _clustering_model(d: np.ndarray, gamma: np.ndarray, beta: float | None,
     v = {}
     for i in range(n):
         for j in range(n):
-            v[i, j] = m.add_var(f"v[{i},{j}]", 0.0, 1.0, binary=True)
-    l = [m.add_var(f"l[{j}]", 0.0) for j in range(n)]
-
-    for j in range(n):
-        row = {v[i, j]: float(gamma[i] * d[i, j]) for i in range(n)
-               if gamma[i] * d[i, j] != 0.0}
-        row[l[j]] = -1.0
-        m.add_constraint(row, LE, 0.0)
-        m.add_objective(l[j], 1.0, group="spdd")
+            v[i, j] = m.add_var(f"v[{i},{j}]", 0.0, 1.0)
+            w = float(gamma[i] * d[i, j])
+            if w != 0.0:
+                m.add_objective(v[i, j], w, group="spdd")
     for i in range(n):
         for j in range(n):
             if i == j:
@@ -186,7 +182,7 @@ def _clustering_model(d: np.ndarray, gamma: np.ndarray, beta: float | None,
     else:
         for j in range(n):
             m.add_objective(u[j], float(beta) / n, group="reduction_degree")
-    return m, u, v, l
+    return m, u, v
 
 
 def solve_clustering(pdd: PddMatrix, probabilities, beta: float | None = None,
@@ -209,7 +205,7 @@ def solve_clustering(pdd: PddMatrix, probabilities, beta: float | None = None,
     if fixed_k is not None and not 1 <= fixed_k <= n:
         raise ValueError(f"fixed_k must be in [1, {n}]")
 
-    model, u, v, l = _clustering_model(d, gamma, beta, fixed_k)
+    model, u, v = _clustering_model(d, gamma, beta, fixed_k)
     sol = solve_milp(model, gap_tol=gap_tol)
     if sol.status != OPTIMAL:
         raise InconsistencyError(f"clustering MILP ended {sol.status}")
@@ -227,8 +223,7 @@ def solve_clustering(pdd: PddMatrix, probabilities, beta: float | None = None,
         representatives=reps, assignment=assignment, weights=weights,
         spdd=spdd, objective=float(sol.objective),
         beta=beta, method="pdsr",
-        extras={"mip_gap": sol.mip_gap, "node_count": sol.node_count,
-                "epigraph_spdd": float(sum(x[lj] for lj in l))})
+        extras={"mip_gap": sol.mip_gap, "node_count": sol.node_count})
     result.validate(gamma)
     return result
 

@@ -2,33 +2,29 @@
 
 Every stochastic program in the toolkit compiles down to a
 :class:`MixedBinaryModel`: bounded variables (some binary), a sparse linear
-objective to minimize, and sparse linear rows.  :func:`solve_milp` solves
+objective to minimize, and sparse linear rows.  The rows are assembled once
+into a single range-constrained matrix (``_row_ranges``), which both the
+HiGHS calls and the feasibility re-check read.  :func:`solve_milp` solves
 the LP relaxation with HiGHS, repairs the binaries of its point with the
 model's gating triples and returns that point when it is feasible and
 within the relative gap of the LP bound.  When the repaired point is
 infeasible but only gating binaries were fractional, a second LP with every
 binary fixed at its repaired value supplies the continuous part and is held
 to the same gap test against the first LP's bound.  Otherwise HiGHS
-branch-and-cut proves the gap.  :func:`solve_milp_reference` is a best-first
-branch-and-bound over HiGHS dual-simplex relaxations with the same
-contract, kept as a cross-check.
+branch-and-cut proves the gap.
 
 Determinism contract: two solves of the same model produce identical
-variable values.  In the reference solver, branching is most-fractional
-with ties broken by lowest variable index; the node queue is ordered by
-(bound, creation order).
+variable values.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, linprog
+from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as highs_milp
 
 from .errors import ModelError, SolverError
@@ -97,7 +93,6 @@ class MixedBinaryModel:
         # (binary, active-when-0 var, active-when-1 var) triples used by the
         # root step's binary repair; populated by the problem compilers.
         self.gating: list[tuple[int, int, int]] = []
-        self._cache = None
         self._ranges = None
 
     # -- construction -----------------------------------------------------
@@ -112,7 +107,7 @@ class MixedBinaryModel:
         self.lb.append(float(lb))
         self.ub.append(float(ub))
         self.is_binary.append(bool(binary))
-        self._cache = self._ranges = None
+        self._ranges = None
         return len(self.var_names) - 1
 
     def add_constraint(self, coeffs: dict[int, float], relation: str, rhs: float):
@@ -129,7 +124,7 @@ class MixedBinaryModel:
         if not math.isfinite(rhs):
             raise ModelError("non-finite right-hand side")
         self.rows.append((dict(coeffs), relation, float(rhs)))
-        self._cache = self._ranges = None
+        self._ranges = None
 
     def add_expr_constraint(self, expr: LinExpr, relation: str, rhs: float):
         """Add ``expr <relation> rhs``; the expression constant moves to the
@@ -144,7 +139,7 @@ class MixedBinaryModel:
                     f"constant constraint violated: 0 {relation} {resid:g}")
             return
         self.rows.append((coeffs, relation, float(resid)))
-        self._cache = self._ranges = None
+        self._ranges = None
 
     def add_objective(self, handle, coef: float, group: str | None = None):
         """Accumulate ``coef * handle`` into the objective (and a group)."""
@@ -158,7 +153,6 @@ class MixedBinaryModel:
         if group:
             g = self.obj_groups.setdefault(group, {})
             g[handle] = g.get(handle, 0.0) + coef
-        self._cache = None
 
     # -- inspection --------------------------------------------------------
 
@@ -208,36 +202,6 @@ class MixedBinaryModel:
 
     # -- solver-facing arrays ----------------------------------------------
 
-    def _arrays(self):
-        """Build (and cache) the sparse row matrices used by linprog."""
-        if self._cache is not None:
-            return self._cache
-        n = self.num_vars
-        c = np.zeros(n)
-        for j, a in self.obj.items():
-            c[j] = a
-        ub_r, ub_c, ub_v, ub_b = [], [], [], []
-        eq_r, eq_c, eq_v, eq_b = [], [], [], []
-        for coeffs, rel, rhs in self.rows:
-            if rel == EQ:
-                r, cc, vv, bb = eq_r, eq_c, eq_v, eq_b
-                sign = 1.0
-            else:
-                r, cc, vv, bb = ub_r, ub_c, ub_v, ub_b
-                sign = 1.0 if rel == LE else -1.0
-            i = len(bb)
-            for j, a in coeffs.items():
-                r.append(i)
-                cc.append(j)
-                vv.append(sign * a)
-            bb.append(sign * rhs)
-        A_ub = (sparse.csr_matrix((ub_v, (ub_r, ub_c)), shape=(len(ub_b), n))
-                if ub_b else None)
-        A_eq = (sparse.csr_matrix((eq_v, (eq_r, eq_c)), shape=(len(eq_b), n))
-                if eq_b else None)
-        self._cache = (c, A_ub, np.array(ub_b), A_eq, np.array(eq_b))
-        return self._cache
-
     def _row_ranges(self):
         """Build (and cache) the single constraint matrix with [lower,
         upper] row activities used by the MILP solve and the re-check."""
@@ -266,77 +230,13 @@ class MixedBinaryModel:
 
 @dataclass
 class Solution:
-    """Outcome of an LP or MILP solve."""
+    """Outcome of a MILP solve."""
 
     status: str
     objective: float
     x: np.ndarray | None
     mip_gap: float = 0.0
     node_count: int = 0
-    dual_objective: float | None = None
-    # (node index, incumbent objective, global lower bound) at each
-    # improvement event; incumbents are non-increasing, bounds non-decreasing.
-    trace: list = field(default_factory=list)
-
-
-def _dual_objective(res, b_ub, b_eq, lo, hi) -> float | None:
-    """Reconstruct the dual objective from HiGHS marginals (weak-duality
-    spot checks); None when any piece is unavailable."""
-    try:
-        total = 0.0
-        if b_ub is not None and len(b_ub):
-            total += float(np.dot(b_ub, res.ineqlin.marginals))
-        if b_eq is not None and len(b_eq):
-            total += float(np.dot(b_eq, res.eqlin.marginals))
-        lom = np.asarray(res.lower.marginals)
-        him = np.asarray(res.upper.marginals)
-        finite_lo = np.where(np.isfinite(lo), lo, 0.0)
-        finite_hi = np.where(np.isfinite(hi), hi, 0.0)
-        total += float(np.dot(finite_lo, np.where(lom != 0.0, lom, 0.0)))
-        total += float(np.dot(finite_hi, np.where(him != 0.0, him, 0.0)))
-        return total
-    except (AttributeError, TypeError):
-        return None
-
-
-def _solve_relaxation(model: MixedBinaryModel, lo: np.ndarray, hi: np.ndarray,
-                      want_duals: bool = False):
-    """Solve the LP relaxation at the given bounds.
-
-    Returns (status, objective-without-constant, x, dual_objective).
-    """
-    c, A_ub, b_ub, A_eq, b_eq = model._arrays()
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub if A_ub is not None else None,
-                  A_eq=A_eq, b_eq=b_eq if A_eq is not None else None,
-                  bounds=np.column_stack([lo, hi]), method="highs-ds")
-    if res.status == 0:
-        dual = _dual_objective(res, b_ub if A_ub is not None else None,
-                               b_eq if A_eq is not None else None,
-                               lo, hi) if want_duals else None
-        return OPTIMAL, float(res.fun), np.asarray(res.x), dual
-    if res.status == 2:
-        return INFEASIBLE, math.inf, None, None
-    if res.status == 3:
-        return UNBOUNDED, -math.inf, None, None
-    raise SolverError(f"LP solve failed (HiGHS status {res.status}): {res.message}")
-
-
-def solve_lp(model: MixedBinaryModel) -> Solution:
-    """Solve the LP relaxation of ``model`` (binaries relaxed to [0, 1]).
-
-    Returns a vertex-optimal solution, or a Solution carrying an
-    infeasible/unbounded status.  Deterministic for identical input.
-    """
-    model.validate()
-    lo = np.array(model.lb)
-    hi = np.array(model.ub)
-    status, fun, x, dual = _solve_relaxation(model, lo, hi, want_duals=True)
-    if status != OPTIMAL:
-        return Solution(status, math.inf if status == INFEASIBLE else -math.inf,
-                        None, node_count=1)
-    return Solution(OPTIMAL, fun + model.obj_const, x, node_count=1,
-                    dual_objective=(None if dual is None
-                                    else dual + model.obj_const))
 
 
 def _gating_repair(model: MixedBinaryModel, x: np.ndarray) -> dict[int, int]:
@@ -375,9 +275,9 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
     branch-and-cut runs single-threaded.  Both are deterministic: identical
     input gives identical variable values.  With ``time_limit`` the root
     step is skipped and, when the limit is hit, the best incumbent is
-    returned with status ``gap_limit``.  The pure-Python reference
-    algorithm :func:`solve_milp_reference` implements the same contract and
-    is cross-checked against this routine in the test suite.
+    returned with status ``gap_limit``.  The test suite cross-checks this
+    routine against brute-force enumeration and an independent reference
+    branch-and-bound.
     """
     model.validate()
     if gap_tol < 0:
@@ -469,127 +369,6 @@ def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
     gap = slack / abs(obj) if slack > 0.0 else 0.0
     return Solution(OPTIMAL, obj + model.obj_const, x, mip_gap=gap,
                     node_count=1)
-
-
-def solve_milp_reference(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
-                         time_limit: float | None = None,
-                         heuristic=None) -> Solution:
-    """Best-first branch-and-bound over LP relaxations.
-
-    Returns the incumbent once its relative gap to the best open bound is
-    proven <= ``gap_tol``; on ``time_limit`` the best incumbent is returned
-    with status ``gap_limit``.  Branching picks the most-fractional binary,
-    ties broken by lowest variable index; the node queue is ordered by
-    (parent bound, creation order).
-
-    ``heuristic(x)`` may propose a full binary fixing from a relaxation
-    point; the default repairs the model's gating pairs and rounds the rest.
-    """
-    model.validate()
-    if gap_tol < 0:
-        raise ModelError("gap_tol must be >= 0")
-    t0 = time.monotonic()
-    binaries = np.array(model.binary_indices, dtype=int)
-    lo0 = np.array(model.lb)
-    hi0 = np.array(model.ub)
-
-    status, fun, x, _ = _solve_relaxation(model, lo0, hi0)
-    nodes = 1
-    if status != OPTIMAL:
-        return Solution(status, math.inf if status == INFEASIBLE else -math.inf,
-                        None, node_count=nodes)
-    if binaries.size == 0:
-        return Solution(OPTIMAL, fun + model.obj_const, x, node_count=nodes)
-
-    if heuristic is None:
-        heuristic = lambda xr: _gating_repair(model, xr)
-
-    inc_x = None
-    inc_obj = math.inf
-    const = model.obj_const
-    trace: list[tuple[int, float, float]] = []
-
-    def relative_gap(bound: float) -> float:
-        if inc_x is None:
-            return math.inf
-        return (inc_obj - bound) / max(abs(inc_obj), 1e-10)
-
-    def fractional(xr: np.ndarray):
-        f = np.abs(xr[binaries] - np.round(xr[binaries]))
-        k = int(np.argmax(f))
-        return (int(binaries[k]), float(f[k]))
-
-    def bounds_for(fixings: dict[int, float]):
-        lo, hi = lo0.copy(), hi0.copy()
-        for j, v in fixings.items():
-            lo[j] = hi[j] = v
-        return lo, hi
-
-    def try_incumbent(xr: np.ndarray, obj: float, lower: float) -> None:
-        nonlocal inc_x, inc_obj
-        if obj < inc_obj - 1e-12:
-            inc_x, inc_obj = xr, obj
-            trace.append((nodes, obj + const, lower + const))
-
-    def run_heuristic(xr: np.ndarray, lower: float):
-        nonlocal nodes
-        fixing = heuristic(xr)
-        if fixing is None:
-            return
-        hlo, hhi = bounds_for({j: float(v) for j, v in fixing.items()})
-        st, f, hx, _ = _solve_relaxation(model, hlo, hhi)
-        nodes += 1
-        if st == OPTIMAL:
-            try_incumbent(hx, f, lower)
-
-    frac_j, frac = fractional(x)
-    if frac <= _INT_TOL:
-        return Solution(OPTIMAL, fun + const, x, node_count=nodes)
-    run_heuristic(x, fun)
-
-    # heap entries: (bound, insertion counter, binary fixings, branch var);
-    # only the small fixings dict is retained per open node.
-    counter = 0
-    heap = [(fun, counter, {}, frac_j)]
-
-    while heap:
-        lower = heap[0][0]
-        if relative_gap(lower) <= gap_tol:
-            break
-        if time_limit is not None and time.monotonic() - t0 > time_limit:
-            return Solution(GAP_LIMIT,
-                            inc_obj + const if inc_x is not None else math.inf,
-                            inc_x, mip_gap=relative_gap(lower),
-                            node_count=nodes, trace=trace)
-        bound, _, fixings, branch_j = heappop(heap)
-        if inc_x is not None and bound >= inc_obj - 1e-12:
-            continue
-        for value in (0.0, 1.0):
-            child = dict(fixings)
-            child[branch_j] = value
-            clo, chi = bounds_for(child)
-            st, f, cx, _ = _solve_relaxation(model, clo, chi)
-            nodes += 1
-            if st != OPTIMAL:
-                continue
-            if inc_x is not None and f >= inc_obj - 1e-12:
-                continue
-            cj, cf = fractional(cx)
-            if cf <= _INT_TOL:
-                try_incumbent(cx, f, lower)
-            else:
-                counter += 1
-                heappush(heap, (f, counter, child, cj))
-
-    if inc_x is None:
-        return Solution(INFEASIBLE, math.inf, None, node_count=nodes, trace=trace)
-    final_lower = heap[0][0] if heap else inc_obj
-    viol = model.max_violation(inc_x)
-    if viol > 1e-5:
-        raise SolverError(f"incumbent violates constraints by {viol:.3e}")
-    return Solution(OPTIMAL, inc_obj + const, inc_x,
-                    mip_gap=max(0.0, relative_gap(final_lower)),
-                    node_count=nodes, trace=trace)
 
 
 # -- LP-file export ---------------------------------------------------------

@@ -46,10 +46,6 @@ class ProblemSpaceMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def column_sums(self) -> np.ndarray:
-        """Adaptability of all decisions to each scenario (worst-case signal)."""
-        return self.values.sum(axis=0)
-
     def check_diagonal_optimality(self):
         """The diagonal must be column-wise minimal up to twice the solver gap."""
         F = self.values

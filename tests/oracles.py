@@ -1,15 +1,236 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 Everything here recomputes expected values from first principles
-(enumeration, brute force) and never calls the code paths it checks.
+(enumeration, brute force) or through a second solver path: an LP solve by
+``linprog`` on matrices assembled straight from ``model.rows``, and a
+best-first branch-and-bound over those LPs.  None of it calls
+``solve_milp``, the routine it checks.
 """
 
 import itertools
 import math
+import time
+from dataclasses import dataclass, field
+from heapq import heappop, heappush
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
-from pdsr.milp import EQ, GE, LE, MixedBinaryModel, solve_lp
+from pdsr.errors import ModelError, SolverError
+from pdsr.milp import (DEFAULT_GAP_TOL, EQ, GAP_LIMIT, GE, INFEASIBLE, LE,
+                       OPTIMAL, UNBOUNDED, MixedBinaryModel, Solution,
+                       _INT_TOL, _gating_repair)
+
+
+@dataclass
+class OracleSolution(Solution):
+    """A :class:`pdsr.milp.Solution` plus what only the oracles report."""
+
+    dual_objective: float | None = None
+    # (node index, incumbent objective, global lower bound) at each
+    # improvement event; incumbents are non-increasing, bounds non-decreasing.
+    trace: list = field(default_factory=list)
+
+
+def _lp_arrays(model):
+    """``linprog`` arrays (c, A_ub, b_ub, A_eq, b_eq) read from the model's
+    rows: ``>=`` rows are negated into ``<=`` rows, equalities kept apart."""
+    n = model.num_vars
+    c = np.zeros(n)
+    for j, a in model.obj.items():
+        c[j] = a
+    ub_r, ub_c, ub_v, ub_b = [], [], [], []
+    eq_r, eq_c, eq_v, eq_b = [], [], [], []
+    for coeffs, rel, rhs in model.rows:
+        if rel == EQ:
+            r, cc, vv, bb = eq_r, eq_c, eq_v, eq_b
+            sign = 1.0
+        else:
+            r, cc, vv, bb = ub_r, ub_c, ub_v, ub_b
+            sign = 1.0 if rel == LE else -1.0
+        i = len(bb)
+        for j, a in coeffs.items():
+            r.append(i)
+            cc.append(j)
+            vv.append(sign * a)
+        bb.append(sign * rhs)
+    A_ub = (sparse.csr_matrix((ub_v, (ub_r, ub_c)), shape=(len(ub_b), n))
+            if ub_b else None)
+    A_eq = (sparse.csr_matrix((eq_v, (eq_r, eq_c)), shape=(len(eq_b), n))
+            if eq_b else None)
+    return (c, A_ub, np.array(ub_b) if ub_b else None,
+            A_eq, np.array(eq_b) if eq_b else None)
+
+
+def _dual_objective(res, b_ub, b_eq, lo, hi):
+    """Reconstruct the dual objective from HiGHS marginals (weak-duality
+    spot checks); None when any piece is unavailable."""
+    try:
+        total = 0.0
+        if b_ub is not None:
+            total += float(np.dot(b_ub, res.ineqlin.marginals))
+        if b_eq is not None:
+            total += float(np.dot(b_eq, res.eqlin.marginals))
+        lom = np.asarray(res.lower.marginals)
+        him = np.asarray(res.upper.marginals)
+        finite_lo = np.where(np.isfinite(lo), lo, 0.0)
+        finite_hi = np.where(np.isfinite(hi), hi, 0.0)
+        total += float(np.dot(finite_lo, np.where(lom != 0.0, lom, 0.0)))
+        total += float(np.dot(finite_hi, np.where(him != 0.0, him, 0.0)))
+        return total
+    except (AttributeError, TypeError):
+        return None
+
+
+def _solve_relaxation(arrays, lo, hi, want_duals=False):
+    """Solve the LP relaxation of ``_lp_arrays`` output at the given bounds.
+
+    Returns (status, objective-without-constant, x, dual_objective).
+    """
+    c, A_ub, b_ub, A_eq, b_eq = arrays
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=np.column_stack([lo, hi]), method="highs-ds")
+    if res.status == 0:
+        dual = _dual_objective(res, b_ub, b_eq, lo, hi) if want_duals else None
+        return OPTIMAL, float(res.fun), np.asarray(res.x), dual
+    if res.status == 2:
+        return INFEASIBLE, math.inf, None, None
+    if res.status == 3:
+        return UNBOUNDED, -math.inf, None, None
+    raise SolverError(f"LP solve failed (HiGHS status {res.status}): {res.message}")
+
+
+def solve_lp(model):
+    """Solve the LP relaxation of ``model`` (binaries relaxed to [0, 1]).
+
+    Returns a vertex-optimal solution with its dual objective, or a
+    solution carrying an infeasible/unbounded status.
+    """
+    model.validate()
+    lo = np.array(model.lb)
+    hi = np.array(model.ub)
+    status, fun, x, dual = _solve_relaxation(_lp_arrays(model), lo, hi,
+                                             want_duals=True)
+    if status != OPTIMAL:
+        return OracleSolution(status,
+                              math.inf if status == INFEASIBLE else -math.inf,
+                              None, node_count=1)
+    return OracleSolution(OPTIMAL, fun + model.obj_const, x, node_count=1,
+                          dual_objective=(None if dual is None
+                                          else dual + model.obj_const))
+
+
+def solve_milp_reference(model, gap_tol=DEFAULT_GAP_TOL, time_limit=None):
+    """Best-first branch-and-bound over LP relaxations.
+
+    Returns the incumbent once its relative gap to the best open bound is
+    proven <= ``gap_tol``; on ``time_limit`` the best incumbent is returned
+    with status ``gap_limit``.  Branching picks the most-fractional binary,
+    ties broken by lowest variable index; the node queue is ordered by
+    (parent bound, creation order), so two solves of one model agree.  At
+    the root a full binary fixing from the model's gating repair is tried
+    as a first incumbent.
+    """
+    model.validate()
+    if gap_tol < 0:
+        raise ModelError("gap_tol must be >= 0")
+    t0 = time.monotonic()
+    arrays = _lp_arrays(model)
+    binaries = np.array(model.binary_indices, dtype=int)
+    lo0 = np.array(model.lb)
+    hi0 = np.array(model.ub)
+
+    status, fun, x, _ = _solve_relaxation(arrays, lo0, hi0)
+    nodes = 1
+    if status != OPTIMAL:
+        return OracleSolution(status,
+                              math.inf if status == INFEASIBLE else -math.inf,
+                              None, node_count=nodes)
+    if binaries.size == 0:
+        return OracleSolution(OPTIMAL, fun + model.obj_const, x, node_count=nodes)
+
+    inc_x = None
+    inc_obj = math.inf
+    const = model.obj_const
+    trace = []
+
+    def relative_gap(bound):
+        if inc_x is None:
+            return math.inf
+        return (inc_obj - bound) / max(abs(inc_obj), 1e-10)
+
+    def fractional(xr):
+        f = np.abs(xr[binaries] - np.round(xr[binaries]))
+        k = int(np.argmax(f))
+        return (int(binaries[k]), float(f[k]))
+
+    def bounds_for(fixings):
+        lo, hi = lo0.copy(), hi0.copy()
+        for j, v in fixings.items():
+            lo[j] = hi[j] = v
+        return lo, hi
+
+    def try_incumbent(xr, obj, lower):
+        nonlocal inc_x, inc_obj
+        if obj < inc_obj - 1e-12:
+            inc_x, inc_obj = xr, obj
+            trace.append((nodes, obj + const, lower + const))
+
+    frac_j, frac = fractional(x)
+    if frac <= _INT_TOL:
+        return OracleSolution(OPTIMAL, fun + const, x, node_count=nodes)
+    fixing = _gating_repair(model, x)
+    hlo, hhi = bounds_for({j: float(v) for j, v in fixing.items()})
+    st, f, hx, _ = _solve_relaxation(arrays, hlo, hhi)
+    nodes += 1
+    if st == OPTIMAL:
+        try_incumbent(hx, f, fun)
+
+    # heap entries: (bound, insertion counter, binary fixings, branch var);
+    # only the small fixings dict is retained per open node.
+    counter = 0
+    heap = [(fun, counter, {}, frac_j)]
+
+    while heap:
+        lower = heap[0][0]
+        if relative_gap(lower) <= gap_tol:
+            break
+        if time_limit is not None and time.monotonic() - t0 > time_limit:
+            return OracleSolution(GAP_LIMIT,
+                                  inc_obj + const if inc_x is not None else math.inf,
+                                  inc_x, mip_gap=relative_gap(lower),
+                                  node_count=nodes, trace=trace)
+        bound, _, fixings, branch_j = heappop(heap)
+        if inc_x is not None and bound >= inc_obj - 1e-12:
+            continue
+        for value in (0.0, 1.0):
+            child = dict(fixings)
+            child[branch_j] = value
+            clo, chi = bounds_for(child)
+            st, f, cx, _ = _solve_relaxation(arrays, clo, chi)
+            nodes += 1
+            if st != OPTIMAL:
+                continue
+            if inc_x is not None and f >= inc_obj - 1e-12:
+                continue
+            cj, cf = fractional(cx)
+            if cf <= _INT_TOL:
+                try_incumbent(cx, f, lower)
+            else:
+                counter += 1
+                heappush(heap, (f, counter, child, cj))
+
+    if inc_x is None:
+        return OracleSolution(INFEASIBLE, math.inf, None, node_count=nodes,
+                              trace=trace)
+    final_lower = heap[0][0] if heap else inc_obj
+    viol = model.max_violation(inc_x)
+    if viol > 1e-5:
+        raise SolverError(f"incumbent violates constraints by {viol:.3e}")
+    return OracleSolution(OPTIMAL, inc_obj + const, inc_x,
+                          mip_gap=max(0.0, relative_gap(final_lower)),
+                          node_count=nodes, trace=trace)
 
 
 def random_lp(rng, n_vars=None, n_rows=None):
@@ -101,18 +322,14 @@ def random_milp(rng, max_binaries=12, max_cont=8):
 def brute_force_milp(model, binaries):
     """Enumerate all binary assignments; LP per fixing; keep the best."""
     best = math.inf
-    lb_save = list(model.lb)
-    ub_save = list(model.ub)
+    arrays = _lp_arrays(model)
     for assignment in itertools.product((0.0, 1.0), repeat=len(binaries)):
-        for j, v in zip(binaries, assignment):
-            model.lb[j] = model.ub[j] = v
-        model._cache = None
-        sol = solve_lp(model)
-        if sol.status == "optimal":
-            best = min(best, sol.objective)
-    model.lb[:] = lb_save
-    model.ub[:] = ub_save
-    model._cache = None
+        lo = np.array(model.lb)
+        hi = np.array(model.ub)
+        lo[binaries] = hi[binaries] = assignment
+        status, fun, _, _ = _solve_relaxation(arrays, lo, hi)
+        if status == OPTIMAL:
+            best = min(best, fun + model.obj_const)
     return best
 
 

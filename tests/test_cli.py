@@ -1,12 +1,14 @@
 """End-to-end command tests on a tiny instance."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import pdsr
 from pdsr.cli import main
 
 
@@ -113,6 +115,43 @@ def test_evaluate_identity_reduction(instance, tmp_path):
     assert (out / "report.timings.json").exists()
 
 
+def _misfit_rep_out_of_range(red, n):
+    # the largest representative is renamed to index n, past the last scenario
+    r = max(red["representatives"])
+    red["representatives"] = sorted(set(red["representatives"]) - {r} | {n})
+    red["assignment"] = {i: (n if a == r else a)
+                         for i, a in red["assignment"].items()}
+    red["assignment"][str(n)] = n
+    red["weights"][str(n)] = red["weights"].pop(str(r))
+
+
+def _misfit_weights_not_one(red, n):
+    red["weights"] = {r: w / 2 for r, w in red["weights"].items()}
+
+
+@pytest.mark.parametrize("misfit", [_misfit_rep_out_of_range,
+                                    _misfit_weights_not_one],
+                         ids=["rep_out_of_range", "weights_not_one"])
+def test_evaluate_rejects_misfit_reduction_before_solving(
+        instance, tmp_path, capsys, monkeypatch, misfit):
+    out = tmp_path / "run"
+    out.mkdir()
+    run_ok(["cluster", *common(instance, out), "--K", "2"])
+    red = json.loads((out / "reduction.json").read_text())
+    misfit(red, 4)
+    (out / "bad.json").write_text(json.dumps(red))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver called before the reduction was checked")
+
+    monkeypatch.setattr("pdsr.milp.highs_milp", no_solve)
+    capsys.readouterr()
+    assert main([str(a) for a in ["evaluate", *common(instance, out),
+                                  "--reduction", out / "bad.json"]]) == 1
+    assert capsys.readouterr().err.startswith("error: reduction ")
+    assert not (out / "report.json").exists()
+
+
 def test_compare_single_method(instance, tmp_path):
     out = tmp_path / "run"
     out.mkdir()
@@ -182,10 +221,14 @@ def test_error_exit_code(tmp_path):
 
 
 def test_console_entry_point(instance, tmp_path):
+    # the child imports the same pdsr as this process, installed or not
+    src = str(Path(pdsr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "pdsr.cli", "make-desk", "--problem", "uc",
          "--N", "3", "--T", "6", "--out", str(tmp_path / "uc")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert (tmp_path / "uc" / "config.json").exists()
     assert (tmp_path / "uc" / "scenarios.csv").exists()

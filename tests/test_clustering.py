@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import enumerate_clustering
-from pdsr.clustering import (PddMatrix, ReductionResult, compute_pdd,
-                             identity_reduction, solve_clustering, sweep_beta)
+from pdsr.clustering import (PddMatrix, ReductionResult, _clustering_model,
+                             compute_pdd, identity_reduction, solve_clustering,
+                             sweep_beta)
 from pdsr.errors import InconsistencyError
 from pdsr.projection import ProblemSpaceMatrix
 
@@ -136,11 +137,22 @@ def test_solution_satisfies_formulation_constraints():
     gamma = np.full(7, 1 / 7)
     result = solve_clustering(d, gamma, fixed_k=3)
     result.validate(gamma)
-    # epigraph consistency: reported spdd equals the recomputed value
+    # at fixed K the objective is the distance sum: the solver's value equals
+    # the spdd recomputed from the assignment
     recomputed = sum(gamma[i] * d.values[r, i]
                      for i, r in result.assignment.items())
     assert result.spdd == pytest.approx(recomputed, abs=1e-9)
-    assert result.extras["epigraph_spdd"] == pytest.approx(result.spdd, abs=1e-6)
+    assert result.objective == pytest.approx(result.spdd, abs=1e-6)
+
+
+def test_clustering_model_has_only_representative_binaries():
+    # the assignment v is continuous and there is no epigraph: N binaries
+    # (the u) and N^2 + N variables in all
+    n = 5
+    d = random_pdd(np.random.default_rng(8), n).values
+    model, u, _ = _clustering_model(d, np.full(n, 1 / n), None, 2)
+    assert model.binary_indices == u
+    assert model.num_vars == n * n + n
 
 
 def test_argument_validation():

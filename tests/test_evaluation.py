@@ -28,7 +28,7 @@ def test_spdd_identity_reduction_zero():
     assert spdd(d, gamma, identity_reduction(gamma)) == 0.0
 
 
-def test_spdd_matches_solver_epigraph():
+def test_spdd_matches_solver_objective():
     rng = np.random.default_rng(0)
     m = rng.uniform(0.0, 5.0, (6, 6))
     d = PddMatrix(values=(m + m.T) * 0.5)
@@ -36,8 +36,7 @@ def test_spdd_matches_solver_epigraph():
     gamma = np.full(6, 1 / 6)
     result = solve_clustering(d, gamma, fixed_k=2)
     assert spdd(d, gamma, result) == pytest.approx(result.spdd, abs=1e-9)
-    assert spdd(d, gamma, result) == pytest.approx(
-        result.extras["epigraph_spdd"], abs=1e-6)
+    assert spdd(d, gamma, result) == pytest.approx(result.objective, abs=1e-6)
 
 
 def test_pddbi_hand_computed():

@@ -11,12 +11,11 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 import pdsr.milp
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.errors import ModelError
-from pdsr.milp import (GE, LE, EQ, MixedBinaryModel, export_lp_file, solve_lp,
-                       solve_milp, solve_milp_reference)
+from pdsr.milp import GE, LE, EQ, MixedBinaryModel, export_lp_file, solve_milp
 from pdsr.tsso import solve_scenario_specific
 from pdsr.uc import UcProblem, make_uc_desk_instance
 from oracles import (brute_force_milp, enumerate_vertices_optimum, random_lp,
-                     random_milp)
+                     random_milp, solve_lp, solve_milp_reference)
 
 
 def simple_model():
