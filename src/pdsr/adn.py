@@ -131,13 +131,13 @@ class AdnConfig:
         return cls(**d)
 
 
-def build_adn_model(config: AdnConfig, scenarios, weights, source_names,
-                    fixed_first_stage=None) -> MixedBinaryModel:
+def build_adn_model(config: AdnConfig, scenarios, weights,
+                    source_names) -> MixedBinaryModel:
     """Compile the weighted dispatch program to a mixed-binary model.
 
     First-stage variables are the trading schedule ``PT[t]`` and procured
-    capacities ``E[n]``; with ``fixed_first_stage`` they are substituted as
-    constants and only recourse variables remain.
+    capacities ``E[n]``, always model columns; a fixed decision is imposed
+    by their bounds (``tsso.evaluate_with_fixed_first_stage``).
     """
     cfg = config
     T, dt = cfg.t_steps, cfg.dt_hours
@@ -168,17 +168,9 @@ def build_adn_model(config: AdnConfig, scenarios, weights, source_names,
     m = MixedBinaryModel()
 
     # -- first stage -------------------------------------------------------
-    fs_names = [f"PT[{t}]" for t in range(T)] + [f"E[{e.node}]" for e in cfg.es_units]
-    if fixed_first_stage is None:
-        pt = [m.add_var(f"PT[{t}]", -cfg.p_trade_max, cfg.p_trade_max)
-              for t in range(T)]
-        ecap = [m.add_var(f"E[{e.node}]", 0.0, e.e_max) for e in cfg.es_units]
-    else:
-        vals = np.asarray(fixed_first_stage, dtype=float)
-        if vals.shape != (len(fs_names),):
-            raise ConfigError("fixed first stage has wrong length")
-        pt = [("const", float(vals[t])) for t in range(T)]
-        ecap = [("const", float(vals[T + k])) for k in range(len(cfg.es_units))]
+    pt = [m.add_var(f"PT[{t}]", -cfg.p_trade_max, cfg.p_trade_max)
+          for t in range(T)]
+    ecap = [m.add_var(f"E[{e.node}]", 0.0, e.e_max) for e in cfg.es_units]
 
     for k, e in enumerate(cfg.es_units):
         m.add_objective(ecap[k], e.price, group="da_storage")
@@ -343,9 +335,9 @@ class AdnProblem(TssoProblem):
         self.config = config
         self.source_names = tuple(source_names)
 
-    def build_model(self, scenarios, weights, fixed_first_stage=None):
+    def build_model(self, scenarios, weights):
         return build_adn_model(self.config, scenarios, weights,
-                               self.source_names, fixed_first_stage)
+                               self.source_names)
 
     def first_stage_names(self):
         return ([f"PT[{t}]" for t in range(self.config.t_steps)]

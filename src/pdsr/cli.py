@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -90,8 +91,16 @@ def _reduction_path(args) -> Path:
     return Path(args.out) / "reduction.json"
 
 
+def _check_k(k, scenario_set):
+    """``--K`` cannot exceed N, which only the loaded scenario set knows."""
+    if k is not None and k > len(scenario_set):
+        raise ConfigError(f"--K {k} exceeds the number of scenarios "
+                          f"({len(scenario_set)})")
+
+
 def cmd_cluster(args) -> int:
     problem, scenario_set = _load_problem(args)
+    _check_k(args.K, scenario_set)
     matrix, tau_p, reused = _ensure_matrix(args, problem, scenario_set)
     pdd = compute_pdd(matrix, mu=args.mu,
                       scenario_set=scenario_set if args.mu > 0 else None)
@@ -116,9 +125,8 @@ def cmd_sweep_beta(args) -> int:
     matrix, tau_p, _ = _ensure_matrix(args, problem, scenario_set)
     pdd = compute_pdd(matrix, mu=args.mu,
                       scenario_set=scenario_set if args.mu > 0 else None)
-    betas = _parse_betas(args)
     t0 = time.monotonic()
-    rows = sweep_beta(pdd, scenario_set.probabilities, betas,
+    rows = sweep_beta(pdd, scenario_set.probabilities, args.betas,
                       gap_tol=args.gap_tol)
     tau_c = time.monotonic() - t0
     path = Path(args.out) / "sweep.csv"
@@ -177,11 +185,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     problem, scenario_set = _load_problem(args)
-    matrix, tau_p, _ = _ensure_matrix(args, problem, scenario_set)
+    _check_k(args.K, scenario_set)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
             raise PdsrError(f"unknown method {m!r}; choose from {METHODS}")
+    matrix, tau_p, _ = _ensure_matrix(args, problem, scenario_set)
     rows, timings = compare_methods(problem, scenario_set, methods, args.K,
                                     seed=args.seed, gap_tol=args.gap_tol,
                                     workers=args.workers, matrix=matrix,
@@ -225,11 +234,39 @@ def cmd_make_desk(args) -> int:
     return 0
 
 
-def _parse_betas(args):
-    if args.betas:
-        return [float(b) for b in args.betas.split(",")]
-    start, stop, num = args.beta_range.split(":")
-    return list(np.geomspace(float(start), float(stop), int(num)))
+# argparse types: a bad value exits 2 with a message naming the flag,
+# before any input is read or any program solved
+
+
+def _at_least(kind, lo):
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a valid {kind.__name__}: {text!r}") from None
+        if not (math.isfinite(value) and value >= lo):
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {text}")
+        return value
+    return parse
+
+
+_count = _at_least(int, 1)
+_nonneg = _at_least(float, 0.0)
+
+
+def _beta_list(text):
+    return [_nonneg(b) for b in text.split(",")]
+
+
+def _beta_range(text):
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected start:stop:num, got {text!r}")
+    start, stop, num = _nonneg(parts[0]), _nonneg(parts[1]), _count(parts[2])
+    if start == 0.0 or stop == 0.0:
+        raise argparse.ArgumentTypeError("a geometric grid needs start, stop > 0")
+    return list(np.geomspace(start, stop, num))
 
 
 def _add_common(p, needs_inputs=True):
@@ -239,10 +276,10 @@ def _add_common(p, needs_inputs=True):
         p.add_argument("--scenarios", required=True, help="values CSV")
         p.add_argument("--probabilities", default=None, help="probabilities CSV")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_count, default=1)
     p.add_argument("--gap-tol", dest="gap_tol", type=float, default=DEFAULT_GAP_TOL)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mu", type=float, default=0.0,
+    p.add_argument("--mu", type=_nonneg, default=0.0,
                    help="norm-regularization weight of the distance metric")
 
 
@@ -260,17 +297,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cluster", help="solve the clustering MILP")
     _add_common(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--beta", type=float, default=None,
+    group.add_argument("--beta", type=_nonneg, default=None,
                        help="trade-off weight (the solver chooses K)")
-    group.add_argument("--K", type=int, default=None, help="fixed cluster count")
+    group.add_argument("--K", type=_count, default=None, help="fixed cluster count")
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("sweep-beta", help="cluster across a beta grid")
     _add_common(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--beta-range", dest="beta_range", default=None,
-                       help="geometric grid start:stop:num")
-    group.add_argument("--betas", default=None, help="comma-separated values")
+    group.add_argument("--beta-range", dest="betas", type=_beta_range,
+                       default=None, help="geometric grid start:stop:num")
+    group.add_argument("--betas", type=_beta_list, default=None,
+                       help="comma-separated values")
     p.set_defaults(func=cmd_sweep_beta)
 
     p = sub.add_parser("evaluate", help="score a reduction against the full set")
@@ -286,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run several reduction methods at one K")
     _add_common(p)
     p.add_argument("--methods", default="pdsr,km_e,kd_e,hc,ws")
-    p.add_argument("--K", type=int, required=True)
+    p.add_argument("--K", type=_count, required=True)
     p.add_argument("--worst-case-bound", type=float, default=2.0)
     p.add_argument("--benchmark-time-limit", type=float, default=None,
                    help="seconds; when hit, the gap is reported as null")

@@ -45,38 +45,38 @@ _ACTIVE_TOL = 1e-7
 
 
 class LinExpr:
-    """Sparse linear expression with a constant term.
+    """Sparse linear expression over variable indices with a constant term.
 
-    Used by the problem compilers so that a first-stage quantity can be
-    either a model variable or a substituted constant without the calling
-    code branching on the mode.
+    The problem compilers build rows with it so that data terms (loads,
+    renewable output, initial states) sit next to variable terms;
+    :meth:`MixedBinaryModel.add_expr_constraint` moves the constant to the
+    right-hand side.
     """
 
-    __slots__ = ("coeffs", "const")
+    __slots__ = ("coeffs", "constant")
 
     def __init__(self):
         self.coeffs: dict[int, float] = {}
-        self.const = 0.0
+        self.constant = 0.0
 
-    def add(self, handle, coef: float) -> "LinExpr":
-        """Add ``coef * handle`` where handle is a variable index or a
-        ``("const", value)`` pair."""
-        if isinstance(handle, tuple):
-            self.const += coef * handle[1]
-        else:
-            self.coeffs[handle] = self.coeffs.get(handle, 0.0) + coef
+    def add(self, var: int, coef: float) -> "LinExpr":
+        """Add ``coef * x[var]``."""
+        self.coeffs[var] = self.coeffs.get(var, 0.0) + coef
         return self
 
     def add_const(self, value: float) -> "LinExpr":
-        self.const += value
+        self.constant += value
         return self
 
 
 class MixedBinaryModel:
     """A minimize-sense mixed-binary linear program.
 
-    Models are append-only while being built and must not be mutated once a
-    solve has started; solves on distinct instances may run concurrently.
+    Models are append-only while being built, apart from variable bounds,
+    which a caller may tighten before solving (a first-stage decision is
+    fixed by setting ``lb = ub`` on its columns).  A model must not be
+    mutated once a solve has started; solves on distinct instances may run
+    concurrently.
     """
 
     def __init__(self):
@@ -85,10 +85,8 @@ class MixedBinaryModel:
         self.ub: list[float] = []
         self.is_binary: list[bool] = []
         self.obj: dict[int, float] = {}
-        self.obj_const = 0.0
         # Named objective slices (e.g. penalty cost) for reporting.
         self.obj_groups: dict[str, dict[int, float]] = {}
-        self.obj_group_consts: dict[str, float] = {}
         self.rows: list[tuple[dict[int, float], str, float]] = []
         # (binary, active-when-0 var, active-when-1 var) triples used by the
         # root step's binary repair; populated by the problem compilers.
@@ -128,31 +126,20 @@ class MixedBinaryModel:
 
     def add_expr_constraint(self, expr: LinExpr, relation: str, rhs: float):
         """Add ``expr <relation> rhs``; the expression constant moves to the
-        right-hand side.  Rows whose variables all dropped out (fully fixed
-        first stage) are checked for consistency and skipped."""
+        right-hand side.  A row whose coefficients all cancel is a
+        compiler fault and raises."""
         coeffs = {j: a for j, a in expr.coeffs.items() if a != 0.0}
-        resid = rhs - expr.const
         if not coeffs:
-            ok = {LE: resid >= -1e-6, GE: resid <= 1e-6, EQ: abs(resid) <= 1e-6}[relation]
-            if not ok:
-                raise ModelError(
-                    f"constant constraint violated: 0 {relation} {resid:g}")
-            return
-        self.rows.append((coeffs, relation, float(resid)))
+            raise ModelError("expression constraint has no nonzero coefficient")
+        self.rows.append((coeffs, relation, float(rhs - expr.constant)))
         self._ranges = None
 
-    def add_objective(self, handle, coef: float, group: str | None = None):
-        """Accumulate ``coef * handle`` into the objective (and a group)."""
-        if isinstance(handle, tuple):
-            self.obj_const += coef * handle[1]
-            if group:
-                self.obj_group_consts[group] = (
-                    self.obj_group_consts.get(group, 0.0) + coef * handle[1])
-            return
-        self.obj[handle] = self.obj.get(handle, 0.0) + coef
+    def add_objective(self, var: int, coef: float, group: str | None = None):
+        """Accumulate ``coef * x[var]`` into the objective (and a group)."""
+        self.obj[var] = self.obj.get(var, 0.0) + coef
         if group:
             g = self.obj_groups.setdefault(group, {})
-            g[handle] = g.get(handle, 0.0) + coef
+            g[var] = g.get(var, 0.0) + coef
 
     # -- inspection --------------------------------------------------------
 
@@ -171,10 +158,10 @@ class MixedBinaryModel:
             raise ModelError(f"no variable named {name!r}") from None
 
     def objective_value(self, x: np.ndarray) -> float:
-        return sum(a * x[j] for j, a in self.obj.items()) + self.obj_const
+        return sum(a * x[j] for j, a in self.obj.items())
 
     def group_value(self, group: str, x: np.ndarray) -> float:
-        total = self.obj_group_consts.get(group, 0.0)
+        total = 0.0
         for j, a in self.obj_groups.get(group, {}).items():
             total += a * x[j]
         return total
@@ -308,15 +295,15 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
         if viol > 1e-5:
             raise SolverError(f"solution violates constraints by {viol:.3e}")
         gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
-        return Solution(OPTIMAL, float(res.fun) + model.obj_const, x,
-                        mip_gap=gap, node_count=nodes)
+        return Solution(OPTIMAL, float(res.fun), x, mip_gap=gap,
+                        node_count=nodes)
     if res.status == 2:
         return Solution(INFEASIBLE, math.inf, None, node_count=nodes)
     if res.status == 3:
         return Solution(UNBOUNDED, -math.inf, None, node_count=nodes)
     if res.status == 1:  # time/iteration limit; carry the incumbent if any
         x = np.asarray(res.x) if res.x is not None else None
-        obj = float(res.fun) + model.obj_const if x is not None else math.inf
+        obj = float(res.fun) if x is not None else math.inf
         gap = float(getattr(res, "mip_gap", math.inf) or math.inf)
         return Solution(GAP_LIMIT, obj, x, mip_gap=gap, node_count=nodes)
     raise SolverError(f"MILP solve failed (HiGHS status {res.status}): {res.message}")
@@ -332,9 +319,7 @@ def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
     discharge left by the LP under a repaired gate) gets one more LP with
     every binary fixed at its repaired value, but only when no binary
     outside the gating triples was fractional: a fractional commitment or
-    clustering binary signals a weak bound a fixed-binary LP cannot close.
-    Like HiGHS's ``mip_rel_gap``, the gap leaves out the objective
-    constant."""
+    clustering binary signals a weak bound a fixed-binary LP cannot close."""
     relaxed = np.zeros(model.num_vars, dtype=int)
     res = highs_milp(c, constraints=constraints, integrality=relaxed,
                      bounds=bounds, options={"presolve": True})
@@ -367,8 +352,7 @@ def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
     if slack > gap_tol * abs(obj):
         return None
     gap = slack / abs(obj) if slack > 0.0 else 0.0
-    return Solution(OPTIMAL, obj + model.obj_const, x, mip_gap=gap,
-                    node_count=1)
+    return Solution(OPTIMAL, obj, x, mip_gap=gap, node_count=1)
 
 
 # -- LP-file export ---------------------------------------------------------
@@ -377,7 +361,7 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _term_string(coeffs: dict[int, float], names: list[str], const: float = 0.0) -> str:
+def _term_string(coeffs: dict[int, float], names: list[str]) -> str:
     parts = []
     for j in sorted(coeffs):
         a = coeffs[j]
@@ -389,13 +373,8 @@ def _term_string(coeffs: dict[int, float], names: list[str], const: float = 0.0)
             parts.append(f"- {_fmt(-a)} {names[j]}")
         else:
             parts.append(f"+ {_fmt(a)} {names[j]}")
-    if const or not parts:
-        if not parts:
-            parts.append(_fmt(const))
-        elif const < 0:
-            parts.append(f"- {_fmt(-const)}")
-        else:
-            parts.append(f"+ {_fmt(const)}")
+    if not parts:
+        parts.append(_fmt(0.0))
     return " ".join(parts)
 
 
@@ -406,7 +385,7 @@ def export_lp_file(model: MixedBinaryModel, path):
     Variable names are taken from the model and are stable across runs.
     """
     model.validate()
-    lines = ["Minimize", f" obj: {_term_string(model.obj, model.var_names, model.obj_const)}",
+    lines = ["Minimize", f" obj: {_term_string(model.obj, model.var_names)}",
              "Subject To"]
     for i, (coeffs, rel, rhs) in enumerate(model.rows):
         op = {LE: "<=", EQ: "=", GE: ">="}[rel]

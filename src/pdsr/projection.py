@@ -73,22 +73,17 @@ def fingerprint(problem: TssoProblem, scenario_set: ScenarioSet,
 
 def build_problem_space_matrix(problem: TssoProblem, scenario_set: ScenarioSet,
                                workers: int = 1,
-                               gap_tol: float = DEFAULT_GAP_TOL,
-                               tie_break: str = "solver") -> ProblemSpaceMatrix:
+                               gap_tol: float = DEFAULT_GAP_TOL) -> ProblemSpaceMatrix:
     """Solve the N scenario-specific programs and the N(N-1) cross
     evaluations.
 
-    ``tie_break="solver"`` accepts each deterministic scenario-specific
-    optimum as-is.  ``tie_break="aggregate"`` re-solves each scenario with a
-    near-optimality side constraint, selecting among epsilon-optimal
-    first-stage decisions the one with the best total objective over the
-    whole set; this costs N additional full-set solves and is intended for
-    small N.
+    Each scenario-specific optimum is taken as the solver returns it (ties
+    among optima are its deterministic choice).  Cell (i, j) compiles
+    scenario j's program and fixes its first stage at decision i by column
+    bounds (:func:`evaluate_with_fixed_first_stage`).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if tie_break not in ("solver", "aggregate"):
-        raise ValueError(f"unknown tie_break mode {tie_break!r}")
     n = len(scenario_set)
     scenarios = scenario_set.scenarios
 
@@ -100,11 +95,6 @@ def build_problem_space_matrix(problem: TssoProblem, scenario_set: ScenarioSet,
                                              gap_tol=gap_tol, source_index=i)
         except RecourseError as exc:
             raise RecourseError(f"scenario-specific solve failed at i={i}: {exc}")
-        if tie_break == "aggregate":
-            z = _aggregate_tie_break(problem, scenario_set, i, obj, gap_tol)
-            # keep the diagonal consistent with the substituted decision
-            obj = evaluate_with_fixed_first_stage(problem, z, scenarios[i],
-                                                  gap_tol=gap_tol)
         return z, obj
 
     diag_results = pmap(diag, range(n), workers)
@@ -136,40 +126,12 @@ def build_problem_space_matrix(problem: TssoProblem, scenario_set: ScenarioSet,
         scenario_ids=scenario_set.ids(),
         fingerprint=fingerprint(problem, scenario_set, gap_tol),
         gap_tol=gap_tol,
-        meta={"tie_break": tie_break,
-              "first_stage_names": problem.first_stage_names(),
+        meta={"first_stage_names": problem.first_stage_names(),
               "timings": {"diagonal_seconds": diag_seconds,
                           "offdiagonal_seconds": offdiag_seconds}},
     )
     matrix.check_diagonal_optimality()
     return matrix
-
-
-def _aggregate_tie_break(problem, scenario_set, i, diag_obj, gap_tol):
-    """Among epsilon-optimal decisions for scenario i, pick the one with the
-    best aggregate objective over the whole set.
-
-    Implemented by re-solving the full-set model (uniform weights) with an
-    epsilon-optimality row on the scenario-i objective; both compilations
-    share one variable ordering, so the one-hot objective vector doubles as
-    the side-constraint row.
-    """
-    n = len(scenario_set)
-    onehot = np.zeros(n)
-    onehot[i] = 1.0
-    model_i = problem.build_model(scenario_set.scenarios, onehot)
-    uniform = np.full(n, 1.0 / n)
-    model = problem.build_model(scenario_set.scenarios, uniform)
-    eps = gap_tol * max(1.0, abs(diag_obj))
-    model.add_constraint(dict(model_i.obj), "<=",
-                         diag_obj + eps - model_i.obj_const)
-    from .milp import solve_milp, OPTIMAL
-    sol = solve_milp(model, gap_tol=gap_tol)
-    if sol.status != OPTIMAL:
-        raise RecourseError(f"aggregate tie-break solve ended {sol.status}")
-    idx = [model.index_of(name) for name in problem.first_stage_names()]
-    return FirstStageDecision(np.array([sol.x[j] for j in idx]),
-                              diag_obj, source_scenario=i)
 
 
 # -- cache ----------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RecourseError
+from .errors import ConfigError, RecourseError
 from .milp import DEFAULT_GAP_TOL, GAP_LIMIT, MixedBinaryModel, OPTIMAL, solve_milp
 
 
@@ -23,10 +23,12 @@ class TssoProblem(ABC):
     """Compiles two-stage stochastic programs over a scenario subset."""
 
     @abstractmethod
-    def build_model(self, scenarios, weights,
-                    fixed_first_stage=None) -> MixedBinaryModel:
-        """Compile the weighted program; with ``fixed_first_stage`` the
-        first-stage variables are substituted as constants."""
+    def build_model(self, scenarios, weights) -> MixedBinaryModel:
+        """Compile the weighted program over ``scenarios``.
+
+        The first-stage variables are model columns named by
+        :meth:`first_stage_names`; evaluating a given decision fixes them
+        by bounds (see :func:`evaluate_with_fixed_first_stage`)."""
 
     @abstractmethod
     def first_stage_names(self) -> list[str]:
@@ -93,17 +95,40 @@ def solve_scenario_specific(problem: TssoProblem, scenario,
     return z, obj
 
 
+def _fixed_model(problem: TssoProblem, decision: FirstStageDecision,
+                 scenario) -> MixedBinaryModel:
+    """The single-scenario program with every first-stage column fixed at
+    the decision (``lb = ub``); binary columns are rounded to exact 0/1 so
+    the gating rows see clean commitments."""
+    names = problem.first_stage_names()
+    values = np.asarray(decision.values, dtype=float)
+    if values.shape != (len(names),):
+        raise ConfigError(f"first-stage decision has {values.size} values, "
+                          f"the problem has {len(names)}")
+    if not np.isfinite(values).all():
+        raise ConfigError("first-stage decision has non-finite values")
+    model = problem.build_model([scenario], [1.0])
+    for name, value in zip(names, values):
+        j = model.index_of(name)
+        if model.is_binary[j]:
+            value = round(value)
+        model.lb[j] = model.ub[j] = float(value)
+    return model
+
+
 def evaluate_with_fixed_first_stage(problem: TssoProblem,
                                     decision: FirstStageDecision, scenario,
                                     gap_tol: float = DEFAULT_GAP_TOL,
                                     with_components: bool = False):
     """Evaluate F(z, xi): first-stage cost plus optimal recourse for one
-    scenario with the first stage substituted as constants.
+    scenario, the problem-space entry of the paper.
 
+    The scenario's program is compiled with a free first stage, whose
+    columns are then fixed at ``decision`` by their bounds; one MILP solve
+    gives the value.  A decision of the wrong length raises ConfigError.
     With ``with_components`` returns (value, named objective slices).
     """
-    model = problem.build_model([scenario], [1.0],
-                                fixed_first_stage=decision.values)
+    model = _fixed_model(problem, decision, scenario)
     sol = solve_milp(model, gap_tol=gap_tol)
     if sol.status != OPTIMAL or sol.x is None:
         raise RecourseError(
@@ -111,6 +136,5 @@ def evaluate_with_fixed_first_stage(problem: TssoProblem,
             f"(source scenario {decision.source_scenario!r})")
     if not with_components:
         return sol.objective
-    groups = {g: model.group_value(g, sol.x)
-              for g in set(model.obj_groups) | set(model.obj_group_consts)}
+    groups = {g: model.group_value(g, sol.x) for g in model.obj_groups}
     return sol.objective, groups

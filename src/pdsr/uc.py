@@ -89,13 +89,15 @@ class UcConfig:
         return cls(**d)
 
 
-def build_uc_model(config: UcConfig, scenarios, weights, source_names,
-                   fixed_first_stage=None) -> MixedBinaryModel:
+def build_uc_model(config: UcConfig, scenarios, weights,
+                   source_names) -> MixedBinaryModel:
     """Compile the weighted commitment program to a mixed-binary model.
 
     First-stage variables are scheduled outputs ``P[g,t]`` and commitments
-    ``U[g,t]``; start/shut indicators stay continuous in [-1, 1] (integral
-    automatically once commitments are binary).
+    ``U[g,t]``, always model columns; a fixed decision is imposed by their
+    bounds (``tsso.evaluate_with_fixed_first_stage``).  Start/shut
+    indicators stay continuous in [-1, 1] (integral automatically once
+    commitments are binary).
     """
     cfg = config
     T, dt = cfg.t_steps, cfg.dt_hours
@@ -115,81 +117,63 @@ def build_uc_model(config: UcConfig, scenarios, weights, source_names,
     m = MixedBinaryModel()
 
     # -- first stage: schedule, commitment, start/shut logic ---------------
-    fixed = fixed_first_stage is not None
-    if fixed:
-        vals = np.asarray(fixed_first_stage, dtype=float)
-        if vals.shape != (2 * ng * T,):
-            raise ConfigError("fixed first stage has wrong length")
-        p_fs = [[("const", float(vals[g * T + t])) for t in range(T)]
-                for g in range(ng)]
-        # commitments snap to exact binaries for numerically clean gating
-        u_fs = [[("const", float(round(vals[ng * T + g * T + t])))
-                 for t in range(T)] for g in range(ng)]
-    else:
-        p_fs = [[m.add_var(f"P[{g},{t}]", 0.0, gens[g].p_max) for t in range(T)]
-                for g in range(ng)]
-        u_fs = [[m.add_var(f"U[{g},{t}]", 0.0, 1.0, binary=True) for t in range(T)]
-                for g in range(ng)]
+    p_fs = [[m.add_var(f"P[{g},{t}]", 0.0, gens[g].p_max) for t in range(T)]
+            for g in range(ng)]
+    u_fs = [[m.add_var(f"U[{g},{t}]", 0.0, 1.0, binary=True) for t in range(T)]
+            for g in range(ng)]
 
     for g, gen in enumerate(gens):
         for t in range(T):
             m.add_objective(p_fs[g][t], gen.cost_power, group="da_gen")
             m.add_objective(u_fs[g][t], gen.cost_no_load, group="da_gen")
 
-    if fixed:
-        # start/shut costs become data once the commitment is fixed
-        for g, gen in enumerate(gens):
-            prev = float(gen.u0)
-            for t in range(T):
-                cur = u_fs[g][t][1]
-                v = cur - prev
-                m.add_objective(("const", max(v * gen.cost_start,
-                                              -v * gen.cost_stop, 0.0)),
-                                1.0, group="da_gen")
-                prev = cur
-    else:
-        for g, gen in enumerate(gens):
-            for t in range(T):
-                v = m.add_var(f"V[{g},{t}]", -1.0, 1.0)
-                sc = m.add_var(f"SC[{g},{t}]", 0.0, math.inf)
-                prev = ("const", float(gen.u0)) if t == 0 else u_fs[g][t - 1]
-                expr = LinExpr().add(v, 1.0).add(u_fs[g][t], -1.0).add(prev, 1.0)
-                m.add_expr_constraint(expr, EQ, 0.0)
-                m.add_constraint({sc: 1.0, v: -gen.cost_start}, GE, 0.0)
-                m.add_constraint({sc: 1.0, v: gen.cost_stop}, GE, 0.0)
-                m.add_objective(sc, 1.0, group="da_gen")
-                # stay on (off) for the minimum run after a start (stop);
-                # windows truncated at the end of the horizon
-                up_end = min(t + gen.min_up, T - 1)
-                if up_end > t:
-                    expr = LinExpr()
-                    for tau in range(t + 1, up_end + 1):
-                        expr.add(u_fs[g][tau], 1.0)
-                    expr.add(v, -float(up_end - t))
-                    m.add_expr_constraint(expr, GE, 0.0)
-                down_end = min(t + gen.min_down, T - 1)
-                if down_end > t:
-                    # sum of (1 - u) over the window >= -v * window
-                    expr = LinExpr()
-                    for tau in range(t + 1, down_end + 1):
-                        expr.add(u_fs[g][tau], -1.0)
-                    expr.add(v, float(down_end - t))
-                    m.add_expr_constraint(expr, GE, -float(down_end - t))
+    for g, gen in enumerate(gens):
+        for t in range(T):
+            v = m.add_var(f"V[{g},{t}]", -1.0, 1.0)
+            sc = m.add_var(f"SC[{g},{t}]", 0.0, math.inf)
+            expr = LinExpr().add(v, 1.0).add(u_fs[g][t], -1.0)
+            if t == 0:
+                expr.add_const(float(gen.u0))
+            else:
+                expr.add(u_fs[g][t - 1], 1.0)
+            m.add_expr_constraint(expr, EQ, 0.0)
+            m.add_constraint({sc: 1.0, v: -gen.cost_start}, GE, 0.0)
+            m.add_constraint({sc: 1.0, v: gen.cost_stop}, GE, 0.0)
+            m.add_objective(sc, 1.0, group="da_gen")
+            # stay on (off) for the minimum run after a start (stop);
+            # windows truncated at the end of the horizon
+            up_end = min(t + gen.min_up, T - 1)
+            if up_end > t:
+                expr = LinExpr()
+                for tau in range(t + 1, up_end + 1):
+                    expr.add(u_fs[g][tau], 1.0)
+                expr.add(v, -float(up_end - t))
+                m.add_expr_constraint(expr, GE, 0.0)
+            down_end = min(t + gen.min_down, T - 1)
+            if down_end > t:
+                # sum of (1 - u) over the window >= -v * window
+                expr = LinExpr()
+                for tau in range(t + 1, down_end + 1):
+                    expr.add(u_fs[g][tau], -1.0)
+                expr.add(v, float(down_end - t))
+                m.add_expr_constraint(expr, GE, -float(down_end - t))
 
-        for g, gen in enumerate(gens):
-            for t in range(T):
-                # scheduled output within committed limits and ramps
-                m.add_expr_constraint(
-                    LinExpr().add(p_fs[g][t], 1.0).add(u_fs[g][t], -gen.p_max),
-                    LE, 0.0)
-                m.add_expr_constraint(
-                    LinExpr().add(p_fs[g][t], 1.0).add(u_fs[g][t], -gen.p_min),
-                    GE, 0.0)
-                prev = ("const", gen.p0) if t == 0 else p_fs[g][t - 1]
-                ramp = LinExpr().add(p_fs[g][t], 1.0).add(prev, -1.0)
-                m.add_expr_constraint(ramp, LE, gen.ramp_up)
-                ramp = LinExpr().add(p_fs[g][t], 1.0).add(prev, -1.0)
-                m.add_expr_constraint(ramp, GE, -gen.ramp_down)
+    for g, gen in enumerate(gens):
+        for t in range(T):
+            # scheduled output within committed limits and ramps
+            m.add_expr_constraint(
+                LinExpr().add(p_fs[g][t], 1.0).add(u_fs[g][t], -gen.p_max),
+                LE, 0.0)
+            m.add_expr_constraint(
+                LinExpr().add(p_fs[g][t], 1.0).add(u_fs[g][t], -gen.p_min),
+                GE, 0.0)
+            for rel, limit in ((LE, gen.ramp_up), (GE, -gen.ramp_down)):
+                ramp = LinExpr().add(p_fs[g][t], 1.0)
+                if t == 0:
+                    ramp.add_const(-gen.p0)
+                else:
+                    ramp.add(p_fs[g][t - 1], -1.0)
+                m.add_expr_constraint(ramp, rel, limit)
 
     # -- second stage: regulation, DC flow, recourse ------------------------
     ref = cfg.reference_bus
@@ -262,19 +246,22 @@ def build_uc_model(config: UcConfig, scenarios, weights, source_names,
                 m.add_expr_constraint(
                     LinExpr().add(pg[g, t], 1.0).add(u_fs[g][t], -gen.p_min),
                     GE, 0.0)
-                prev = ("const", gen.p0) if t == 0 else pg[g, t - 1]
-                ramp = LinExpr().add(pg[g, t], 1.0).add(prev, -1.0)
-                m.add_expr_constraint(ramp, LE, gen.ramp_up)
-                ramp = LinExpr().add(pg[g, t], 1.0).add(prev, -1.0)
-                m.add_expr_constraint(ramp, GE, -gen.ramp_down)
-
-        def angle(b, t):
-            return ("const", 0.0) if b == ref else theta[b, t]
+                for rel, limit in ((LE, gen.ramp_up), (GE, -gen.ramp_down)):
+                    ramp = LinExpr().add(pg[g, t], 1.0)
+                    if t == 0:
+                        ramp.add_const(-gen.p0)
+                    else:
+                        ramp.add(pg[g, t - 1], -1.0)
+                    m.add_expr_constraint(ramp, rel, limit)
 
         for li, (i, j, bsus) in enumerate(cfg.lines):
             for t in range(T):
-                expr = (LinExpr().add(flow[li, t], 1.0)
-                        .add(angle(i, t), -bsus).add(angle(j, t), bsus))
+                # the reference angle is 0, so its term is left out
+                expr = LinExpr().add(flow[li, t], 1.0)
+                if i != ref:
+                    expr.add(theta[i, t], -bsus)
+                if j != ref:
+                    expr.add(theta[j, t], bsus)
                 m.add_expr_constraint(expr, EQ, 0.0)
 
         for b in range(cfg.n_buses):
@@ -307,9 +294,9 @@ class UcProblem(TssoProblem):
         self.config = config
         self.source_names = tuple(source_names)
 
-    def build_model(self, scenarios, weights, fixed_first_stage=None):
+    def build_model(self, scenarios, weights):
         return build_uc_model(self.config, scenarios, weights,
-                              self.source_names, fixed_first_stage)
+                              self.source_names)
 
     def first_stage_names(self):
         ng = len(self.config.generators)

@@ -86,7 +86,7 @@ def _dual_objective(res, b_ub, b_eq, lo, hi):
 def _solve_relaxation(arrays, lo, hi, want_duals=False):
     """Solve the LP relaxation of ``_lp_arrays`` output at the given bounds.
 
-    Returns (status, objective-without-constant, x, dual_objective).
+    Returns (status, objective, x, dual_objective).
     """
     c, A_ub, b_ub, A_eq, b_eq = arrays
     res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
@@ -116,9 +116,7 @@ def solve_lp(model):
         return OracleSolution(status,
                               math.inf if status == INFEASIBLE else -math.inf,
                               None, node_count=1)
-    return OracleSolution(OPTIMAL, fun + model.obj_const, x, node_count=1,
-                          dual_objective=(None if dual is None
-                                          else dual + model.obj_const))
+    return OracleSolution(OPTIMAL, fun, x, node_count=1, dual_objective=dual)
 
 
 def solve_milp_reference(model, gap_tol=DEFAULT_GAP_TOL, time_limit=None):
@@ -148,11 +146,10 @@ def solve_milp_reference(model, gap_tol=DEFAULT_GAP_TOL, time_limit=None):
                               math.inf if status == INFEASIBLE else -math.inf,
                               None, node_count=nodes)
     if binaries.size == 0:
-        return OracleSolution(OPTIMAL, fun + model.obj_const, x, node_count=nodes)
+        return OracleSolution(OPTIMAL, fun, x, node_count=nodes)
 
     inc_x = None
     inc_obj = math.inf
-    const = model.obj_const
     trace = []
 
     def relative_gap(bound):
@@ -175,11 +172,11 @@ def solve_milp_reference(model, gap_tol=DEFAULT_GAP_TOL, time_limit=None):
         nonlocal inc_x, inc_obj
         if obj < inc_obj - 1e-12:
             inc_x, inc_obj = xr, obj
-            trace.append((nodes, obj + const, lower + const))
+            trace.append((nodes, obj, lower))
 
     frac_j, frac = fractional(x)
     if frac <= _INT_TOL:
-        return OracleSolution(OPTIMAL, fun + const, x, node_count=nodes)
+        return OracleSolution(OPTIMAL, fun, x, node_count=nodes)
     fixing = _gating_repair(model, x)
     hlo, hhi = bounds_for({j: float(v) for j, v in fixing.items()})
     st, f, hx, _ = _solve_relaxation(arrays, hlo, hhi)
@@ -198,7 +195,7 @@ def solve_milp_reference(model, gap_tol=DEFAULT_GAP_TOL, time_limit=None):
             break
         if time_limit is not None and time.monotonic() - t0 > time_limit:
             return OracleSolution(GAP_LIMIT,
-                                  inc_obj + const if inc_x is not None else math.inf,
+                                  inc_obj if inc_x is not None else math.inf,
                                   inc_x, mip_gap=relative_gap(lower),
                                   node_count=nodes, trace=trace)
         bound, _, fixings, branch_j = heappop(heap)
@@ -228,7 +225,7 @@ def solve_milp_reference(model, gap_tol=DEFAULT_GAP_TOL, time_limit=None):
     viol = model.max_violation(inc_x)
     if viol > 1e-5:
         raise SolverError(f"incumbent violates constraints by {viol:.3e}")
-    return OracleSolution(OPTIMAL, inc_obj + const, inc_x,
+    return OracleSolution(OPTIMAL, inc_obj, inc_x,
                           mip_gap=max(0.0, relative_gap(final_lower)),
                           node_count=nodes, trace=trace)
 
@@ -288,7 +285,7 @@ def enumerate_vertices_optimum(model):
             continue
         if model.max_violation(x) > 1e-8:
             continue
-        best = min(best, float(c @ x) + model.obj_const)
+        best = min(best, float(c @ x))
     return best
 
 
@@ -329,7 +326,7 @@ def brute_force_milp(model, binaries):
         lo[binaries] = hi[binaries] = assignment
         status, fun, _, _ = _solve_relaxation(arrays, lo, hi)
         if status == OPTIMAL:
-            best = min(best, fun + model.obj_const)
+            best = min(best, fun)
     return best
 
 

@@ -8,7 +8,8 @@ from pdsr.errors import ConfigError
 from pdsr.milp import solve_milp
 from pdsr.scenarios import (Scenario, ScenarioSet, bad_scenario_ids,
                             dump_values_csv)
-from pdsr.tsso import solve_scenario_specific, solve_stochastic
+from pdsr.tsso import (FirstStageDecision, evaluate_with_fixed_first_stage,
+                       solve_scenario_specific, solve_stochastic)
 
 
 def small_config(**overrides):
@@ -180,12 +181,11 @@ def test_config_json_round_trip():
     assert back.to_dict() == cfg.to_dict()
 
 
-def test_fixed_mode_drops_first_stage_vars():
+def test_wrong_length_decision_rejected():
     cfg = small_config()
     ss = small_set()
     problem = AdnProblem(cfg, ss.source_names)
     z, _ = solve_scenario_specific(problem, ss.scenarios[0])
-    model = problem.build_model([ss.scenarios[1]], [1.0],
-                                fixed_first_stage=z.values)
-    assert not any(n.startswith("PT[") or n.startswith("E[")
-                   for n in model.var_names)
+    short = FirstStageDecision(z.values[:-1], z.objective_at_source)
+    with pytest.raises(ConfigError, match="first-stage decision"):
+        evaluate_with_fixed_first_stage(problem, short, ss.scenarios[1])

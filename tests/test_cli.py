@@ -152,6 +152,33 @@ def test_evaluate_rejects_misfit_reduction_before_solving(
     assert not (out / "report.json").exists()
 
 
+# the instance has N=4 scenarios
+@pytest.mark.parametrize("argv, flag, code", [
+    (["project", "--workers", "0"], "--workers", 2),
+    (["cluster", "--K", "0"], "--K", 2),
+    (["cluster", "--K", "5"], "--K", 1),
+    (["cluster", "--beta", "-1"], "--beta", 2),
+    (["sweep-beta", "--beta-range", "1:2"], "--beta-range", 2),
+    (["compare", "--K", "5"], "--K", 1),
+], ids=["workers_0", "cluster_k_0", "cluster_k_above_n", "beta_negative",
+        "beta_range_two_fields", "compare_k_above_n"])
+def test_bad_arguments_rejected_before_solving(instance, tmp_path, capsys,
+                                               monkeypatch, argv, flag, code):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver called before the arguments were checked")
+
+    monkeypatch.setattr("pdsr.milp.highs_milp", no_solve)
+    out = tmp_path / "run"
+    command, *rest = argv
+    try:
+        rc = main([str(a) for a in [command, *common(instance, out), *rest]])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    assert flag in capsys.readouterr().err
+    assert not (out / "F.csv").exists()
+
+
 def test_compare_single_method(instance, tmp_path):
     out = tmp_path / "run"
     out.mkdir()

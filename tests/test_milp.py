@@ -11,8 +11,9 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 import pdsr.milp
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.errors import ModelError
-from pdsr.milp import GE, LE, EQ, MixedBinaryModel, export_lp_file, solve_milp
-from pdsr.tsso import solve_scenario_specific
+from pdsr.milp import (GE, LE, EQ, LinExpr, MixedBinaryModel, export_lp_file,
+                       solve_milp)
+from pdsr.tsso import _fixed_model, solve_scenario_specific
 from pdsr.uc import UcProblem, make_uc_desk_instance
 from oracles import (brute_force_milp, enumerate_vertices_optimum, random_lp,
                      random_milp, solve_lp, solve_milp_reference)
@@ -69,6 +70,13 @@ def test_model_validation():
         m.add_constraint({x: math.nan}, LE, 0.0)
 
 
+def test_expression_row_with_cancelled_coefficients_rejected():
+    m = MixedBinaryModel()
+    x = m.add_var("x", 0.0, 1.0)
+    expr = LinExpr().add(x, 1.0).add(x, -1.0).add_const(2.0)
+    with pytest.raises(ModelError, match="no nonzero coefficient"):
+        m.add_expr_constraint(expr, LE, 5.0)
+    assert m.rows == []
 
 
 def test_lp_vs_vertex_enumeration():
@@ -192,8 +200,7 @@ def test_root_step_closes_uc_cross_evaluation(monkeypatch):
     cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
     problem = UcProblem(cfg, ss.source_names)
     z, _ = solve_scenario_specific(problem, ss.scenarios[0])
-    model = problem.build_model([ss.scenarios[1]], [1.0],
-                                fixed_first_stage=z.values)
+    model = _fixed_model(problem, z, ss.scenarios[1])
     assert model.binary_indices
     calls = _count_highs_calls(monkeypatch)
     gap = 1e-4
@@ -218,7 +225,7 @@ def _branch_and_cut_objective(model, gap):
                integrality=np.array(model.is_binary, dtype=int),
                bounds=Bounds(model.lb, model.ub), options={"mip_rel_gap": gap})
     assert ref.status == 0
-    return ref.fun + model.obj_const
+    return ref.fun
 
 
 def test_root_step_resolves_adn_full_set_with_fixed_binaries(monkeypatch):
@@ -419,7 +426,7 @@ def test_export_round_trip(tmp_path):
     assert set(obj) == set(expected_obj)
     for name, coef in expected_obj.items():
         assert obj[name] == pytest.approx(coef, abs=1e-12)
-    assert const == pytest.approx(model.obj_const, abs=1e-12)
+    assert const == 0.0
     assert len(rows) == len(model.rows)
     for (coeffs, op, rhs), (exp_c, exp_rel, exp_rhs) in zip(rows, model.rows):
         expected = {names[j]: a for j, a in exp_c.items() if a != 0.0}

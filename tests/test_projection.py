@@ -107,16 +107,3 @@ def test_corrupt_meta_rejected(tmp_path, matrix):
     (tmp_path / "F.meta.json").write_text("{not json")
     with pytest.raises(CacheError):
         load_matrix(path)
-
-
-def test_aggregate_tie_break_keeps_diagonal_near_optimal(desk):
-    problem, ss = desk
-    small = ss.subset([0, 1, 2])
-    plain = build_problem_space_matrix(problem, small)
-    agg = build_problem_space_matrix(problem, small, tie_break="aggregate")
-    # each tie-broken decision stays epsilon-optimal for its own scenario
-    for i in range(3):
-        assert agg.values[i, i] <= plain.values[i, i] * (1 + 5e-4) + 1e-6
-    # and its total objective over the set cannot be worse
-    assert agg.values.sum() <= plain.values.sum() + 1e-3 * abs(plain.values.sum())
-    assert agg.meta["tie_break"] == "aggregate"

@@ -134,6 +134,34 @@ def test_fixed_mode_constant_commitment_costs():
     from pdsr.tsso import evaluate_with_fixed_first_stage
     value = evaluate_with_fixed_first_stage(problem, z, ss.scenarios[0])
     assert value == pytest.approx(obj, rel=1e-6, abs=1e-6)
-    model = problem.build_model([ss.scenarios[0]], [1.0],
-                                fixed_first_stage=z.values)
-    assert not any(n.startswith(("P[", "U[", "V[", "SC[")) for n in model.var_names)
+
+
+def test_near_binary_commitments_evaluate_as_exact():
+    from pdsr.tsso import evaluate_with_fixed_first_stage, FirstStageDecision
+    cfg, ss = make_uc_desk_instance(seed=1, n_scenarios=3, t_steps=6)
+    problem = UcProblem(cfg, ss.source_names)
+    z, _ = solve_scenario_specific(problem, ss.scenarios[0])
+    ng, T = len(cfg.generators), cfg.t_steps
+    exact = z.values.copy()
+    exact[ng * T:] = np.round(exact[ng * T:])
+    assert exact[ng * T:].min() == 0.0 and exact[ng * T:].max() == 1.0
+    near = exact.copy()
+    near[ng * T:] += np.where(exact[ng * T:] > 0.5, -1e-7, 1e-7)
+    for scen in ss.scenarios:
+        v_exact = evaluate_with_fixed_first_stage(
+            problem, FirstStageDecision(exact, 0.0), scen)
+        v_near = evaluate_with_fixed_first_stage(
+            problem, FirstStageDecision(near, 0.0), scen)
+        assert v_near == v_exact
+
+
+def test_wrong_length_decision_rejected():
+    from pdsr.errors import ConfigError
+    from pdsr.tsso import evaluate_with_fixed_first_stage, FirstStageDecision
+    cfg, ss = make_uc_desk_instance(seed=1, n_scenarios=2, t_steps=6)
+    problem = UcProblem(cfg, ss.source_names)
+    n = len(problem.first_stage_names())
+    for size in (n - 1, n + 1):
+        z = FirstStageDecision(np.zeros(size), 0.0)
+        with pytest.raises(ConfigError, match="first-stage decision"):
+            evaluate_with_fixed_first_stage(problem, z, ss.scenarios[0])
