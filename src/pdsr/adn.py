@@ -13,14 +13,15 @@ length is folded into the cost coefficients at compile time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 from .milp import GE, LE, EQ, LinExpr, MixedBinaryModel
-from .scenarios import Scenario, ScenarioSet
-from .tsso import TssoProblem
+from .scenarios import Scenario, ScenarioSet, _pick_bad, _smooth_noise
+from .tsso import (NetworkConfig, NetworkProblem, _penalized_recourse,
+                   _source_rows)
 
 
 @dataclass
@@ -39,7 +40,7 @@ class EsUnit:
 
 
 @dataclass
-class AdnConfig:
+class AdnConfig(NetworkConfig):
     """Network, asset, and price data for the dispatch problem."""
 
     n_buses: int
@@ -61,13 +62,9 @@ class AdnConfig:
     reactive_ratio: float = 0.33     # Q = ratio * P for every load
 
     def __post_init__(self):
-        self.lines = [tuple(l) for l in self.lines]
         self.es_units = [e if isinstance(e, EsUnit) else EsUnit(**e)
                          for e in self.es_units]
-        self.fixed_loads = {int(k): list(v) for k, v in self.fixed_loads.items()}
-        self.res_sources = {k: int(v) for k, v in self.res_sources.items()}
-        self.load_sources = {k: int(v) for k, v in self.load_sources.items()}
-        self.validate()
+        super().__post_init__()
 
     def validate(self):
         if not (0 < self.sell_mult < 1.0 < self.buy_mult):
@@ -82,12 +79,7 @@ class AdnConfig:
                                   "0 <= min <= initial <= max <= 1")
             if not 0 <= e.node < self.n_buses:
                 raise ConfigError("ES node out of range")
-        for bus, series in self.fixed_loads.items():
-            if len(series) != self.t_steps:
-                raise ConfigError(f"fixed load at bus {bus} has wrong length")
-        for name, bus in {**self.res_sources, **self.load_sources}.items():
-            if not 0 <= bus < self.n_buses:
-                raise ConfigError(f"source {name!r} mapped to bad bus {bus}")
+        super().validate()
         self.parents()  # raises on a non-radial network
 
     def parents(self) -> dict[int, tuple[int, float, float]]:
@@ -117,19 +109,6 @@ class AdnConfig:
             ch[i].append(j)
         return ch
 
-    def load_buses(self) -> list[int]:
-        buses = set(self.load_sources.values()) | set(self.fixed_loads)
-        return sorted(buses)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["fixed_loads"] = {str(k): v for k, v in sorted(d["fixed_loads"].items())}
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdnConfig":
-        return cls(**d)
-
 
 def build_adn_model(config: AdnConfig, scenarios, weights,
                     source_names) -> MixedBinaryModel:
@@ -141,29 +120,9 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
     """
     cfg = config
     T, dt = cfg.t_steps, cfg.dt_hours
-    S = len(scenarios)
-    names = list(source_names)
-    stochastic = set(cfg.res_sources) | set(cfg.load_sources) | {cfg.price_source}
-    if set(names) != stochastic:
-        raise ConfigError(
-            f"scenario sources {sorted(names)} do not match the configured "
-            f"sources {sorted(stochastic)}")
-    src = {name: names.index(name) for name in names}
-    for s in scenarios:
-        if s.values.shape != (len(names), T):
-            raise ConfigError(
-                f"scenario {s.id!r} shape {s.values.shape} does not match "
-                f"(U={len(names)}, T={T})")
-
+    src = _source_rows(cfg, source_names, scenarios, extra=(cfg.price_source,))
     parent = cfg.parents()
     children = cfg.children()
-    load_buses = cfg.load_buses()
-    res_by_bus: dict[int, list[str]] = {}
-    for name, bus in cfg.res_sources.items():
-        res_by_bus.setdefault(bus, []).append(name)
-    loads_by_bus: dict[int, list[str]] = {}
-    for name, bus in cfg.load_sources.items():
-        loads_by_bus.setdefault(bus, []).append(name)
 
     m = MixedBinaryModel()
 
@@ -191,22 +150,8 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
                 volt[b, t] = m.add_var(f"V[{b},{s},{t}]", cfg.v_min_sq, cfg.v_max_sq)
                 fp[b, t] = m.add_var(f"Fp[{b},{s},{t}]", -math.inf, math.inf)
                 fq[b, t] = m.add_var(f"Fq[{b},{s},{t}]", -math.inf, math.inf)
-        shed = {}
-        load_mw = {}
-        for b in load_buses:
-            for t in range(T):
-                total = float(sum(scen.values[src[name], t]
-                                  for name in loads_by_bus.get(b, ())))
-                total += float(cfg.fixed_loads.get(b, [0.0] * T)[t])
-                load_mw[b, t] = total
-                shed[b, t] = m.add_var(f"Ls[{b},{s},{t}]", 0.0, total)
-        curt = {}
-        res_mw = {}
-        for b, rnames in sorted(res_by_bus.items()):
-            for t in range(T):
-                avail = float(sum(scen.values[src[name], t] for name in rnames))
-                res_mw[b, t] = avail
-                curt[b, t] = m.add_var(f"Rc[{b},{s},{t}]", 0.0, avail)
+        load_mw, shed, res_mw, curt = _penalized_recourse(m, cfg, scen, src,
+                                                          w, s)
         ch = {}
         dis = {}
         stored = {}
@@ -222,18 +167,11 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
             m.gating.append((dts[t], tp[t], tm[t]))
 
         # objective: day-ahead trading (scenario-weighted price), intraday
-        # balancing, penalty costs
+        # balancing (penalty costs are priced with the slacks)
         for t in range(T):
             m.add_objective(pt[t], w * price[t] * dt, group="da_trade")
             m.add_objective(tp[t], w * cfg.buy_mult * price[t] * dt, group="in_balance")
             m.add_objective(tm[t], w * cfg.sell_mult * price[t] * dt, group="in_balance")
-        for b in load_buses:
-            for t in range(T):
-                m.add_objective(shed[b, t], w * cfg.penalty_shed * dt, group="in_penalty")
-        for b in sorted(res_by_bus):
-            for t in range(T):
-                m.add_objective(curt[b, t], w * cfg.penalty_curtail * dt,
-                                group="in_penalty")
 
         # voltage drop along each line; the root is the reference at 1 pu
         for b in range(1, cfg.n_buses):
@@ -256,10 +194,10 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
                 if e.node == b:
                     expr.add(ch[k, t], 1.0)
                     expr.add(dis[k, t], -1.0)
-            if b in load_buses:
+            if (b, t) in shed:
                 expr.add_const(load_mw[b, t])
                 expr.add(shed[b, t], -1.0)
-            if b in res_by_bus:
+            if (b, t) in curt:
                 expr.add_const(-res_mw[b, t])
                 expr.add(curt[b, t], 1.0)
             return expr
@@ -283,7 +221,7 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
         for b in range(1, cfg.n_buses):
             for t in range(T):
                 expr = LinExpr()
-                if b in load_buses:
+                if (b, t) in shed:
                     expr.add_const(cfg.reactive_ratio * load_mw[b, t])
                     expr.add(shed[b, t], -cfg.reactive_ratio)
                 for c in children[b]:
@@ -328,13 +266,12 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
     return m
 
 
-class AdnProblem(TssoProblem):
+class AdnProblem(NetworkProblem):
     """Dispatch problem bound to a fixed source ordering."""
 
-    def __init__(self, config: AdnConfig, source_names):
-        self.config = config
-        self.source_names = tuple(source_names)
+    kind = "adn"
 
+    # stays in the class body: perfbench wraps ``__dict__["build_model"]``
     def build_model(self, scenarios, weights):
         return build_adn_model(self.config, scenarios, weights,
                                self.source_names)
@@ -342,16 +279,6 @@ class AdnProblem(TssoProblem):
     def first_stage_names(self):
         return ([f"PT[{t}]" for t in range(self.config.t_steps)]
                 + [f"E[{e.node}]" for e in self.config.es_units])
-
-    def fingerprint_payload(self):
-        return {"problem": "adn", "config": self.config.to_dict(),
-                "sources": list(self.source_names)}
-
-    def cost_groups(self):
-        return ("da_trade", "da_storage", "in_balance", "in_penalty")
-
-    def penalty_group(self):
-        return "in_penalty"
 
     def first_stage_summary(self, decision):
         T = self.config.t_steps
@@ -419,14 +346,6 @@ def make_desk_instance(seed: int, n_scenarios: int, t_steps: int = 12,
     # procured capacity, and severities are uniform across bad scenarios
     target_net = p_trade + es_power + 0.12
 
-    def smooth_noise(amp: float) -> np.ndarray:
-        # slowly varying profile perturbation (benign scenario diversity)
-        out = np.zeros(T)
-        for k in (1, 2, 3):
-            out += rng.normal(0.0, amp / math.sqrt(3)) * np.sin(
-                2 * math.pi * (k * tgrid / T + rng.uniform(0.0, 1.0)))
-        return out
-
     fixed = np.asarray(fixed_shape)
     drawn = []
     for i in range(N):
@@ -438,21 +357,21 @@ def make_desk_instance(seed: int, n_scenarios: int, t_steps: int = 12,
         level = float(rng.choice((0.60, 0.87, 1.13, 1.40)) + rng.uniform(-0.02, 0.02))
         price = np.clip(22.0 + 9.0 * level
                         + 4.0 * np.sin(2 * math.pi * (tgrid - 3) / T)
-                        + 1.2 * smooth_noise(1.0) + rng.normal(0.0, 0.6, T),
+                        + 1.2 * _smooth_noise(rng, T, 3) + rng.normal(0.0, 0.6, T),
                         5.0, None)
         wt = np.clip(0.55 - 0.28 * level + rng.uniform(-0.03, 0.03)
-                     + 0.04 * smooth_noise(1.0)
+                     + 0.04 * _smooth_noise(rng, T, 3)
                      + 0.05 * np.sin(2 * math.pi * (tgrid + rng.uniform(0, T)) / T)
                      + rng.normal(0.0, 0.012, T), 0.02, 0.65)
         cloud = np.clip(1.05 - 0.5 * level + rng.uniform(-0.05, 0.05)
-                        + 0.07 * smooth_noise(1.0), 0.05, 1.1)
+                        + 0.07 * _smooth_noise(rng, T, 3), 0.05, 1.1)
         bell = np.clip(np.sin(math.pi * (tgrid - 1) / (T - 4)), 0.0, None)
         bell[tgrid >= T - 3] = 0.0
         pv = np.clip(0.55 * cloud * bell + rng.normal(0.0, 0.01, T), 0.0, 0.6)
         loads = []
         for phase in (4.0, 6.0):
             scale = level * rng.uniform(0.985, 1.015)
-            ld = np.clip(scale * (1.0 + 0.04 * smooth_noise(1.0))
+            ld = np.clip(scale * (1.0 + 0.04 * _smooth_noise(rng, T, 3))
                          * (0.27 + 0.13 * np.sin(2 * math.pi * (tgrid - phase) / T))
                          + rng.normal(0.0, 0.008, T), 0.05, None)
             loads.append(ld)
@@ -481,26 +400,15 @@ def make_desk_instance(seed: int, n_scenarios: int, t_steps: int = 12,
     # distribution space); bases are picked among the higher-net draws so
     # the excursion stays small.
     n_bad = int(round(bad_fraction * N))
-    bad_idx: set[int] = set()
-    windows: dict[int, int] = {}
-    if n_bad:
-        w_lo = max(1, T // 4)
-        w_hi = T - 5   # leave recharge room on both sides of the excursion
-        peak = {}
-        for i, (wt, pv, loads, _) in enumerate(drawn):
-            net = fixed + loads[0] + loads[1] - wt - pv
-            sums = [net[t:t + 3].sum() for t in range(w_lo, w_hi + 1)]
-            w = int(np.argmax(sums)) + w_lo
-            peak[i] = (net[w:w + 3].mean(), w)
-        eligible = sorted(range(N), key=lambda i: -peak[i][0])[:max(n_bad, int(round(0.2 * N)))]
-        chosen = rng.choice(len(eligible), size=n_bad, replace=False)
-        bad_idx = {int(eligible[c]) for c in chosen}
-        windows = {i: peak[i][1] for i in bad_idx}
+    # windows leave recharge room on both sides of the excursion
+    nets = [fixed + loads[0] + loads[1] - wt - pv for wt, pv, loads, _ in drawn]
+    windows = _pick_bad(rng, nets, n_bad, width=3, first=max(1, T // 4),
+                        last=T - 5, pool=max(n_bad, int(round(0.2 * N))))
 
     scenarios = []
     for i, (wt, pv, loads, price) in enumerate(drawn):
         sid = f"s{i:03d}"
-        if i in bad_idx:
+        if i in windows:
             sid += "_bad"
             for t in range(windows[i], windows[i] + 3):
                 wt[t] = max(wt[t] - rng.uniform(0.04, 0.06), 0.02)

@@ -182,11 +182,9 @@ def hierarchical_reduce(scenario_set: ScenarioSet, k: int) -> ReductionResult:
 def severity_scores(scenario_set: ScenarioSet) -> np.ndarray:
     """Distribution-space severity: peak over time of summed standardized
     load minus summed standardized renewable infeed."""
-    raw = np.stack([s.values for s in scenario_set.scenarios])
-    means = raw.mean(axis=(0, 2))
-    stds = raw.std(axis=(0, 2))
-    stds = np.where(stds > 0.0, stds, 1.0)
-    z = (raw - means[None, :, None]) / stds[None, :, None]
+    X, _, _ = standardize(scenario_set)
+    z = X.reshape(len(scenario_set), scenario_set.num_sources,
+                  scenario_set.horizon)
     load_rows = [u for u, r in enumerate(scenario_set.source_roles) if r == "load"]
     res_rows = [u for u, r in enumerate(scenario_set.source_roles) if r in ("wt", "pv")]
     signal = z[:, load_rows, :].sum(axis=1)
@@ -215,14 +213,6 @@ def worst_case_select(scenario_set: ScenarioSet, k: int) -> ReductionResult:
     result = _partition_result(scenario_set, assignment, "ws")
     result.extras["scores"] = [float(s) for s in scores]
     return result
-
-
-BASELINES = {
-    "km_e": kmeans_reduce,
-    "kd_e": kmedoids_reduce,
-    "hc": hierarchical_reduce,
-    "ws": worst_case_select,
-}
 
 
 def run_baseline(name: str, scenario_set: ScenarioSet, k: int, seed: int = 0) -> ReductionResult:

@@ -187,6 +187,9 @@ def cmd_compare(args) -> int:
     problem, scenario_set = _load_problem(args)
     _check_k(args.K, scenario_set)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not methods:
+        raise PdsrError(f"--methods {args.methods!r} names no method; "
+                        f"choose from {METHODS}")
     for m in methods:
         if m not in METHODS:
             raise PdsrError(f"unknown method {m!r}; choose from {METHODS}")
@@ -283,6 +286,12 @@ def _add_common(p, needs_inputs=True):
                    help="norm-regularization weight of the distance metric")
 
 
+def _add_benchmark(p):
+    p.add_argument("--worst-case-bound", type=float, default=2.0)
+    p.add_argument("--benchmark-time-limit", type=_nonneg, default=None,
+                   help="seconds; when hit, the gap is reported as null")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdsr",
@@ -316,18 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduction", required=True, help="reduction.json path")
     p.add_argument("--no-se", action="store_true",
                    help="skip per-representative effectiveness re-solves")
-    p.add_argument("--worst-case-bound", type=float, default=2.0)
-    p.add_argument("--benchmark-time-limit", type=float, default=None,
-                   help="seconds; when hit, the gap is reported as null")
+    _add_benchmark(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="run several reduction methods at one K")
     _add_common(p)
     p.add_argument("--methods", default="pdsr,km_e,kd_e,hc,ws")
     p.add_argument("--K", type=_count, required=True)
-    p.add_argument("--worst-case-bound", type=float, default=2.0)
-    p.add_argument("--benchmark-time-limit", type=float, default=None,
-                   help="seconds; when hit, the gap is reported as null")
+    _add_benchmark(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("make-desk", help="generate a desk-scale instance")

@@ -157,9 +157,6 @@ class MixedBinaryModel:
         except ValueError:
             raise ModelError(f"no variable named {name!r}") from None
 
-    def objective_value(self, x: np.ndarray) -> float:
-        return sum(a * x[j] for j, a in self.obj.items())
-
     def group_value(self, group: str, x: np.ndarray) -> float:
         total = 0.0
         for j, a in self.obj_groups.get(group, {}).items():

@@ -313,3 +313,36 @@ def save_scenarios(scenario_set: ScenarioSet, values_path,
 def bad_scenario_ids(scenario_set: ScenarioSet) -> list[str]:
     """Ids the desk-instance generators flagged as injected bad scenarios."""
     return [s.id for s in scenario_set.scenarios if s.id.endswith("_bad")]
+
+
+def _smooth_noise(rng: np.random.Generator, T: int,
+                  harmonics: int) -> np.ndarray:
+    """Slowly varying unit-scale profile perturbation for the desk
+    generators: ``harmonics`` sine waves of random amplitude and phase."""
+    tgrid = np.arange(T)
+    out = np.zeros(T)
+    for k in range(1, harmonics + 1):
+        out += rng.normal(0.0, 1.0 / math.sqrt(harmonics)) * np.sin(
+            2 * math.pi * (k * tgrid / T + rng.uniform(0.0, 1.0)))
+    return out
+
+
+def _pick_bad(rng: np.random.Generator, nets, n_bad: int, width: int,
+              first: int, last: int, pool: int) -> dict[int, int]:
+    """Choose the desk generators' bad scenarios.
+
+    Each scenario's excursion window is its ``width``-step window of peak
+    net demand starting in ``[first, last]``; ``n_bad`` scenarios are drawn
+    among the ``pool`` with the highest mean net demand in their window.
+    Returns scenario index -> window start.
+    """
+    if not n_bad:
+        return {}
+    peak = []
+    for net in nets:
+        sums = [net[t:t + width].sum() for t in range(first, last + 1)]
+        w = int(np.argmax(sums)) + first
+        peak.append((net[w:w + width].mean(), w))
+    eligible = sorted(range(len(nets)), key=lambda i: -peak[i][0])[:pool]
+    chosen = rng.choice(len(eligible), size=n_bad, replace=False)
+    return {int(eligible[c]): peak[eligible[c]][1] for c in chosen}

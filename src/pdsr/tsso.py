@@ -6,12 +6,16 @@ compilation; the second stage ("wait-and-see") is scenario-indexed recourse.
 Problems must have relatively complete recourse: every first-stage decision
 admits a feasible second stage for every scenario (concrete problems ensure
 this with penalized shedding/curtailment slacks).
+
+The two network problems (``adn``, ``uc``) share their config handling
+(:class:`NetworkConfig`), their problem shell (:class:`NetworkProblem`) and
+the compile steps that map scenario sources to buses and add those slacks.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -37,6 +41,114 @@ class TssoProblem(ABC):
     @abstractmethod
     def fingerprint_payload(self) -> dict:
         """Canonical configuration dict used for cache fingerprints."""
+
+
+class NetworkConfig:
+    """Mixin of the network problem configs (dataclasses).
+
+    Shared fields: ``n_buses``, ``lines``, ``t_steps``, ``dt_hours``,
+    ``res_sources`` and ``load_sources`` (source name -> bus),
+    ``fixed_loads`` (bus -> T MW), ``penalty_shed`` and ``penalty_curtail``
+    ($/MWh).  Every bus named by a source or a fixed load must lie in
+    ``[0, n_buses)``.  Subclasses normalize their own fields before calling
+    ``super().__post_init__()`` and extend :meth:`validate`.
+    """
+
+    def __post_init__(self):
+        self.lines = [tuple(l) for l in self.lines]
+        self.fixed_loads = {int(k): list(v) for k, v in self.fixed_loads.items()}
+        self.res_sources = {k: int(v) for k, v in self.res_sources.items()}
+        self.load_sources = {k: int(v) for k, v in self.load_sources.items()}
+        self.validate()
+
+    def validate(self):
+        for bus, series in self.fixed_loads.items():
+            if not 0 <= bus < self.n_buses:
+                raise ConfigError(f"fixed load at bad bus {bus}")
+            if len(series) != self.t_steps:
+                raise ConfigError(f"fixed load at bus {bus} has wrong length")
+        for name, bus in [*self.res_sources.items(),
+                          *self.load_sources.items()]:
+            if not 0 <= bus < self.n_buses:
+                raise ConfigError(f"source {name!r} mapped to bad bus {bus}")
+
+    def to_dict(self) -> dict:
+        d = asdict(self)
+        d["fixed_loads"] = {str(k): v for k, v in sorted(d["fixed_loads"].items())}
+        return d
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(**d)
+
+
+class NetworkProblem(TssoProblem):
+    """A network problem bound to its config and a fixed source ordering."""
+
+    kind = ""  # problem tag of the cache fingerprint
+
+    def __init__(self, config: NetworkConfig, source_names):
+        self.config = config
+        self.source_names = tuple(source_names)
+
+    def fingerprint_payload(self):
+        return {"problem": self.kind, "config": self.config.to_dict(),
+                "sources": list(self.source_names)}
+
+
+def _source_rows(cfg: NetworkConfig, source_names, scenarios,
+                 extra=()) -> dict[str, int]:
+    """Row of each scenario source; the sources must be exactly the
+    configured renewables, loads and ``extra``, and every scenario a
+    (sources, T) matrix."""
+    names = list(source_names)
+    configured = set(cfg.res_sources) | set(cfg.load_sources) | set(extra)
+    if set(names) != configured:
+        raise ConfigError(
+            f"scenario sources {sorted(names)} do not match the configured "
+            f"sources {sorted(configured)}")
+    for s in scenarios:
+        if s.values.shape != (len(names), cfg.t_steps):
+            raise ConfigError(
+                f"scenario {s.id!r} shape {s.values.shape} does not match "
+                f"(U={len(names)}, T={cfg.t_steps})")
+    return {name: names.index(name) for name in names}
+
+
+def _penalized_recourse(m: MixedBinaryModel, cfg: NetworkConfig, scen, src,
+                        w: float, s: int):
+    """Add scenario ``s``'s shedding ``Ls[b,s,t]`` at every load bus, then
+    its curtailment ``Rc[b,s,t]`` at every renewable bus, each bounded by
+    what the bus holds and priced (weight ``w``) into group ``in_penalty``.
+
+    Returns (load_mw, shed, res_mw, curt), each keyed by (bus, t): the bus
+    load and renewable infeed in MW and the slack columns.
+    """
+    T, dt = cfg.t_steps, cfg.dt_hours
+    loads_by_bus: dict[int, list[str]] = {}
+    for name, bus in cfg.load_sources.items():
+        loads_by_bus.setdefault(bus, []).append(name)
+    res_by_bus: dict[int, list[str]] = {}
+    for name, bus in cfg.res_sources.items():
+        res_by_bus.setdefault(bus, []).append(name)
+    load_mw, shed, res_mw, curt = {}, {}, {}, {}
+    for b in sorted(set(loads_by_bus) | set(cfg.fixed_loads)):
+        for t in range(T):
+            total = float(sum(scen.values[src[n], t]
+                              for n in loads_by_bus.get(b, ())))
+            total += float(cfg.fixed_loads.get(b, [0.0] * T)[t])
+            load_mw[b, t] = total
+            shed[b, t] = m.add_var(f"Ls[{b},{s},{t}]", 0.0, total)
+            m.add_objective(shed[b, t], w * cfg.penalty_shed * dt,
+                            group="in_penalty")
+    for b, names in sorted(res_by_bus.items()):
+        for t in range(T):
+            avail = float(sum(scen.values[src[n], t] for n in names))
+            res_mw[b, t] = avail
+            curt[b, t] = m.add_var(f"Rc[{b},{s},{t}]", 0.0, avail)
+            m.add_objective(curt[b, t], w * cfg.penalty_curtail * dt,
+                            group="in_penalty")
+    return load_mw, shed, res_mw, curt
 
 
 @dataclass

@@ -9,14 +9,15 @@ penalized recourse (any commitment admits a feasible second stage).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 from .milp import GE, LE, EQ, LinExpr, MixedBinaryModel
-from .scenarios import Scenario, ScenarioSet
-from .tsso import TssoProblem
+from .scenarios import Scenario, ScenarioSet, _pick_bad, _smooth_noise
+from .tsso import (NetworkConfig, NetworkProblem, _penalized_recourse,
+                   _source_rows)
 
 
 @dataclass
@@ -39,7 +40,7 @@ class Generator:
 
 
 @dataclass
-class UcConfig:
+class UcConfig(NetworkConfig):
     n_buses: int
     lines: list                    # (from, to, susceptance pu)
     t_steps: int
@@ -54,13 +55,9 @@ class UcConfig:
     reference_bus: int = 0
 
     def __post_init__(self):
-        self.lines = [tuple(l) for l in self.lines]
         self.generators = [g if isinstance(g, Generator) else Generator(**g)
                            for g in self.generators]
-        self.fixed_loads = {int(k): list(v) for k, v in self.fixed_loads.items()}
-        self.res_sources = {k: int(v) for k, v in self.res_sources.items()}
-        self.load_sources = {k: int(v) for k, v in self.load_sources.items()}
-        self.validate()
+        super().__post_init__()
 
     def validate(self):
         if not 0 <= self.reference_bus < self.n_buses:
@@ -75,18 +72,7 @@ class UcConfig:
                 raise ConfigError("minimum up/down times must be >= 1 step")
             if not 0 <= g.bus < self.n_buses:
                 raise ConfigError("generator bus out of range")
-        for bus, series in self.fixed_loads.items():
-            if len(series) != self.t_steps:
-                raise ConfigError(f"fixed load at bus {bus} has wrong length")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["fixed_loads"] = {str(k): v for k, v in sorted(d["fixed_loads"].items())}
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "UcConfig":
-        return cls(**d)
+        super().validate()
 
 
 def build_uc_model(config: UcConfig, scenarios, weights,
@@ -100,18 +86,8 @@ def build_uc_model(config: UcConfig, scenarios, weights,
     commitments are binary).
     """
     cfg = config
-    T, dt = cfg.t_steps, cfg.dt_hours
-    names = list(source_names)
-    stochastic = set(cfg.res_sources) | set(cfg.load_sources)
-    if set(names) != stochastic:
-        raise ConfigError(
-            f"scenario sources {sorted(names)} do not match the configured "
-            f"sources {sorted(stochastic)}")
-    src = {name: names.index(name) for name in names}
-    for s in scenarios:
-        if s.values.shape != (len(names), T):
-            raise ConfigError(f"scenario {s.id!r} has wrong shape")
-
+    T = cfg.t_steps
+    src = _source_rows(cfg, source_names, scenarios)
     gens = cfg.generators
     ng = len(gens)
     m = MixedBinaryModel()
@@ -177,14 +153,6 @@ def build_uc_model(config: UcConfig, scenarios, weights,
 
     # -- second stage: regulation, DC flow, recourse ------------------------
     ref = cfg.reference_bus
-    loads_by_bus: dict[int, list[str]] = {}
-    for name, bus in cfg.load_sources.items():
-        loads_by_bus.setdefault(bus, []).append(name)
-    res_by_bus: dict[int, list[str]] = {}
-    for name, bus in cfg.res_sources.items():
-        res_by_bus.setdefault(bus, []).append(name)
-    load_buses = sorted(set(loads_by_bus) | set(cfg.fixed_loads))
-
     for s, (scen, w) in enumerate(zip(scenarios, weights)):
         w = float(w)
         # the reference bus angle is the constant 0, not a variable
@@ -206,26 +174,8 @@ def build_uc_model(config: UcConfig, scenarios, weights,
                 m.gating.append((dreg[g, t], dn[g, t], up[g, t]))
                 m.add_objective(up[g, t], w * gen.cost_reg_up, group="in_reg")
                 m.add_objective(dn[g, t], w * gen.cost_reg_down, group="in_reg")
-        shed = {}
-        curt = {}
-        load_mw = {}
-        res_mw = {}
-        for b in load_buses:
-            for t in range(T):
-                total = float(sum(scen.values[src[n], t]
-                                  for n in loads_by_bus.get(b, ())))
-                total += float(cfg.fixed_loads.get(b, [0.0] * T)[t])
-                load_mw[b, t] = total
-                shed[b, t] = m.add_var(f"Ls[{b},{s},{t}]", 0.0, total)
-                m.add_objective(shed[b, t], w * cfg.penalty_shed * dt,
-                                group="in_penalty")
-        for b in sorted(res_by_bus):
-            for t in range(T):
-                avail = float(sum(scen.values[src[n], t] for n in res_by_bus[b]))
-                res_mw[b, t] = avail
-                curt[b, t] = m.add_var(f"Rc[{b},{s},{t}]", 0.0, avail)
-                m.add_objective(curt[b, t], w * cfg.penalty_curtail * dt,
-                                group="in_penalty")
+        load_mw, shed, res_mw, curt = _penalized_recourse(m, cfg, scen, src,
+                                                          w, s)
 
         for g, gen in enumerate(gens):
             for t in range(T):
@@ -270,10 +220,10 @@ def build_uc_model(config: UcConfig, scenarios, weights,
                 for g, gen in enumerate(gens):
                     if gen.bus == b:
                         expr.add(pg[g, t], 1.0)
-                if b in res_by_bus:
+                if (b, t) in curt:
                     expr.add_const(res_mw[b, t])
                     expr.add(curt[b, t], -1.0)
-                if b in load_buses:
+                if (b, t) in shed:
                     expr.add_const(-load_mw[b, t])
                     expr.add(shed[b, t], 1.0)
                 for li, (i, j, _) in enumerate(cfg.lines):
@@ -287,13 +237,12 @@ def build_uc_model(config: UcConfig, scenarios, weights,
     return m
 
 
-class UcProblem(TssoProblem):
+class UcProblem(NetworkProblem):
     """Commitment problem bound to a fixed source ordering."""
 
-    def __init__(self, config: UcConfig, source_names):
-        self.config = config
-        self.source_names = tuple(source_names)
+    kind = "uc"
 
+    # stays in the class body: perfbench wraps ``__dict__["build_model"]``
     def build_model(self, scenarios, weights):
         return build_uc_model(self.config, scenarios, weights,
                               self.source_names)
@@ -303,16 +252,6 @@ class UcProblem(TssoProblem):
         T = self.config.t_steps
         return ([f"P[{g},{t}]" for g in range(ng) for t in range(T)]
                 + [f"U[{g},{t}]" for g in range(ng) for t in range(T)])
-
-    def fingerprint_payload(self):
-        return {"problem": "uc", "config": self.config.to_dict(),
-                "sources": list(self.source_names)}
-
-    def cost_groups(self):
-        return ("da_gen", "in_reg", "in_penalty")
-
-    def penalty_group(self):
-        return "in_penalty"
 
     def first_stage_summary(self, decision):
         ng = len(self.config.generators)
@@ -368,26 +307,19 @@ def make_uc_desk_instance(seed: int, n_scenarios: int, t_steps: int = 6,
     margin = 0.88 * gens[0].p_max
     target_net = gens[0].p_max + 2.0
 
-    def smooth_noise(amp):
-        out = np.zeros(T)
-        for k in (1, 2):
-            out += rng.normal(0.0, amp / math.sqrt(2)) * np.sin(
-                2 * math.pi * (k * tgrid / T + rng.uniform(0.0, 1.0)))
-        return out
-
+    fixed = np.asarray(fixed_shape)
     drawn = []
     for i in range(N):
-        wt = np.clip(rng.uniform(0.2, 1.0) + 0.15 * smooth_noise(1.0)
+        wt = np.clip(rng.uniform(0.2, 1.0) + 0.15 * _smooth_noise(rng, T, 2)
                      + rng.normal(0.0, 0.04, T), 0.05, 1.3)
         level = float(rng.choice((0.78, 0.95, 1.12)) + rng.uniform(-0.05, 0.05))
         loads = []
         for base, phase in ((1.1, 1.5), (0.85, 2.5)):
             scale = level * rng.uniform(0.95, 1.05)
-            ld = np.clip(scale * (1.0 + 0.08 * smooth_noise(1.0))
+            ld = np.clip(scale * (1.0 + 0.08 * _smooth_noise(rng, T, 2))
                          * (base + 0.25 * np.sin(2 * math.pi * (tgrid - phase) / T))
                          + rng.normal(0.0, 0.03, T), 0.1, None)
             loads.append(ld)
-        fixed = np.asarray(fixed_shape)
         for t in range(T):
             net = fixed[t] + loads[0][t] + loads[1][t] - wt[t]
             if net > margin:
@@ -398,26 +330,14 @@ def make_uc_desk_instance(seed: int, n_scenarios: int, t_steps: int = 6,
         drawn.append((wt, loads))
 
     n_bad = int(round(bad_fraction * N))
-    bad_idx: set[int] = set()
-    windows: dict[int, int] = {}
-    if n_bad:
-        peak = {}
-        fixed = np.asarray(fixed_shape)
-        for i, (wt, loads) in enumerate(drawn):
-            net = fixed + loads[0] + loads[1] - wt
-            sums = [net[t:t + 2].sum() for t in range(1, T - 2)]
-            w = int(np.argmax(sums)) + 1
-            peak[i] = (net[w:w + 2].mean(), w)
-        eligible = sorted(range(N), key=lambda i: -peak[i][0])[:max(n_bad, int(0.6 * N))]
-        chosen = rng.choice(len(eligible), size=n_bad, replace=False)
-        bad_idx = {int(eligible[c]) for c in chosen}
-        windows = {i: peak[i][1] for i in bad_idx}
+    nets = [fixed + loads[0] + loads[1] - wt for wt, loads in drawn]
+    windows = _pick_bad(rng, nets, n_bad, width=2, first=1, last=T - 3,
+                        pool=max(n_bad, int(0.6 * N)))
 
     scenarios = []
-    fixed = np.asarray(fixed_shape)
     for i, (wt, loads) in enumerate(drawn):
         sid = f"s{i:03d}"
-        if i in bad_idx:
+        if i in windows:
             sid += "_bad"
             for t in range(windows[i], windows[i] + 2):
                 wt[t] = max(wt[t] - rng.uniform(0.10, 0.20), 0.05)

@@ -69,6 +69,16 @@ def test_source_mismatch_rejected():
                         ["wt1", "load9", "price"])
 
 
+@pytest.mark.parametrize("field, value", [
+    ("res_sources", {"wt1": 4}),
+    ("load_sources", {"load1": -1}),
+    ("fixed_loads", {99: [0.1, 0.1, 0.1]}),
+], ids=["res_source", "load_source", "fixed_load"])
+def test_bus_outside_network_rejected(field, value):
+    with pytest.raises(ConfigError, match="bad bus"):
+        small_config(**{field: value})
+
+
 def test_balanced_single_period_costs_nothing():
     # generation equals load at the same bus, price zero: do nothing
     cfg = small_config(n_buses=2, lines=[(0, 1, 0.01, 0.015)], t_steps=1,

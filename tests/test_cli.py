@@ -160,8 +160,12 @@ def test_evaluate_rejects_misfit_reduction_before_solving(
     (["cluster", "--beta", "-1"], "--beta", 2),
     (["sweep-beta", "--beta-range", "1:2"], "--beta-range", 2),
     (["compare", "--K", "5"], "--K", 1),
+    (["compare", "--K", "2", "--benchmark-time-limit", "-1"],
+     "--benchmark-time-limit", 2),
+    (["compare", "--K", "2", "--methods", ","], "--methods", 1),
 ], ids=["workers_0", "cluster_k_0", "cluster_k_above_n", "beta_negative",
-        "beta_range_two_fields", "compare_k_above_n"])
+        "beta_range_two_fields", "compare_k_above_n",
+        "benchmark_time_limit_negative", "compare_no_methods"])
 def test_bad_arguments_rejected_before_solving(instance, tmp_path, capsys,
                                                monkeypatch, argv, flag, code):
     def no_solve(*args, **kwargs):

@@ -127,6 +127,21 @@ def test_config_json_round_trip():
     assert back.to_dict() == cfg.to_dict()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("res_sources", {"wt1": 3}),
+    ("load_sources", {"load1": 1, "load2": 7}),
+    ("fixed_loads", {9: [0.5] * 6}),
+], ids=["res_source", "load_source", "fixed_load"])
+def test_bus_outside_network_rejected(field, value):
+    # a load on a bus the network lacks would be silently dropped
+    from pdsr.errors import ConfigError
+    cfg, _ = make_uc_desk_instance(seed=0, n_scenarios=2, t_steps=6)
+    d = cfg.to_dict()
+    d[field] = value
+    with pytest.raises(ConfigError, match="bad bus"):
+        UcConfig.from_dict(d)
+
+
 def test_fixed_mode_constant_commitment_costs():
     cfg, ss = make_uc_desk_instance(seed=1, n_scenarios=3, t_steps=6)
     problem = UcProblem(cfg, ss.source_names)
