@@ -11,7 +11,7 @@ from .errors import (CacheError, ConfigError, InconsistencyError, ModelError,
 from .milp import (DEFAULT_GAP_TOL, MixedBinaryModel, Solution, export_lp_file,
                    solve_milp)
 from .scenarios import (Scenario, ScenarioSet, bad_scenario_ids, load_scenarios,
-                        normalize_probabilities, save_scenarios)
+                        save_scenarios)
 from .tsso import (FirstStageDecision, TssoProblem,
                    evaluate_with_fixed_first_stage, solve_scenario_specific,
                    solve_stochastic)

@@ -15,6 +15,8 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from .clustering import ReductionResult
 from .scenarios import ScenarioSet
 
+KMEANS_RESTARTS = 8
+
 
 def standardize(scenario_set: ScenarioSet):
     """Flatten scenarios to (N, U*T) with per-source z-scoring.
@@ -51,8 +53,7 @@ def _nearest_member(X, members, centroid) -> int:
     return int(members[int(np.argmin(dists))])
 
 
-def kmeans_reduce(scenario_set: ScenarioSet, k: int, seed: int = 0,
-                  restarts: int = 8) -> ReductionResult:
+def kmeans_reduce(scenario_set: ScenarioSet, k: int, seed: int = 0) -> ReductionResult:
     """Lloyd's k-means on standardized vectors, best of seeded restarts,
     final centroids replaced by their nearest member scenario."""
     X, _, _ = standardize(scenario_set)
@@ -60,7 +61,7 @@ def kmeans_reduce(scenario_set: ScenarioSet, k: int, seed: int = 0,
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}]")
     best = None
-    for r in range(restarts):
+    for r in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([seed, r])
         centroids = _kmeans_pp(X, k, rng)
         labels = np.full(n, -1, dtype=int)
@@ -108,11 +109,11 @@ def _kmeans_pp(X, k, rng) -> np.ndarray:
     return np.array(centroids, dtype=float)
 
 
-def kmedoids_reduce(scenario_set: ScenarioSet, k: int, seed: int = 0) -> ReductionResult:
+def kmedoids_reduce(scenario_set: ScenarioSet, k: int) -> ReductionResult:
     """PAM (build + best-improvement swap) on Euclidean distances.
 
     Deterministic: the greedy build and the swap search break ties by
-    lowest index, so ``seed`` is accepted only for interface symmetry.
+    lowest index.
     """
     X, _, _ = standardize(scenario_set)
     n = len(scenario_set)
@@ -220,7 +221,7 @@ def run_baseline(name: str, scenario_set: ScenarioSet, k: int, seed: int = 0) ->
     if name == "km_e":
         return kmeans_reduce(scenario_set, k, seed=seed)
     if name == "kd_e":
-        return kmedoids_reduce(scenario_set, k, seed=seed)
+        return kmedoids_reduce(scenario_set, k)
     if name == "hc":
         return hierarchical_reduce(scenario_set, k)
     if name == "ws":

@@ -27,7 +27,7 @@ from .evaluation import compare_methods, evaluate_reduction
 from .milp import DEFAULT_GAP_TOL
 from .projection import (build_problem_space_matrix, fingerprint, load_matrix,
                          save_matrix)
-from .scenarios import load_scenarios, save_scenarios, dump_probabilities_csv
+from .scenarios import load_scenarios, save_scenarios
 from .uc import UcConfig, UcProblem, make_uc_desk_instance
 
 METHODS = ("pdsr", "km_e", "kd_e", "hc", "ws")
@@ -102,8 +102,7 @@ def cmd_cluster(args) -> int:
     problem, scenario_set = _load_problem(args)
     _check_k(args.K, scenario_set)
     matrix, tau_p, reused = _ensure_matrix(args, problem, scenario_set)
-    pdd = compute_pdd(matrix, mu=args.mu,
-                      scenario_set=scenario_set if args.mu > 0 else None)
+    pdd = compute_pdd(matrix, mu=args.mu, scenario_set=scenario_set)
     t0 = time.monotonic()
     result = solve_clustering(pdd, scenario_set.probabilities,
                               beta=args.beta, fixed_k=args.K,
@@ -123,8 +122,7 @@ def cmd_cluster(args) -> int:
 def cmd_sweep_beta(args) -> int:
     problem, scenario_set = _load_problem(args)
     matrix, tau_p, _ = _ensure_matrix(args, problem, scenario_set)
-    pdd = compute_pdd(matrix, mu=args.mu,
-                      scenario_set=scenario_set if args.mu > 0 else None)
+    pdd = compute_pdd(matrix, mu=args.mu, scenario_set=scenario_set)
     t0 = time.monotonic()
     rows = sweep_beta(pdd, scenario_set.probabilities, args.betas,
                       gap_tol=args.gap_tol)
@@ -165,8 +163,7 @@ def cmd_evaluate(args) -> int:
     problem, scenario_set = _load_problem(args)
     result = _load_reduction(args.reduction, scenario_set.probabilities)
     matrix, tau_p, _ = _ensure_matrix(args, problem, scenario_set)
-    pdd = compute_pdd(matrix, mu=args.mu,
-                      scenario_set=scenario_set if args.mu > 0 else None)
+    pdd = compute_pdd(matrix, mu=args.mu, scenario_set=scenario_set)
     report = evaluate_reduction(problem, scenario_set, result, matrix, pdd,
                                 gap_tol=args.gap_tol, workers=args.workers,
                                 with_se=not args.no_se,
@@ -195,9 +192,9 @@ def cmd_compare(args) -> int:
             raise PdsrError(f"unknown method {m!r}; choose from {METHODS}")
     matrix, tau_p, _ = _ensure_matrix(args, problem, scenario_set)
     rows, timings = compare_methods(problem, scenario_set, methods, args.K,
-                                    seed=args.seed, gap_tol=args.gap_tol,
-                                    workers=args.workers, matrix=matrix,
-                                    mu=args.mu,
+                                    matrix, seed=args.seed,
+                                    gap_tol=args.gap_tol,
+                                    workers=args.workers, mu=args.mu,
                                     worst_case_bound=args.worst_case_bound,
                                     benchmark_time_limit=args.benchmark_time_limit)
     timings["projection"] = {"seconds": tau_p}
@@ -219,14 +216,12 @@ def cmd_compare(args) -> int:
 
 
 def cmd_make_desk(args) -> int:
-    if args.problem == "adn":
-        config, scenario_set = make_desk_instance(
-            seed=args.seed, n_scenarios=args.N, t_steps=args.T,
-            buses=args.buses, bad_fraction=args.bad_fraction)
-    else:
-        config, scenario_set = make_uc_desk_instance(
-            seed=args.seed, n_scenarios=args.N, t_steps=args.T,
-            bad_fraction=args.bad_fraction)
+    make = make_desk_instance if args.problem == "adn" else make_uc_desk_instance
+    # without --buses each generator keeps its own network size
+    buses = {} if args.buses is None else {"buses": args.buses}
+    config, scenario_set = make(seed=args.seed, n_scenarios=args.N,
+                                t_steps=args.T, bad_fraction=args.bad_fraction,
+                                **buses)
     base = Path(args.out)
     base.mkdir(parents=True, exist_ok=True)
     _json_dump(base / "config.json", config.to_dict())
@@ -272,16 +267,18 @@ def _beta_range(text):
     return list(np.geomspace(start, stop, num))
 
 
-def _add_common(p, needs_inputs=True):
-    if needs_inputs:
-        p.add_argument("--problem", choices=("adn", "uc"), required=True)
-        p.add_argument("--config", required=True, help="problem config JSON")
-        p.add_argument("--scenarios", required=True, help="values CSV")
-        p.add_argument("--probabilities", default=None, help="probabilities CSV")
+def _add_common(p):
+    p.add_argument("--problem", choices=("adn", "uc"), required=True)
+    p.add_argument("--config", required=True, help="problem config JSON")
+    p.add_argument("--scenarios", required=True, help="values CSV")
+    p.add_argument("--probabilities", default=None, help="probabilities CSV")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--workers", type=_count, default=1)
     p.add_argument("--gap-tol", dest="gap_tol", type=float, default=DEFAULT_GAP_TOL)
-    p.add_argument("--seed", type=int, default=0)
+
+
+def _add_distance(p):
+    _add_common(p)
     p.add_argument("--mu", type=_nonneg, default=0.0,
                    help="norm-regularization weight of the distance metric")
 
@@ -304,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("cluster", help="solve the clustering MILP")
-    _add_common(p)
+    _add_distance(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--beta", type=_nonneg, default=None,
                        help="trade-off weight (the solver chooses K)")
@@ -312,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cluster)
 
     p = sub.add_parser("sweep-beta", help="cluster across a beta grid")
-    _add_common(p)
+    _add_distance(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--beta-range", dest="betas", type=_beta_range,
                        default=None, help="geometric grid start:stop:num")
@@ -321,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_beta)
 
     p = sub.add_parser("evaluate", help="score a reduction against the full set")
-    _add_common(p)
+    _add_distance(p)
     p.add_argument("--reduction", required=True, help="reduction.json path")
     p.add_argument("--no-se", action="store_true",
                    help="skip per-representative effectiveness re-solves")
@@ -329,9 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="run several reduction methods at one K")
-    _add_common(p)
+    _add_distance(p)
     p.add_argument("--methods", default="pdsr,km_e,kd_e,hc,ws")
     p.add_argument("--K", type=_count, required=True)
+    p.add_argument("--seed", type=int, default=0, help="k-means seed")
     _add_benchmark(p)
     p.set_defaults(func=cmd_compare)
 
@@ -339,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", choices=("adn", "uc"), required=True)
     p.add_argument("--N", type=int, default=8)
     p.add_argument("--T", type=int, default=12)
-    p.add_argument("--buses", type=int, default=6)
+    p.add_argument("--buses", type=int, default=None,
+                   help="network size (default: ADN 6, UC its 3-bus ring)")
     p.add_argument("--bad-fraction", dest="bad_fraction", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

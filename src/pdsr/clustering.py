@@ -53,7 +53,7 @@ class ReductionResult:
     def members(self, rep: int) -> list[int]:
         return sorted(i for i, r in self.assignment.items() if r == rep)
 
-    def validate(self, probabilities=None):
+    def validate(self, probabilities):
         reps = set(self.representatives)
         if not reps:
             raise ValueError("no representatives")
@@ -68,11 +68,10 @@ class ReductionResult:
         total = sum(self.weights.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {total!r}")
-        if probabilities is not None:
-            for r in reps:
-                mass = float(sum(probabilities[i] for i in self.members(r)))
-                if abs(mass - self.weights[r]) > 1e-9:
-                    raise ValueError(f"weight of representative {r} != member mass")
+        for r in reps:
+            mass = float(sum(probabilities[i] for i in self.members(r)))
+            if abs(mass - self.weights[r]) > 1e-9:
+                raise ValueError(f"weight of representative {r} != member mass")
 
     def to_json_dict(self) -> dict:
         return {

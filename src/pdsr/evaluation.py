@@ -17,7 +17,7 @@ from .clustering import PddMatrix, ReductionResult
 from .errors import PdsrError
 from .milp import DEFAULT_GAP_TOL, GAP_LIMIT
 from .parallel import pmap
-from .projection import ProblemSpaceMatrix, build_problem_space_matrix, solve_benchmark
+from .projection import ProblemSpaceMatrix, solve_benchmark
 from .scenarios import ScenarioSet
 from .tsso import (FirstStageDecision, TssoProblem,
                    evaluate_with_fixed_first_stage, solve_stochastic)
@@ -71,20 +71,22 @@ class GapOutcome:
     benchmark_objective: float | None
     decision: FirstStageDecision
     per_scenario: list[float]     # reduced decision evaluated on each scenario
-    reduced_objective: float      # objective of the reduced program itself
-    mean_components: dict         # mean objective slices over the full set
+    mean_components: dict         # objective slices, probability-weighted
 
 
 def verification_costs(problem: TssoProblem, decision: FirstStageDecision,
                        scenario_set: ScenarioSet,
                        gap_tol: float = DEFAULT_GAP_TOL, workers: int = 1):
-    """Per-scenario objective and component costs of a fixed decision."""
+    """Per-scenario objective of a fixed decision, and each objective
+    group's cost averaged over the scenarios with their probabilities (so
+    the groups sum to the full-set objective)."""
     pairs = pmap(lambda s: evaluate_with_fixed_first_stage(
         problem, decision, s, gap_tol=gap_tol, with_components=True),
         scenario_set.scenarios, workers)
     values = [float(v) for v, _ in pairs]
     groups = sorted(pairs[0][1]) if pairs else []
-    means = {g: float(np.mean([comp[g] for _, comp in pairs])) for g in groups}
+    means = {g: float(np.dot(scenario_set.probabilities,
+                             [comp[g] for _, comp in pairs])) for g in groups}
     return values, means
 
 
@@ -102,7 +104,7 @@ def _reduced_gap(problem: TssoProblem, scenario_set: ScenarioSet, reps,
                  workers: int) -> GapOutcome:
     """Solve the program on scenarios ``reps`` with ``weights``, then verify
     its decision on every scenario of the full set."""
-    z_red, red_obj, _ = solve_stochastic(
+    z_red, _, _ = solve_stochastic(
         problem, [scenario_set.scenarios[r] for r in reps], weights,
         gap_tol=gap_tol)
     vals, means = verification_costs(problem, z_red, scenario_set,
@@ -113,7 +115,7 @@ def _reduced_gap(problem: TssoProblem, scenario_set: ScenarioSet, reps,
         og_abs = reduced_on_full - bench_obj
         og_pct = None if abs(bench_obj) < 1e-6 else 100.0 * og_abs / bench_obj
     return GapOutcome(og_abs, og_pct, reduced_on_full, bench_obj, z_red, vals,
-                      float(red_obj), means)
+                      means)
 
 
 def optimality_gap(problem: TssoProblem, scenario_set: ScenarioSet,
@@ -133,11 +135,15 @@ def optimality_gap(problem: TssoProblem, scenario_set: ScenarioSet,
                         gap_tol, workers)
 
 
-def _drop_one_effectiveness(problem: TssoProblem, scenario_set: ScenarioSet,
-                            result: ReductionResult, base: GapOutcome,
-                            gap_tol: float, workers: int) -> dict[int, float]:
-    """Gap increase of each drop-one reduction over ``base``, the gap
-    outcome of ``result`` itself."""
+def scenario_effectiveness(problem: TssoProblem, scenario_set: ScenarioSet,
+                           result: ReductionResult, base: GapOutcome,
+                           gap_tol: float = DEFAULT_GAP_TOL,
+                           workers: int = 1) -> dict[int, float]:
+    """Increase in percent optimality gap when one representative is
+    removed (remaining weights renormalized to sum to one), measured
+    against ``base``, the gap outcome of ``result`` itself."""
+    if result.k < 2:
+        raise ValueError("scenario effectiveness requires at least 2 representatives")
     if base.og_pct is None:
         raise PdsrError("scenario effectiveness needs a percent gap (no "
                         "benchmark, or its objective is too close to zero)")
@@ -152,48 +158,26 @@ def _drop_one_effectiveness(problem: TssoProblem, scenario_set: ScenarioSet,
     return se
 
 
-def scenario_effectiveness(problem: TssoProblem, scenario_set: ScenarioSet,
-                           result: ReductionResult,
-                           gap_tol: float = DEFAULT_GAP_TOL, workers: int = 1,
-                           benchmark=None) -> dict[int, float]:
-    """Increase in percent optimality gap when one representative is
-    removed (remaining weights renormalized to sum to one).  Without a
-    ``benchmark`` pair the full-set program is solved here."""
-    if result.k < 2:
-        raise ValueError("scenario effectiveness requires at least 2 representatives")
-    if benchmark is None:
-        benchmark = _benchmark(problem, scenario_set, gap_tol, None)
-    base = optimality_gap(problem, scenario_set, result, gap_tol=gap_tol,
-                          workers=workers, benchmark=benchmark)
-    return _drop_one_effectiveness(problem, scenario_set, result, base,
-                                   gap_tol, workers)
-
-
 @dataclass
 class WorstCaseReport:
     """Outlier scan of the problem-space column sums."""
 
     flags: list[bool]
     rho: list[float]           # second-difference statistic per scenario
-    sigma: list[float]         # decision-adaptability column sums
-    bound: float
-    normalized: bool
 
     def flagged_indices(self) -> list[int]:
         return [i for i, f in enumerate(self.flags) if f]
 
 
-def detect_worst_case(matrix, bound: float = 2.0,
-                      normalized: bool = True) -> WorstCaseReport:
+def detect_worst_case(matrix, bound: float = 2.0) -> WorstCaseReport:
     """Flag scenarios whose decision-adaptability sums jump away from the
     rest.
 
-    The column sums are sorted ascending; a second-order difference above
+    The column sums are sorted ascending and their second-order
+    differences scaled by the median first difference, which makes the
+    default bound portable across problems; a scaled difference above
     ``bound`` marks a jump, and every scenario above the largest such jump
-    is flagged.  With ``normalized`` (default) the second differences are
-    scaled by the median first difference, making the default bound
-    portable across problems; the raw mode applies ``bound`` to the plain
-    second differences.
+    is flagged.
     """
     F = matrix.values if isinstance(matrix, ProblemSpaceMatrix) else np.asarray(matrix)
     n = F.shape[0]
@@ -204,13 +188,10 @@ def detect_worst_case(matrix, bound: float = 2.0,
     s = sigma[order]
     d1 = np.diff(s)
     d2 = np.diff(d1)
-    if normalized:
-        scale = float(np.median(d1))
-        if scale <= 1e-12 * max(1.0, abs(float(s[-1]))):
-            scale = 1e-12 * max(1.0, abs(float(s[-1])))
-        stat = d2 / scale
-    else:
-        stat = d2.astype(float)
+    scale = float(np.median(d1))
+    if scale <= 1e-12 * max(1.0, abs(float(s[-1]))):
+        scale = 1e-12 * max(1.0, abs(float(s[-1])))
+    stat = d2 / scale
 
     rho_sorted = np.zeros(n)
     rho_sorted[2:] = stat
@@ -225,8 +206,7 @@ def detect_worst_case(matrix, bound: float = 2.0,
     rho = np.zeros(n)
     flags[order] = flags_sorted
     rho[order] = rho_sorted
-    return WorstCaseReport([bool(b) for b in flags], [float(v) for v in rho],
-                           [float(v) for v in sigma], bound, normalized)
+    return WorstCaseReport([bool(b) for b in flags], [float(v) for v in rho])
 
 
 @dataclass
@@ -289,8 +269,8 @@ def evaluate_reduction(problem: TssoProblem, scenario_set: ScenarioSet,
     se = None
     if with_se and result.k >= 2 and bench is not None:
         t0 = time.monotonic()
-        se = _drop_one_effectiveness(problem, scenario_set, result, gap,
-                                     gap_tol, workers)
+        se = scenario_effectiveness(problem, scenario_set, result, gap,
+                                    gap_tol, workers)
         timings["se_seconds"] = time.monotonic() - t0
 
     wc = detect_worst_case(matrix, bound=worst_case_bound)
@@ -309,17 +289,19 @@ def evaluate_reduction(problem: TssoProblem, scenario_set: ScenarioSet,
 
 
 def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
-                    methods, k: int, seed: int = 0,
-                    gap_tol: float = DEFAULT_GAP_TOL, workers: int = 1,
-                    matrix: ProblemSpaceMatrix | None = None, mu: float = 0.0,
+                    methods, k: int, matrix: ProblemSpaceMatrix,
+                    seed: int = 0, gap_tol: float = DEFAULT_GAP_TOL,
+                    workers: int = 1, mu: float = 0.0,
                     worst_case_bound: float = 2.0,
                     benchmark_time_limit: float | None = None):
     """Run every requested reduction method at the same K and score it.
 
-    Returns (rows, timings): ``rows`` hold only deterministic fields (one
-    per method plus a benchmark row); wall-clock timings are keyed by
-    method in the second mapping.  A failing method yields a row marked
-    failed instead of aborting the comparison.
+    ``matrix`` is the projection of ``scenario_set``; the worst-case flags
+    of every row and the pdsr distances come from it.  Returns (rows,
+    timings): ``rows`` hold only deterministic fields (one per method plus
+    a benchmark row); wall-clock timings are keyed by method in the second
+    mapping.  A failing method yields a row marked failed instead of
+    aborting the comparison.
     """
     from .baselines import run_baseline
     from .clustering import compute_pdd, solve_clustering
@@ -328,12 +310,6 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
     rows: list[dict] = []
     gamma = scenario_set.probabilities
 
-    t0 = time.monotonic()
-    if matrix is None:
-        # every row needs the worst-case flags, which live in problem space
-        matrix = build_problem_space_matrix(problem, scenario_set,
-                                            workers=workers, gap_tol=gap_tol)
-    tau_p = time.monotonic() - t0
     wc = detect_worst_case(matrix, bound=worst_case_bound)
     flagged = wc.flagged_indices()
 
@@ -350,7 +326,7 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
         _, means = verification_costs(problem, bench[0], scenario_set,
                                       gap_tol=gap_tol, workers=workers)
         bench_row["mean_components"] = means
-        bench_row["first_stage"] = problem_first_stage_summary(problem, bench[0])
+        bench_row["first_stage"] = problem.first_stage_summary(bench[0])
     rows.append(bench_row)
     timings["benchmark"] = {"solve_seconds": bench_seconds}
 
@@ -362,10 +338,8 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
         try:
             t0 = time.monotonic()
             if name == "pdsr":
-                pdd = compute_pdd(matrix, mu=mu,
-                                  scenario_set=scenario_set if mu > 0 else None)
+                pdd = compute_pdd(matrix, mu=mu, scenario_set=scenario_set)
                 result = solve_clustering(pdd, gamma, fixed_k=k, gap_tol=gap_tol)
-                tm["projection_seconds"] = tau_p
             else:
                 result = run_baseline(name, scenario_set, k, seed=seed)
             tm["clustering_seconds"] = time.monotonic() - t0
@@ -386,7 +360,7 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
                 "og_pct": gap.og_pct, "og_abs": gap.og_abs,
                 "objective_on_full": gap.reduced_on_full,
                 "mean_components": gap.mean_components,
-                "first_stage": problem_first_stage_summary(problem, gap.decision),
+                "first_stage": problem.first_stage_summary(gap.decision),
             })
         except Exception as exc:  # per-method isolation, row marked failed
             row.update({"status": f"failed: {exc}"})
@@ -394,11 +368,3 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
         timings[name] = tm
     return rows, timings
 
-
-def problem_first_stage_summary(problem: TssoProblem,
-                                decision: FirstStageDecision) -> dict:
-    """Problem-specific scalar summary of a first-stage decision."""
-    summarize = getattr(problem, "first_stage_summary", None)
-    if summarize is None:
-        return {}
-    return summarize(decision)

@@ -164,14 +164,28 @@ class MixedBinaryModel:
         return total
 
     def validate(self):
+        """Reject bad bounds and non-finite objective or row data; expression
+        rows skip :meth:`add_constraint`'s eager check, so all rows are
+        checked here, once, on the assembled arrays."""
         for j, (lo, hi, b) in enumerate(zip(self.lb, self.ub, self.is_binary)):
             if not (math.isfinite(lo) or lo == -math.inf):
                 raise ModelError(f"bad lower bound on {self.var_names[j]!r}")
+            if math.isnan(hi):
+                raise ModelError(f"bad upper bound on {self.var_names[j]!r}")
             if b and (lo < 0.0 or hi > 1.0):
                 raise ModelError(f"binary {self.var_names[j]!r} out of [0, 1]")
         for j, a in self.obj.items():
             if not math.isfinite(a):
                 raise ModelError("non-finite objective coefficient")
+        A, lo, hi = self._row_ranges()
+        bad = np.flatnonzero(~np.isfinite(A.data))
+        if bad.size:
+            raise ModelError("non-finite constraint coefficient on "
+                             f"{self.var_names[A.indices[bad[0]]]!r}")
+        # a row's right-hand side is on each side that is not an outward
+        # infinity, so it is finite exactly when one side is
+        if not (np.isfinite(lo) | np.isfinite(hi)).all():
+            raise ModelError("non-finite right-hand side")
 
     def max_violation(self, x: np.ndarray) -> float:
         """Largest constraint or bound violation of ``x`` (equalities

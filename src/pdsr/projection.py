@@ -166,7 +166,7 @@ def save_matrix(matrix: ProblemSpaceMatrix, path):
         fh.write("\n")
 
 
-def load_matrix(path, expected_fingerprint: str | None = None) -> ProblemSpaceMatrix:
+def load_matrix(path, expected_fingerprint: str) -> ProblemSpaceMatrix:
     """Load a cached matrix; refuses a fingerprint mismatch."""
     p = Path(path)
     try:
@@ -191,7 +191,7 @@ def load_matrix(path, expected_fingerprint: str | None = None) -> ProblemSpaceMa
         raise
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise CacheError(f"cannot read cached matrix {p}: {exc}") from exc
-    if expected_fingerprint is not None and meta["fingerprint"] != expected_fingerprint:
+    if meta["fingerprint"] != expected_fingerprint:
         raise CacheError(
             "cached matrix fingerprint does not match the requested problem "
             "configuration/scenario data (stale cache)")

@@ -128,36 +128,13 @@ class ScenarioSet:
         except ValueError:
             raise ScenarioFormatError(f"no source named {name!r}") from None
 
-    def subset(self, indices, weights=None) -> "ScenarioSet":
-        """Set restricted to ``indices``; weights default to renormalized
-        probabilities."""
+    def subset(self, indices) -> "ScenarioSet":
+        """Set restricted to ``indices``, probabilities renormalized."""
         indices = list(indices)
-        if weights is None:
-            w = self.probabilities[indices]
-            w = w / w.sum()
-        else:
-            w = np.asarray(weights, dtype=float)
+        w = self.probabilities[indices]
+        w = w / w.sum()
         return ScenarioSet(tuple(self.scenarios[i] for i in indices), w,
                            self.source_names, self.source_roles)
-
-
-def normalize_probabilities(raw) -> list[float]:
-    """Scale non-negative weights to sum exactly to one.
-
-    Zero entries are rejected: downstream formulas require every scenario
-    probability to be strictly positive.
-    """
-    raw = [float(v) for v in raw]
-    if any(v < 0.0 for v in raw):
-        raise ScenarioFormatError("negative probability weight")
-    total = sum(raw)
-    if total <= 0.0:
-        raise ScenarioFormatError("all probability weights are zero")
-    out = [v / total for v in raw]
-    if any(v == 0.0 for v in out):
-        raise ScenarioFormatError("zero probability weight (every scenario "
-                                  "probability must be > 0)")
-    return out
 
 
 def _parse_values(fh) -> tuple[list[str], list[str], dict]:

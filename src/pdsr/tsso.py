@@ -39,6 +39,10 @@ class TssoProblem(ABC):
         """Names of the first-stage variables, in decision-vector order."""
 
     @abstractmethod
+    def first_stage_summary(self, decision) -> dict:
+        """Problem-specific scalar summary of a first-stage decision."""
+
+    @abstractmethod
     def fingerprint_payload(self) -> dict:
         """Canonical configuration dict used for cache fingerprints."""
 

@@ -67,7 +67,7 @@ def test_kmeans_near_optimal_sse():
         pts = [np.abs(rng.normal(5.0, 2.0, (1, 2))) for _ in range(8)]
         ss = make_set(pts)
         X, _, _ = standardize(ss)
-        result = kmeans_reduce(ss, 2, seed=seed, restarts=8)
+        result = kmeans_reduce(ss, 2, seed=seed)
         assert result.extras["sse"] <= brute_force_sse(X, 2) * 1.05 + 1e-9
 
 
@@ -83,7 +83,7 @@ def test_kmedoids_vs_exhaustive():
         D = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
         best = min(np.min(D[:, list(meds)], axis=1).sum()
                    for meds in itertools.combinations(range(8), 3))
-        result = kmedoids_reduce(ss, 3, seed=seed)
+        result = kmedoids_reduce(ss, 3)
         assert result.extras["cost"] <= best * 1.15 + 1e-9
         exact += result.extras["cost"] <= best + 1e-9
     assert exact >= 3
@@ -144,8 +144,8 @@ def test_determinism_given_seed():
     rng = np.random.default_rng(5)
     pts = [np.abs(rng.normal(5, 2, (2, 3))) for _ in range(9)]
     ss = make_set(pts, sources=("wt1", "load1"))
-    a = kmeans_reduce(ss, 3, seed=7, restarts=5)
-    b = kmeans_reduce(ss, 3, seed=7, restarts=5)
+    a = kmeans_reduce(ss, 3, seed=7)
+    b = kmeans_reduce(ss, 3, seed=7)
     assert a.representatives == b.representatives
     assert a.assignment == b.assignment
     c = kmedoids_reduce(ss, 3)

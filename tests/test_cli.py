@@ -163,9 +163,13 @@ def test_evaluate_rejects_misfit_reduction_before_solving(
     (["compare", "--K", "2", "--benchmark-time-limit", "-1"],
      "--benchmark-time-limit", 2),
     (["compare", "--K", "2", "--methods", ","], "--methods", 1),
+    (["project", "--seed", "1"], "--seed", 2),
+    (["project", "--mu", "1"], "--mu", 2),
+    (["cluster", "--K", "2", "--seed", "1"], "--seed", 2),
 ], ids=["workers_0", "cluster_k_0", "cluster_k_above_n", "beta_negative",
         "beta_range_two_fields", "compare_k_above_n",
-        "benchmark_time_limit_negative", "compare_no_methods"])
+        "benchmark_time_limit_negative", "compare_no_methods",
+        "project_seed", "project_mu", "cluster_seed"])
 def test_bad_arguments_rejected_before_solving(instance, tmp_path, capsys,
                                                monkeypatch, argv, flag, code):
     def no_solve(*args, **kwargs):
@@ -181,6 +185,35 @@ def test_bad_arguments_rejected_before_solving(instance, tmp_path, capsys,
     assert rc == code
     assert flag in capsys.readouterr().err
     assert not (out / "F.csv").exists()
+
+
+def test_non_finite_config_value_rejected(instance, tmp_path, capsys):
+    # json.load accepts NaN; the line resistance lands in expression rows,
+    # which must not reach HiGHS
+    config = json.loads((instance / "config.json").read_text())
+    config["lines"][0][2] = float("nan")
+    (tmp_path / "bad.json").write_text(json.dumps(config))
+    args = common(instance, tmp_path / "run")
+    args[args.index("--config") + 1] = tmp_path / "bad.json"
+    capsys.readouterr()
+    assert main([str(a) for a in ["project", *args]]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "F.csv").exists()
+
+
+def test_make_desk_buses_reaches_both_generators(tmp_path, capsys):
+    run_ok(["make-desk", "--problem", "adn", "--N", "3", "--out", tmp_path / "adn"])
+    config = json.loads((tmp_path / "adn" / "config.json").read_text())
+    assert config["n_buses"] == 6
+    run_ok(["make-desk", "--problem", "uc", "--N", "3", "--T", "6",
+            "--out", tmp_path / "uc"])
+    config = json.loads((tmp_path / "uc" / "config.json").read_text())
+    assert config["n_buses"] == 3
+    capsys.readouterr()
+    assert main(["make-desk", "--problem", "uc", "--N", "3", "--T", "6",
+                 "--buses", "9", "--out", str(tmp_path / "uc9")]) == 1
+    assert "3 buses" in capsys.readouterr().err
+    assert not (tmp_path / "uc9" / "config.json").exists()
 
 
 def test_compare_single_method(instance, tmp_path):

@@ -6,11 +6,13 @@ import pytest
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.clustering import (PddMatrix, ReductionResult, compute_pdd,
                              identity_reduction, solve_clustering)
-from pdsr.evaluation import (compare_methods, detect_worst_case,
+from pdsr.errors import PdsrError
+from pdsr.evaluation import (GapOutcome, compare_methods, detect_worst_case,
                              evaluate_reduction, optimality_gap, pddbi,
                              scenario_effectiveness, spdd)
 from pdsr.projection import ProblemSpaceMatrix, build_problem_space_matrix, solve_benchmark
-from pdsr.scenarios import bad_scenario_ids
+from pdsr.scenarios import ScenarioSet, bad_scenario_ids
+from pdsr.uc import UcProblem, make_uc_desk_instance
 
 GAP = 1e-4
 
@@ -98,12 +100,11 @@ def test_pddbi_requires_two_clusters():
 
 def test_detect_worst_case_example():
     # column sums [1, 1.1, 1.2, 10]: first diffs [0.1, 0.1, 8.8],
-    # second diffs [0, 8.7] -> only the last scenario is flagged
+    # second diffs [0, 8.7], scaled by the median first diff [0, 87] -> only
+    # the last scenario is flagged
     F = np.tile(np.array([0.25, 0.275, 0.3, 2.5]), (4, 1))
-    rep = detect_worst_case(F, bound=2.0, normalized=False)
+    rep = detect_worst_case(F, bound=2.0)
     assert rep.flags == [False, False, False, True]
-    rep_n = detect_worst_case(F, bound=2.0, normalized=True)
-    assert rep_n.flags == [False, False, False, True]
 
 
 def test_detect_worst_case_no_flags_when_flat():
@@ -165,9 +166,9 @@ def test_scenario_effectiveness_values(desk):
     problem, ss, matrix, bench = desk
     pdd = compute_pdd(matrix)
     red = solve_clustering(pdd, ss.probabilities, fixed_k=3)
-    se = scenario_effectiveness(problem, ss, red, workers=2, benchmark=bench)
-    assert set(se) == set(red.representatives)
     base = optimality_gap(problem, ss, red, workers=2, benchmark=bench)
+    se = scenario_effectiveness(problem, ss, red, base, workers=2)
+    assert set(se) == set(red.representatives)
     drop = red.representatives[0]
     keep = [r for r in red.representatives if r != drop]
     mass = sum(red.weights[r] for r in keep)
@@ -215,15 +216,60 @@ def test_bad_scenario_representative_has_largest_effectiveness():
     red = solve_clustering(pdd, ss.probabilities, fixed_k=3)
     assert 9 in red.representatives          # the excursion is isolated
     zb, ob, _ = solve_benchmark(problem, ss)
-    se = scenario_effectiveness(problem, ss, red, workers=2, benchmark=(zb, ob))
+    base = optimality_gap(problem, ss, red, workers=2, benchmark=(zb, ob))
+    se = scenario_effectiveness(problem, ss, red, base, workers=2)
     assert max(se, key=se.get) == 9, se
 
 
 def test_scenario_effectiveness_requires_k2(desk):
     problem, ss, matrix, bench = desk
     red = reduction([0], {i: 0 for i in range(len(ss))}, ss.probabilities)
+    base = optimality_gap(problem, ss, red, workers=2, benchmark=bench)
     with pytest.raises(ValueError):
-        scenario_effectiveness(problem, ss, red, benchmark=bench)
+        scenario_effectiveness(problem, ss, red, base)
+
+
+def test_scenario_effectiveness_requires_percent_gap(desk):
+    # a gap outcome without a benchmark has no percent gap to compare with
+    problem, ss, matrix, _ = desk
+    red = reduction([0, 1], {i: i % 2 for i in range(len(ss))}, ss.probabilities)
+    base = GapOutcome(None, None, 0.0, None, None, [], {})
+    with pytest.raises(PdsrError, match="percent gap"):
+        scenario_effectiveness(problem, ss, red, base)
+
+
+def test_evaluate_reduction_calls_module_scenario_effectiveness(desk,
+                                                                 monkeypatch):
+    # the drop-one loop goes through the public module binding, which is
+    # the one an outside tracer or profiler replaces
+    import pdsr.evaluation
+    problem, ss, matrix, _ = desk
+    pdd = compute_pdd(matrix)
+    red = solve_clustering(pdd, ss.probabilities, fixed_k=3)
+    calls = []
+
+    def counted(problem, scenario_set, result, base, gap_tol, workers):
+        calls.append(base)
+        return {r: 0.0 for r in result.representatives}
+
+    monkeypatch.setattr(pdsr.evaluation, "scenario_effectiveness", counted)
+    report = evaluate_reduction(problem, ss, red, matrix, pdd, workers=2)
+    assert len(calls) == 1
+    assert calls[0].og_pct == report.og_pct
+    assert report.se == {r: 0.0 for r in red.representatives}
+
+
+def test_mean_components_weighted_by_probability():
+    # with non-uniform probabilities the objective slices must still add
+    # up to the full-set objective of the reduced decision
+    config, base = make_uc_desk_instance(seed=0, n_scenarios=6, t_steps=6)
+    p = np.array([0.4, 0.05, 0.05, 0.2, 0.2, 0.1])
+    ss = ScenarioSet(base.scenarios, p, base.source_names, base.source_roles)
+    problem = UcProblem(config, ss.source_names)
+    red = reduction([0, 3], {0: 0, 1: 0, 2: 0, 3: 3, 4: 3, 5: 3}, p)
+    out = optimality_gap(problem, ss, red)
+    total = sum(out.mean_components.values())
+    assert abs(total - out.reduced_on_full) <= 1e-9 * abs(out.reduced_on_full)
 
 
 def test_duplicate_representative_has_negligible_effectiveness(desk):
@@ -243,8 +289,8 @@ def test_duplicate_representative_has_negligible_effectiveness(desk):
     assignment[1] = n - 1
     red = reduction([0, n - 1], assignment, gamma)
     zb, ob, _ = solve_benchmark(problem2, bigger)
-    se = scenario_effectiveness(problem2, bigger, red, workers=2,
-                                benchmark=(zb, ob))
+    base = optimality_gap(problem2, bigger, red, workers=2, benchmark=(zb, ob))
+    se = scenario_effectiveness(problem2, bigger, red, base, workers=2)
     # scenario 0 and its twin are interchangeable representatives
     assert abs(se[0]) <= 0.3 and abs(se[n - 1]) <= 0.3
 
@@ -289,7 +335,8 @@ def test_verification_costs_match_independent_loop(desk):
     groups = sorted(pairs[0][1])
     assert report.verification_costs == {
         "per_scenario_value": [float(v) for v, _ in pairs],
-        "mean_components": {g: float(np.mean([c[g] for _, c in pairs]))
+        "mean_components": {g: float(np.dot(ss.probabilities,
+                                            [c[g] for _, c in pairs]))
                             for g in groups}}
     assert gap.mean_components == report.verification_costs["mean_components"]
 

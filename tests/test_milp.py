@@ -79,6 +79,30 @@ def test_expression_row_with_cancelled_coefficients_rejected():
     assert m.rows == []
 
 
+@pytest.mark.parametrize("spoil", [
+    lambda m, x, y: m.add_expr_constraint(LinExpr().add(x, math.nan)
+                                          .add(y, 1.0), LE, 1.0),
+    lambda m, x, y: m.add_expr_constraint(LinExpr().add(x, math.inf), GE, 0.0),
+    lambda m, x, y: m.add_expr_constraint(LinExpr().add(x, 1.0)
+                                          .add_const(math.nan), EQ, 0.0),
+    lambda m, x, y: m.add_expr_constraint(LinExpr().add(y, 1.0), LE, math.inf),
+    lambda m, x, y: m.ub.__setitem__(y, math.nan),
+], ids=["nan_coefficient", "inf_coefficient", "nan_constant", "inf_rhs",
+        "nan_upper_bound"])
+def test_non_finite_model_data_rejected_before_solving(monkeypatch, spoil):
+    # expression rows are only checked when the model is validated, which
+    # every solve does before HiGHS sees the arrays
+    def no_solve(*args, **kwargs):
+        raise AssertionError("HiGHS called on a non-finite model")
+
+    monkeypatch.setattr(pdsr.milp, "highs_milp", no_solve)
+    m, x = simple_model()
+    y = m.add_var("y", 0.0, 5.0)
+    spoil(m, x, y)
+    with pytest.raises(ModelError, match="non-finite|bad upper bound"):
+        solve_milp(m)
+
+
 def test_lp_vs_vertex_enumeration():
     rng = np.random.default_rng(7)
     checked = 0

@@ -106,4 +106,4 @@ def test_corrupt_meta_rejected(tmp_path, matrix):
     save_matrix(matrix, path)
     (tmp_path / "F.meta.json").write_text("{not json")
     with pytest.raises(CacheError):
-        load_matrix(path)
+        load_matrix(path, expected_fingerprint=matrix.fingerprint)

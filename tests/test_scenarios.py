@@ -5,8 +5,7 @@ import pytest
 
 from pdsr.errors import ScenarioFormatError
 from pdsr.scenarios import (Scenario, ScenarioSet, bad_scenario_ids,
-                            load_scenarios, normalize_probabilities,
-                            save_scenarios)
+                            load_scenarios, save_scenarios)
 
 
 def write_values(path, rows):
@@ -84,22 +83,6 @@ def test_duplicate_ids_rejected():
     scens = (Scenario("a", [[1.0]]), Scenario("a", [[2.0]]))
     with pytest.raises(ScenarioFormatError, match="unique"):
         ScenarioSet(scens, np.array([0.5, 0.5]), ("load1",))
-
-
-def test_normalize_probabilities():
-    assert normalize_probabilities([1, 1, 1, 1]) == [0.25, 0.25, 0.25, 0.25]
-    assert normalize_probabilities([3, 1]) == [0.75, 0.25]
-    with pytest.raises(ScenarioFormatError):
-        normalize_probabilities([2, 0, 2])       # zero weight forbidden
-    with pytest.raises(ScenarioFormatError):
-        normalize_probabilities([0.0, 0.0])
-    with pytest.raises(ScenarioFormatError):
-        normalize_probabilities([1.0, -0.5])
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        raw = rng.uniform(0.01, 10.0, size=int(rng.integers(1, 12)))
-        out = normalize_probabilities(raw)
-        assert abs(sum(out) - 1.0) <= 1e-12
 
 
 def test_round_trip_bit_identical(tmp_path):
