@@ -274,7 +274,8 @@ def _add_common(p):
     p.add_argument("--probabilities", default=None, help="probabilities CSV")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--workers", type=_count, default=1)
-    p.add_argument("--gap-tol", dest="gap_tol", type=float, default=DEFAULT_GAP_TOL)
+    p.add_argument("--gap-tol", dest="gap_tol", type=_nonneg,
+                   default=DEFAULT_GAP_TOL)
 
 
 def _add_distance(p):
@@ -284,7 +285,7 @@ def _add_distance(p):
 
 
 def _add_benchmark(p):
-    p.add_argument("--worst-case-bound", type=float, default=2.0)
+    p.add_argument("--worst-case-bound", type=_nonneg, default=2.0)
     p.add_argument("--benchmark-time-limit", type=_nonneg, default=None,
                    help="seconds; when hit, the gap is reported as null")
 

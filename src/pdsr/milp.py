@@ -11,7 +11,10 @@ within the relative gap of the LP bound.  When the repaired point is
 infeasible but only gating binaries were fractional, a second LP with every
 binary fixed at its repaired value supplies the continuous part and is held
 to the same gap test against the first LP's bound.  Otherwise HiGHS
-branch-and-cut proves the gap.
+branch-and-cut proves the gap, with its feasibility-jump primal heuristic
+switched off: on the small programs that reach it the heuristic found
+nothing the root node did not, yet took most of each call.  A HiGHS build
+that lacks the option warns and ignores it; that warning is silenced here.
 
 Determinism contract: two solves of the same model produce identical
 variable values.
@@ -20,6 +23,7 @@ variable values.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +41,14 @@ UNBOUNDED = "unbounded"
 GAP_LIMIT = "gap_limit"
 
 DEFAULT_GAP_TOL = 1e-4
+
+# scipy forwards the branch-and-cut option it does not know to HiGHS verbatim
+# with a RuntimeWarning, and a HiGHS build without it warns with the same
+# prefix and ignores it.  Filtered once here: catch_warnings around the call
+# would swap global state under worker threads.
+warnings.filterwarnings(
+    "ignore",
+    message=r"Unrecognized options detected: \{'mip_heuristic_run_feasibility_jump'")
 
 # |x - round(x)| below this counts as integral.
 _INT_TOL = 1e-6
@@ -270,16 +282,18 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
     objective is within ``gap_tol`` of the first LP's bound, it is returned
     as optimal with ``node_count=1`` (the same bound-plus-incumbent proof
     branch-and-cut makes, closed at the root).  Otherwise HiGHS
-    branch-and-cut runs single-threaded.  Both are deterministic: identical
-    input gives identical variable values.  With ``time_limit`` the root
-    step is skipped and, when the limit is hit, the best incumbent is
-    returned with status ``gap_limit``.  The test suite cross-checks this
-    routine against brute-force enumeration and an independent reference
-    branch-and-bound.
+    branch-and-cut runs single-threaded without its feasibility-jump
+    heuristic, which took most of each call on the desk programs and changed
+    no result (HiGHS builds that lack the option ignore it).  Both are
+    deterministic: identical input gives identical variable values.  With
+    ``time_limit`` the root step is skipped and, when the limit is hit, the
+    best incumbent is returned with status ``gap_limit``.  The test suite
+    cross-checks this routine against brute-force enumeration and an
+    independent reference branch-and-bound.
     """
     model.validate()
-    if gap_tol < 0:
-        raise ModelError("gap_tol must be >= 0")
+    if not (math.isfinite(gap_tol) and gap_tol >= 0):
+        raise ModelError(f"gap_tol must be finite and >= 0, got {gap_tol}")
     n = model.num_vars
     c = np.zeros(n)
     for j, a in model.obj.items():
@@ -294,7 +308,8 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
         root = _root_step(model, c, constraints, bounds, gap_tol)
         if root is not None:
             return root
-    options = {"mip_rel_gap": gap_tol, "presolve": True}
+    options = {"mip_rel_gap": gap_tol, "presolve": True,
+               "mip_heuristic_run_feasibility_jump": False}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     res = highs_milp(c, constraints=constraints, integrality=integrality,

@@ -166,10 +166,15 @@ def test_evaluate_rejects_misfit_reduction_before_solving(
     (["project", "--seed", "1"], "--seed", 2),
     (["project", "--mu", "1"], "--mu", 2),
     (["cluster", "--K", "2", "--seed", "1"], "--seed", 2),
+    (["project", "--gap-tol", "nan"], "--gap-tol", 2),
+    (["project", "--gap-tol", "-1"], "--gap-tol", 2),
+    (["evaluate", "--reduction", "reduction.json", "--worst-case-bound", "nan"],
+     "--worst-case-bound", 2),
 ], ids=["workers_0", "cluster_k_0", "cluster_k_above_n", "beta_negative",
         "beta_range_two_fields", "compare_k_above_n",
         "benchmark_time_limit_negative", "compare_no_methods",
-        "project_seed", "project_mu", "cluster_seed"])
+        "project_seed", "project_mu", "cluster_seed", "gap_tol_nan",
+        "gap_tol_negative", "worst_case_bound_nan"])
 def test_bad_arguments_rejected_before_solving(instance, tmp_path, capsys,
                                                monkeypatch, argv, flag, code):
     def no_solve(*args, **kwargs):

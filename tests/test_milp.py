@@ -1,8 +1,13 @@
-"""Solver backend: trivial cases, oracle cross-checks, the root step, LP-file
-round trip."""
+"""Solver backend: trivial cases, oracle cross-checks, the root step, the
+branch-and-cut options, LP-file round trip."""
 
+import inspect
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,17 +212,19 @@ def test_determinism():
 # -- root step: LP relaxation plus gating repair ----------------------------
 
 
-def _count_highs_calls(monkeypatch):
-    """Record the integrality vector of every HiGHS call solve_milp makes."""
-    calls = []
+def _record_highs_calls(monkeypatch):
+    """Record the integrality vector and the options of every HiGHS call
+    solve_milp makes, as two lists in call order."""
+    calls, options = [], []
     highs = pdsr.milp.highs_milp
 
-    def counted(c, **kwargs):
+    def recorded(c, **kwargs):
         calls.append(np.asarray(kwargs["integrality"]).copy())
+        options.append(dict(kwargs["options"]))
         return highs(c, **kwargs)
 
-    monkeypatch.setattr(pdsr.milp, "highs_milp", counted)
-    return calls
+    monkeypatch.setattr(pdsr.milp, "highs_milp", recorded)
+    return calls, options
 
 
 def test_root_step_closes_uc_cross_evaluation(monkeypatch):
@@ -226,7 +233,7 @@ def test_root_step_closes_uc_cross_evaluation(monkeypatch):
     z, _ = solve_scenario_specific(problem, ss.scenarios[0])
     model = _fixed_model(problem, z, ss.scenarios[1])
     assert model.binary_indices
-    calls = _count_highs_calls(monkeypatch)
+    calls, _ = _record_highs_calls(monkeypatch)
     gap = 1e-4
     sol = solve_milp(model, gap_tol=gap)
     assert len(calls) == 1 and not calls[0].any()
@@ -258,7 +265,7 @@ def test_root_step_resolves_adn_full_set_with_fixed_binaries(monkeypatch):
     cfg, ss = make_desk_instance(seed=0, n_scenarios=6, t_steps=12, buses=6)
     model = AdnProblem(cfg, ss.source_names).build_model(
         list(ss.scenarios), list(ss.probabilities))
-    calls = _count_highs_calls(monkeypatch)
+    calls, _ = _record_highs_calls(monkeypatch)
     gap = 1e-4
     sol = solve_milp(model, gap_tol=gap)
     assert len(calls) == 2 and not calls[0].any() and not calls[1].any()
@@ -275,7 +282,7 @@ def test_root_step_sends_fractional_commitments_to_branch_and_cut(monkeypatch):
     # fractional UC commitments are not gating binaries: no second LP
     cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
     model = UcProblem(cfg, ss.source_names).build_model([ss.scenarios[0]], [1.0])
-    calls = _count_highs_calls(monkeypatch)
+    calls, _ = _record_highs_calls(monkeypatch)
     sol = solve_milp(model)
     assert len(calls) == 2
     assert not calls[0].any()
@@ -295,7 +302,7 @@ def _lp_weak_model():
 
 
 def test_root_step_falls_back_to_branch_and_cut(monkeypatch):
-    calls = _count_highs_calls(monkeypatch)
+    calls, _ = _record_highs_calls(monkeypatch)
     sol = solve_milp(_lp_weak_model())
     assert len(calls) == 2
     assert not calls[0].any() and calls[1].all()
@@ -304,11 +311,78 @@ def test_root_step_falls_back_to_branch_and_cut(monkeypatch):
 
 
 def test_root_step_skipped_under_time_limit(monkeypatch):
-    calls = _count_highs_calls(monkeypatch)
+    calls, _ = _record_highs_calls(monkeypatch)
     sol = solve_milp(_lp_weak_model(), time_limit=10.0)
     assert len(calls) == 1 and calls[0].all()
     assert sol.x is not None
     assert np.array_equal(sol.x, np.round(sol.x))
+
+
+def test_non_finite_gap_tol_rejected_before_solving(monkeypatch):
+    # a NaN gap passes every `slack > gap_tol * |obj|` test, so any repaired
+    # root point would be accepted without proof
+    def no_solve(*args, **kwargs):
+        raise AssertionError("HiGHS called with a non-finite gap_tol")
+
+    monkeypatch.setattr(pdsr.milp, "highs_milp", no_solve)
+    with pytest.raises(ModelError, match="gap_tol"):
+        solve_milp(_lp_weak_model(), gap_tol=math.nan)
+
+
+# -- branch-and-cut options -------------------------------------------------
+
+NO_JUMP = "mip_heuristic_run_feasibility_jump"
+
+
+def test_branch_and_cut_runs_without_feasibility_jump(monkeypatch):
+    calls, options = _record_highs_calls(monkeypatch)
+    solve_milp(_lp_weak_model())
+    assert [o.get(NO_JUMP) for o in options] == [None, False]
+    # the UC scenario-specific program still takes LP then branch-and-cut
+    calls.clear()
+    options.clear()
+    cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
+    model = UcProblem(cfg, ss.source_names).build_model([ss.scenarios[0]], [1.0])
+    sol = solve_milp(model)
+    assert [o.get(NO_JUMP) for o in options] == [None, False]
+    assert not calls[0].any()
+    assert np.array_equal(calls[1], np.array(model.is_binary, dtype=int))
+    assert sol.status == "optimal"
+
+
+def test_adn_cross_cell_branch_and_cut_matches_highs_defaults(monkeypatch):
+    # cell (0, 2) of the seed-0 desk instance falls through both root-step
+    # LPs; without feasibility jump it must reach HiGHS's default result
+    cfg, ss = make_desk_instance(seed=0, n_scenarios=6, t_steps=12, buses=6)
+    problem = AdnProblem(cfg, ss.source_names)
+    z, _ = solve_scenario_specific(problem, ss.scenarios[0])
+    model = _fixed_model(problem, z, ss.scenarios[2])
+    calls, options = _record_highs_calls(monkeypatch)
+    gap = 1e-4
+    sol = solve_milp(model, gap_tol=gap)
+    assert [o.get(NO_JUMP) for o in options] == [None, None, False]
+    assert calls[2].any()
+    assert sol.status == "optimal" and sol.node_count == 1
+    expected = _branch_and_cut_objective(model, gap)
+    assert abs(sol.objective - expected) <= gap * abs(expected)
+
+
+def test_option_warning_filtered_in_a_fresh_interpreter():
+    # the module-level filter must hold in a plain interpreter that turns
+    # RuntimeWarning into an error, not only under pytest's own filters
+    code = "\n".join([
+        "from pdsr.milp import LE, MixedBinaryModel, solve_milp",
+        inspect.getsource(_lp_weak_model),
+        "sol = solve_milp(_lp_weak_model())",
+        "assert sol.status == 'optimal' and abs(sol.objective + 1.0) < 1e-9",
+    ])
+    src = str(Path(pdsr.milp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 def test_max_violation_rows_and_bounds():
