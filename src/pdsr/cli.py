@@ -253,6 +253,13 @@ _count = _at_least(int, 1)
 _nonneg = _at_least(float, 0.0)
 
 
+def _fraction(text):
+    value = _nonneg(text)
+    if value > 1.0:
+        raise argparse.ArgumentTypeError(f"must be <= 1, got {text}")
+    return value
+
+
 def _beta_list(text):
     return [_nonneg(b) for b in text.split(",")]
 
@@ -336,11 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-desk", help="generate a desk-scale instance")
     p.add_argument("--problem", choices=("adn", "uc"), required=True)
-    p.add_argument("--N", type=int, default=8)
-    p.add_argument("--T", type=int, default=12)
+    p.add_argument("--N", type=_count, default=8)
+    p.add_argument("--T", type=_count, default=12)
     p.add_argument("--buses", type=int, default=None,
                    help="network size (default: ADN 6, UC its 3-bus ring)")
-    p.add_argument("--bad-fraction", dest="bad_fraction", type=float, default=0.1)
+    p.add_argument("--bad-fraction", dest="bad_fraction", type=_fraction,
+                   default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_make_desk)

@@ -99,16 +99,29 @@ def _benchmark(problem: TssoProblem, scenario_set: ScenarioSet, gap_tol: float,
     return None if sol.status == GAP_LIMIT else (zb, bench_obj)
 
 
+def _verified(problem: TssoProblem, decision: FirstStageDecision,
+              scenario_set: ScenarioSet, gap_tol: float, workers: int,
+              verified: dict):
+    """:func:`verification_costs` of ``decision``, computed once per
+    distinct decision value: ``verified`` maps the bytes of decisions
+    already verified on ``scenario_set`` to their result."""
+    key = decision.values.tobytes()
+    if key not in verified:
+        verified[key] = verification_costs(problem, decision, scenario_set,
+                                           gap_tol=gap_tol, workers=workers)
+    return verified[key]
+
+
 def _reduced_gap(problem: TssoProblem, scenario_set: ScenarioSet, reps,
                  weights, bench_obj: float | None, gap_tol: float,
-                 workers: int) -> GapOutcome:
+                 workers: int, verified: dict) -> GapOutcome:
     """Solve the program on scenarios ``reps`` with ``weights``, then verify
-    its decision on every scenario of the full set."""
+    its decision on every scenario of the full set (see :func:`_verified`)."""
     z_red, _, _ = solve_stochastic(
         problem, [scenario_set.scenarios[r] for r in reps], weights,
         gap_tol=gap_tol)
-    vals, means = verification_costs(problem, z_red, scenario_set,
-                                     gap_tol=gap_tol, workers=workers)
+    vals, means = _verified(problem, z_red, scenario_set, gap_tol, workers,
+                            verified)
     reduced_on_full = float(np.dot(scenario_set.probabilities, vals))
     og_abs = og_pct = None
     if bench_obj is not None:
@@ -120,19 +133,22 @@ def _reduced_gap(problem: TssoProblem, scenario_set: ScenarioSet, reps,
 
 def optimality_gap(problem: TssoProblem, scenario_set: ScenarioSet,
                    result: ReductionResult, gap_tol: float = DEFAULT_GAP_TOL,
-                   workers: int = 1, benchmark=None) -> GapOutcome:
+                   workers: int = 1, benchmark=None,
+                   verified: dict | None = None) -> GapOutcome:
     """Loss from dispatching on the reduced set, verified on the full set.
 
     ``benchmark`` is the full-set (decision, objective) pair the loss is
     measured against.  When it is falsy (None or False, e.g. the benchmark
     solve hit its time limit) the gap is reported as not-computed (None)
     and only the full-set cost of the reduced decision is available.
+    ``verified``, shared across calls on one scenario set, lets a decision
+    verified before be reused instead of verified again.
     """
     reps = result.representatives
     return _reduced_gap(problem, scenario_set, reps,
                         [result.weights[r] for r in reps],
                         float(benchmark[1]) if benchmark else None,
-                        gap_tol, workers)
+                        gap_tol, workers, {} if verified is None else verified)
 
 
 def scenario_effectiveness(problem: TssoProblem, scenario_set: ScenarioSet,
@@ -153,7 +169,7 @@ def scenario_effectiveness(problem: TssoProblem, scenario_set: ScenarioSet,
         mass = sum(result.weights[r] for r in keep)
         out = _reduced_gap(problem, scenario_set, keep,
                            [result.weights[r] / mass for r in keep],
-                           base.benchmark_objective, gap_tol, workers)
+                           base.benchmark_objective, gap_tol, workers, {})
         se[drop] = out.og_pct - base.og_pct
     return se
 
@@ -322,9 +338,12 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
                  "og_abs": 0.0 if bench else None,
                  "objective_on_full": bench[1] if bench else None,
                  "representatives": list(range(len(scenario_set)))}
+    # a decision two reductions (or a reduction and the benchmark) share is
+    # verified once
+    verified: dict[bytes, tuple] = {}
     if bench:
-        _, means = verification_costs(problem, bench[0], scenario_set,
-                                      gap_tol=gap_tol, workers=workers)
+        _, means = _verified(problem, bench[0], scenario_set, gap_tol, workers,
+                             verified)
         bench_row["mean_components"] = means
         bench_row["first_stage"] = problem.first_stage_summary(bench[0])
     rows.append(bench_row)
@@ -350,7 +369,7 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
             if key not in gaps:
                 gaps[key] = optimality_gap(problem, scenario_set, result,
                                            gap_tol=gap_tol, workers=workers,
-                                           benchmark=bench)
+                                           benchmark=bench, verified=verified)
             gap = gaps[key]
             tm["evaluation_seconds"] = time.monotonic() - t0
             row.update({

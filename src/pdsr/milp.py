@@ -13,8 +13,14 @@ binary fixed at its repaired value supplies the continuous part and is held
 to the same gap test against the first LP's bound.  Otherwise HiGHS
 branch-and-cut proves the gap, with its feasibility-jump primal heuristic
 switched off: on the small programs that reach it the heuristic found
-nothing the root node did not, yet took most of each call.  A HiGHS build
-that lacks the option warns and ignores it; that warning is silenced here.
+nothing the root node did not, yet took most of each call.
+
+Every HiGHS call goes through :func:`highs_milp`, which hands the model's
+cached CSC matrix, bounds and costs straight to a fresh HiGHS instance
+through the HiGHS bindings bundled with scipy, and sets only the options
+the call names.  When those private bindings cannot be imported (older
+scipy), it calls ``scipy.optimize.milp`` on the same arguments instead; the
+two paths return the same points, objectives and node counts.
 
 Determinism contract: two solves of the same model produce identical
 variable values.
@@ -25,13 +31,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint
-from scipy.optimize import milp as highs_milp
+from scipy.optimize import OptimizeResult
+from scipy.optimize import milp as scipy_milp
 
 from .errors import ModelError, SolverError
+
+try:  # private HiGHS bindings bundled with recent scipy
+    from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus,
+                                               MatrixFormat, ObjSense, _Highs)
+except ImportError:  # highs_milp falls back to scipy.optimize.milp
+    _Highs = None
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -42,10 +55,11 @@ GAP_LIMIT = "gap_limit"
 
 DEFAULT_GAP_TOL = 1e-4
 
-# scipy forwards the branch-and-cut option it does not know to HiGHS verbatim
-# with a RuntimeWarning, and a HiGHS build without it warns with the same
-# prefix and ignores it.  Filtered once here: catch_warnings around the call
-# would swap global state under worker threads.
+# On the scipy.optimize.milp fallback, scipy forwards the branch-and-cut
+# option it does not know to HiGHS verbatim with a RuntimeWarning, and a
+# HiGHS build without it warns with the same prefix and ignores it.  Filtered
+# once here: catch_warnings around the call would swap global state under
+# worker threads.
 warnings.filterwarnings(
     "ignore",
     message=r"Unrecognized options detected: \{'mip_heuristic_run_feasibility_jump'")
@@ -179,21 +193,29 @@ class MixedBinaryModel:
         """Reject bad bounds and non-finite objective or row data; expression
         rows skip :meth:`add_constraint`'s eager check, so all rows are
         checked here, once, on the assembled arrays."""
-        for j, (lo, hi, b) in enumerate(zip(self.lb, self.ub, self.is_binary)):
-            if not (math.isfinite(lo) or lo == -math.inf):
-                raise ModelError(f"bad lower bound on {self.var_names[j]!r}")
-            if math.isnan(hi):
-                raise ModelError(f"bad upper bound on {self.var_names[j]!r}")
-            if b and (lo < 0.0 or hi > 1.0):
-                raise ModelError(f"binary {self.var_names[j]!r} out of [0, 1]")
-        for j, a in self.obj.items():
-            if not math.isfinite(a):
-                raise ModelError("non-finite objective coefficient")
+        lb, ub = np.array(self.lb), np.array(self.ub)
+        bad_lb = np.isnan(lb) | (lb == math.inf)
+        bad_ub = np.isnan(ub)
+        bad_bin = np.array(self.is_binary, dtype=bool) & ((lb < 0.0) | (ub > 1.0))
+        bad = np.flatnonzero(bad_lb | bad_ub | bad_bin)
+        if bad.size:
+            j = bad[0]
+            name = self.var_names[j]
+            if bad_lb[j]:
+                raise ModelError(f"bad lower bound on {name!r}")
+            if bad_ub[j]:
+                raise ModelError(f"bad upper bound on {name!r}")
+            raise ModelError(f"binary {name!r} out of [0, 1]")
+        if not np.isfinite(np.fromiter(self.obj.values(), dtype=float,
+                                       count=len(self.obj))).all():
+            raise ModelError("non-finite objective coefficient")
         A, lo, hi = self._row_ranges()
         bad = np.flatnonzero(~np.isfinite(A.data))
         if bad.size:
+            # CSC: the column of a stored entry is found through indptr
+            col = np.searchsorted(A.indptr, bad[0], side="right") - 1
             raise ModelError("non-finite constraint coefficient on "
-                             f"{self.var_names[A.indices[bad[0]]]!r}")
+                             f"{self.var_names[col]!r}")
         # a row's right-hand side is on each side that is not an outward
         # infinity, so it is finite exactly when one side is
         if not (np.isfinite(lo) | np.isfinite(hi)).all():
@@ -213,28 +235,31 @@ class MixedBinaryModel:
     # -- solver-facing arrays ----------------------------------------------
 
     def _row_ranges(self):
-        """Build (and cache) the single constraint matrix with [lower,
-        upper] row activities used by the MILP solve and the re-check."""
+        """Build (and cache) the single constraint matrix, in the CSC form
+        HiGHS takes, with [lower, upper] row activities; every HiGHS call
+        and the re-check of a model read it."""
         if self._ranges is not None:
             return self._ranges
-        n = self.num_vars
-        rr, cc, vv, lo, hi = [], [], [], [], []
-        for i, (coeffs, rel, rhs) in enumerate(self.rows):
-            for j, a in coeffs.items():
-                rr.append(i)
-                cc.append(j)
-                vv.append(a)
-            if rel == LE:
-                lo.append(-math.inf)
-                hi.append(rhs)
-            elif rel == GE:
-                lo.append(rhs)
-                hi.append(math.inf)
-            else:
-                lo.append(rhs)
-                hi.append(rhs)
-        A = sparse.csr_matrix((vv, (rr, cc)), shape=(len(self.rows), n))
-        self._ranges = (A, np.array(lo), np.array(hi))
+        m, n = len(self.rows), self.num_vars
+        coeffs, rels, rhs = zip(*self.rows) if self.rows else ((), (), ())
+        counts = np.fromiter(map(len, coeffs), dtype=np.intp, count=m)
+        nnz = int(counts.sum())
+        cols = np.fromiter(chain.from_iterable(coeffs), dtype=np.intp, count=nnz)
+        vals = np.fromiter(chain.from_iterable(map(dict.values, coeffs)),
+                           dtype=float, count=nnz)
+        if nnz and not (cols.min() >= 0 and cols.max() < n):
+            # expression rows skip add_constraint's index check
+            raise ModelError("constraint references an undeclared variable")
+        rows = np.repeat(np.arange(m, dtype=np.int32), counts)
+        # a stable sort by column keeps each column's rows ascending
+        order = np.argsort(cols, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+        A = sparse.csc_matrix((vals[order], rows[order], indptr), shape=(m, n))
+        rhs = np.array(rhs, dtype=float)
+        rels = np.array(rels, dtype="U2")
+        self._ranges = (A, np.where(rels == LE, -math.inf, rhs),
+                        np.where(rels == GE, math.inf, rhs))
         return self._ranges
 
 
@@ -294,16 +319,12 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
     model.validate()
     if not (math.isfinite(gap_tol) and gap_tol >= 0):
         raise ModelError(f"gap_tol must be finite and >= 0, got {gap_tol}")
-    n = model.num_vars
-    c = np.zeros(n)
+    c = np.zeros(model.num_vars)
     for j, a in model.obj.items():
         c[j] = a
     integrality = np.array(model.is_binary, dtype=int)
-    constraints = None
-    if model.rows:
-        A, lo, hi = model._row_ranges()
-        constraints = LinearConstraint(A, lo, hi)
-    bounds = Bounds(np.array(model.lb), np.array(model.ub))
+    constraints = model._row_ranges()
+    bounds = (np.array(model.lb), np.array(model.ub))
     if time_limit is None and integrality.any():
         root = _root_step(model, c, constraints, bounds, gap_tol)
         if root is not None:
@@ -336,7 +357,7 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
 
 
 def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
-               bounds: Bounds, gap_tol: float) -> Solution | None:
+               bounds, gap_tol: float) -> Solution | None:
     """The LP relaxation's point with its binaries repaired, as an optimal
     Solution when it is feasible and proves ``gap_tol`` against the LP
     bound; None when branch-and-cut is needed.
@@ -363,10 +384,10 @@ def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
         fractional = np.abs(lp_binaries - np.round(lp_binaries)) > _INT_TOL
         if any(int(j) not in gates for j in binaries[fractional]):
             return None
-        lb, ub = bounds.lb.copy(), bounds.ub.copy()
+        lb, ub = bounds[0].copy(), bounds[1].copy()
         lb[binaries] = ub[binaries] = values
         res = highs_milp(c, constraints=constraints, integrality=relaxed,
-                         bounds=Bounds(lb, ub), options={"presolve": True})
+                         bounds=(lb, ub), options={"presolve": True})
         if res.status != 0:
             return None
         x = np.array(res.x, dtype=float)
@@ -379,6 +400,77 @@ def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
         return None
     gap = slack / abs(obj) if slack > 0.0 else 0.0
     return Solution(OPTIMAL, obj, x, mip_gap=gap, node_count=1)
+
+
+# -- HiGHS -------------------------------------------------------------------
+
+if _Highs is not None:
+    # HiGHS model status -> scipy.optimize.milp status code (4 otherwise)
+    _SCIPY_STATUS = {HighsModelStatus.kOptimal: 0,
+                     HighsModelStatus.kTimeLimit: 1,
+                     HighsModelStatus.kIterationLimit: 1,
+                     HighsModelStatus.kInfeasible: 2,
+                     HighsModelStatus.kModelError: 2,
+                     HighsModelStatus.kUnbounded: 3}
+    # stops after which a MILP incumbent, if there is one, is returned
+    _MIP_STOPS = (HighsModelStatus.kTimeLimit,
+                  HighsModelStatus.kIterationLimit,
+                  HighsModelStatus.kSolutionLimit)
+    _COLWISE = int(MatrixFormat.kColwise)
+    _MINIMIZE = int(ObjSense.kMinimize)
+
+
+def highs_milp(c, *, constraints, integrality, bounds, options):
+    """Minimize ``c @ x`` over ``lower <= A @ x <= upper``, ``lb <= x <= ub``
+    and integral columns where ``integrality`` is 1, with one fresh HiGHS
+    instance.
+
+    ``constraints`` is the ``(A, lower, upper)`` triple of
+    :meth:`MixedBinaryModel._row_ranges` (``A`` in CSC form), ``bounds`` an
+    ``(lb, ub)`` pair and ``options`` HiGHS options by name, ``presolve``
+    as a bool; an option HiGHS rejects is ignored.  Returns a
+    ``scipy.optimize.OptimizeResult`` with ``status`` (scipy's codes),
+    ``message``, ``x`` and ``fun`` (None without a point), and, for a MILP
+    with a point, ``mip_node_count`` and ``mip_gap``: what
+    ``scipy.optimize.milp`` returns for the same arguments, which this calls
+    instead when HiGHS's own bindings are unavailable.
+    """
+    if _Highs is None:
+        return scipy_milp(c, constraints=constraints, integrality=integrality,
+                          bounds=bounds, options=options)
+    A, lower, upper = constraints
+    A = A.tocsc()
+    lb, ub = bounds
+    integrality = np.asarray(integrality, dtype=np.int32)
+    is_mip = bool(integrality.any())
+    highs = _Highs()
+    highs.setOptionValue("log_to_console", False)
+    for key, value in options.items():
+        if key == "presolve":
+            value = "on" if value else "off"
+        highs.setOptionValue(key, value)
+    res = OptimizeResult(x=None, fun=None, mip_node_count=None, mip_gap=None)
+    # the array form of passModel copies each buffer once; filling a
+    # HighsLp converts the integer arrays element by element
+    if highs.passModel(A.shape[1], A.shape[0], A.nnz, _COLWISE, _MINIMIZE, 0.0,
+                       c, lb, ub, lower, upper, A.indptr, A.indices, A.data,
+                       integrality) == HighsStatus.kError:
+        status = HighsModelStatus.kModelError
+    else:
+        solved = highs.run() != HighsStatus.kError
+        status = highs.getModelStatus()
+        info = highs.getInfo()
+        if solved and (status == HighsModelStatus.kOptimal or (
+                is_mip and status in _MIP_STOPS
+                and info.objective_function_value < math.inf)):
+            res.x = np.array(highs.getSolution().col_value)
+            res.fun = info.objective_function_value
+            if is_mip:
+                res.mip_node_count = info.mip_node_count
+                res.mip_gap = info.mip_gap
+    res.status = _SCIPY_STATUS.get(status, 4)
+    res.message = highs.modelStatusToString(status)
+    return res
 
 
 # -- LP-file export ---------------------------------------------------------

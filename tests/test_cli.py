@@ -192,6 +192,23 @@ def test_bad_arguments_rejected_before_solving(instance, tmp_path, capsys,
     assert not (out / "F.csv").exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["--problem", "adn", "--N", "0"], "--N"),
+    (["--problem", "adn", "--N", "-3"], "--N"),
+    (["--problem", "uc", "--N", "4", "--T", "0"], "--T"),
+    (["--problem", "uc", "--N", "4", "--bad-fraction", "5"], "--bad-fraction"),
+    (["--problem", "adn", "--bad-fraction", "nan"], "--bad-fraction"),
+    (["--problem", "adn", "--bad-fraction", "-0.1"], "--bad-fraction"),
+], ids=["n_zero", "n_negative", "t_zero", "bad_fraction_above_one",
+        "bad_fraction_nan", "bad_fraction_negative"])
+def test_bad_make_desk_arguments_rejected(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["make-desk", *argv, "--out", str(tmp_path / "desk")])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "desk").exists()
+
+
 def test_non_finite_config_value_rejected(instance, tmp_path, capsys):
     # json.load accepts NaN; the line resistance lands in expression rows,
     # which must not reach HiGHS

@@ -372,3 +372,30 @@ def test_each_decision_solved_and_verified_once(monkeypatch):
     distinct = len({tuple(r["representatives"]) for r in rows[1:]})
     assert distinct < m
     assert len(calls) == (distinct + 1) * (n + 1)
+
+
+def test_compare_verifies_each_distinct_decision_once(monkeypatch):
+    # on this instance km_e and hc pick different representatives whose
+    # reduced programs reach one decision: it is verified once
+    import pdsr.evaluation
+    cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
+    problem = UcProblem(cfg, ss.source_names)
+    matrix = build_problem_space_matrix(problem, ss)
+
+    evaluated = []
+    evaluate = pdsr.evaluation.evaluate_with_fixed_first_stage
+
+    def counted(problem, decision, scenario, **kwargs):
+        evaluated.append((decision.values.tobytes(), scenario.id))
+        return evaluate(problem, decision, scenario, **kwargs)
+
+    monkeypatch.setattr(pdsr.evaluation, "evaluate_with_fixed_first_stage",
+                        counted)
+    methods = ["pdsr", "km_e", "kd_e", "hc", "ws"]
+    rows, _ = compare_methods(problem, ss, methods, 4, matrix=matrix)
+    assert [r["status"] for r in rows] == ["ok"] * (len(methods) + 1)
+    assert len(evaluated) == len(set(evaluated))
+    decisions = {d for d, _ in evaluated}
+    reductions = {tuple(r["representatives"]) for r in rows}
+    assert len(decisions) < len(reductions)
+    assert len(evaluated) == len(decisions) * len(ss)

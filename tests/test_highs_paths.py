@@ -1,0 +1,161 @@
+"""The two HiGHS paths of ``pdsr.milp.highs_milp``: the direct call through
+HiGHS's own bindings and the ``scipy.optimize.milp`` fallback must return
+the same results on the same arrays."""
+
+import numpy as np
+import pytest
+from scipy import sparse
+from scipy.optimize import milp
+
+import pdsr.milp
+from pdsr.adn import AdnProblem, make_desk_instance
+from pdsr.milp import LE, MixedBinaryModel, highs_milp, solve_milp
+from pdsr.tsso import _fixed_model, solve_scenario_specific
+from pdsr.uc import UcProblem, make_uc_desk_instance
+
+direct = pytest.mark.skipif(pdsr.milp._Highs is None,
+                            reason="HiGHS bindings not importable: only the "
+                                   "scipy.optimize.milp fallback runs")
+
+# the options solve_milp passes to the root-step LPs and to branch-and-cut
+LP_OPTIONS = {"presolve": True}
+MIP_OPTIONS = {"mip_rel_gap": 1e-4, "presolve": True,
+               "mip_heuristic_run_feasibility_jump": False}
+
+
+def _desk_models():
+    """Full-set, diagonal and cross-cell models of the seed-0 ADN and UC
+    desk instances, by name."""
+    models = {}
+    for kind, (problem, ss) in (("adn", _adn()), ("uc", _uc())):
+        models[f"{kind}_full_set"] = problem.build_model(
+            list(ss.scenarios), list(ss.probabilities))
+        models[f"{kind}_diagonal"] = problem.build_model([ss.scenarios[0]], [1.0])
+        z, _ = solve_scenario_specific(problem, ss.scenarios[0])
+        models[f"{kind}_cross_cell"] = _fixed_model(problem, z, ss.scenarios[2])
+    return models
+
+
+def _adn():
+    cfg, ss = make_desk_instance(seed=0, n_scenarios=6, t_steps=12, buses=6)
+    return AdnProblem(cfg, ss.source_names), ss
+
+
+def _uc():
+    cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
+    return UcProblem(cfg, ss.source_names), ss
+
+
+@pytest.fixture(scope="module")
+def desk_models():
+    return _desk_models()
+
+
+def _arrays(model):
+    """(c, constraints, bounds) as solve_milp hands them to highs_milp."""
+    c = np.zeros(model.num_vars)
+    for j, a in model.obj.items():
+        c[j] = a
+    return c, model._row_ranges(), (np.array(model.lb), np.array(model.ub))
+
+
+def _both(c, constraints, bounds, integrality, options):
+    kwargs = dict(constraints=constraints, integrality=integrality,
+                  bounds=bounds)
+    return (highs_milp(c, **kwargs, options=dict(options)),
+            milp(c, **kwargs, options=dict(options)))
+
+
+def _assert_same_optimum(ours, ref, mip):
+    assert ours.status == ref.status == 0
+    assert np.array_equal(ours.x, ref.x)
+    assert ours.fun == ref.fun
+    if mip:
+        assert ours.mip_node_count == ref.mip_node_count
+        assert ours.mip_gap == ref.mip_gap
+
+
+@direct
+@pytest.mark.parametrize("name", ["adn_full_set", "adn_diagonal",
+                                  "adn_cross_cell", "uc_full_set",
+                                  "uc_diagonal", "uc_cross_cell"])
+def test_direct_call_matches_scipy_milp(desk_models, name):
+    model = desk_models[name]
+    c, constraints, bounds = _arrays(model)
+    relaxed = np.zeros(model.num_vars, dtype=int)
+    _assert_same_optimum(*_both(c, constraints, bounds, relaxed, LP_OPTIONS),
+                         mip=False)
+    binary = np.array(model.is_binary, dtype=int)
+    _assert_same_optimum(*_both(c, constraints, bounds, binary, MIP_OPTIONS),
+                         mip=True)
+
+
+def _unbounded_lp():
+    # min -x s.t. x - y <= 1 with x, y >= 0
+    m = MixedBinaryModel()
+    x = m.add_var("x", 0.0)
+    y = m.add_var("y", 0.0)
+    m.add_objective(x, -1.0)
+    m.add_constraint({x: 1.0, y: -1.0}, LE, 1.0)
+    return m
+
+
+def _infeasible_lp():
+    m = MixedBinaryModel()
+    x = m.add_var("x", 0.0, 1.0)
+    m.add_objective(x, 1.0)
+    m.add_constraint({x: -1.0}, LE, -2.0)
+    return m
+
+
+@direct
+@pytest.mark.parametrize("model, status", [(_infeasible_lp(), 2),
+                                           (_unbounded_lp(), 3)],
+                         ids=["infeasible", "unbounded"])
+def test_direct_call_matches_scipy_milp_without_optimum(model, status):
+    c, constraints, bounds = _arrays(model)
+    relaxed = np.zeros(model.num_vars, dtype=int)
+    ours, ref = _both(c, constraints, bounds, relaxed, LP_OPTIONS)
+    assert ours.status == ref.status == status
+    assert ours.x is None and ref.x is None
+
+
+def _market_split(m=4, n=36, seed=0):
+    """min |A x - d|_1 over binary x: an incumbent at once (x = 0 is
+    feasible), a proof that takes far longer than the time limits below."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 100, size=(m, n)).astype(float)
+    d = np.floor(a.sum(axis=1) / 2)
+    A = sparse.csc_matrix(np.hstack([a, np.eye(m), -np.eye(m)]))
+    c = np.concatenate([np.zeros(n), np.ones(2 * m)])
+    integrality = np.concatenate([np.ones(n, int), np.zeros(2 * m, int)])
+    bounds = (np.zeros(n + 2 * m),
+              np.concatenate([np.ones(n), np.full(2 * m, np.inf)]))
+    return c, (A, d, d), bounds, integrality
+
+
+@direct
+@pytest.mark.parametrize("time_limit, incumbent", [(0.0, False), (0.5, True)],
+                         ids=["no_incumbent", "incumbent"])
+def test_direct_call_matches_scipy_milp_at_time_limit(time_limit, incumbent):
+    c, constraints, bounds, integrality = _market_split()
+    ours, ref = _both(c, constraints, bounds, integrality,
+                      dict(MIP_OPTIONS, time_limit=time_limit))
+    assert ours.status == ref.status == 1
+    assert (ours.x is not None) == (ref.x is not None) == incumbent
+
+
+def test_fallback_adapter_is_scipy_milp(monkeypatch, desk_models):
+    # without HiGHS's bindings highs_milp is scipy.optimize.milp, and the
+    # root step and branch-and-cut of solve_milp run on it unchanged
+    model = desk_models["adn_cross_cell"]
+    c, constraints, bounds = _arrays(model)
+    binary = np.array(model.is_binary, dtype=int)
+    direct_sol = solve_milp(model)
+    monkeypatch.setattr(pdsr.milp, "_Highs", None)
+    ours, ref = _both(c, constraints, bounds, binary, MIP_OPTIONS)
+    _assert_same_optimum(ours, ref, mip=True)
+    fallback_sol = solve_milp(model)
+    assert np.array_equal(fallback_sol.x, direct_sol.x)
+    assert fallback_sol.objective == direct_sol.objective
+    assert fallback_sol.node_count == direct_sol.node_count

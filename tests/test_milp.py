@@ -108,6 +108,44 @@ def test_non_finite_model_data_rejected_before_solving(monkeypatch, spoil):
         solve_milp(m)
 
 
+def test_non_finite_coefficient_names_its_variable():
+    # the first row is on x and z, so z's entry is stored in row 0 of
+    # column 2: a row index read as a column would name x
+    m = MixedBinaryModel()
+    x = m.add_var("x", 0.0, 1.0)
+    y = m.add_var("y", 0.0, 1.0)
+    z = m.add_var("z", 0.0, 1.0)
+    m.add_expr_constraint(LinExpr().add(z, math.nan).add(x, 1.0), LE, 1.0)
+    m.add_constraint({y: 1.0}, LE, 1.0)
+    with pytest.raises(ModelError, match=r"non-finite constraint coefficient on 'z'"):
+        m.validate()
+
+
+@pytest.mark.parametrize("var", [5, -1], ids=["beyond_last", "negative"])
+def test_expression_row_on_undeclared_variable_rejected(var):
+    m, x = simple_model()
+    m.add_expr_constraint(LinExpr().add(x, 1.0).add(var, 1.0), LE, 1.0)
+    with pytest.raises(ModelError, match="undeclared variable"):
+        solve_milp(m)
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda m: m.lb.__setitem__(1, math.nan), "bad lower bound on 'y'"),
+    (lambda m: m.lb.__setitem__(1, math.inf), "bad lower bound on 'y'"),
+    (lambda m: m.ub.__setitem__(1, math.nan), "bad upper bound on 'y'"),
+    (lambda m: m.ub.__setitem__(2, 2.0), r"binary 'b' out of \[0, 1\]"),
+], ids=["nan_lower", "inf_lower", "nan_upper", "binary_above_one"])
+def test_bad_bounds_name_their_variable(spoil, message):
+    m = MixedBinaryModel()
+    x = m.add_var("x", 0.0, 1.0)
+    m.add_var("y", 0.0, 1.0)
+    m.add_var("b", 0.0, 1.0, binary=True)
+    m.add_constraint({x: 1.0}, LE, 1.0)
+    spoil(m)
+    with pytest.raises(ModelError, match=message):
+        m.validate()
+
+
 def test_lp_vs_vertex_enumeration():
     rng = np.random.default_rng(7)
     checked = 0
