@@ -10,8 +10,7 @@ from .errors import (CacheError, ConfigError, InconsistencyError, ModelError,
                      PdsrError, RecourseError, ScenarioFormatError, SolverError)
 from .milp import (DEFAULT_GAP_TOL, MixedBinaryModel, Solution, export_lp_file,
                    solve_milp)
-from .scenarios import (Scenario, ScenarioSet, bad_scenario_ids, load_scenarios,
-                        save_scenarios)
+from .scenarios import Scenario, ScenarioSet, load_scenarios, save_scenarios
 from .tsso import (FirstStageDecision, TssoProblem,
                    evaluate_with_fixed_first_stage, solve_scenario_specific,
                    solve_stochastic)
@@ -20,7 +19,7 @@ from .uc import Generator, UcConfig, UcProblem, build_uc_model, make_uc_desk_ins
 from .projection import (ProblemSpaceMatrix, build_problem_space_matrix,
                          fingerprint, load_matrix, save_matrix, solve_benchmark)
 from .clustering import (PddMatrix, ReductionResult, compute_pdd,
-                         identity_reduction, solve_clustering, sweep_beta)
+                         solve_clustering, sweep_beta)
 from .baselines import (hierarchical_reduce, kmeans_reduce, kmedoids_reduce,
                         run_baseline, worst_case_select)
 from .evaluation import (EvaluationReport, GapOutcome, WorstCaseReport,

@@ -262,7 +262,6 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
             net_lo = LinExpr().add(pt[t], 1.0).add(tp[t], 1.0).add(tm[t], -1.0)
             m.add_expr_constraint(net_lo, GE, -cfg.p_trade_max)
 
-    m.validate()
     return m
 
 

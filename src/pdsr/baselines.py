@@ -10,7 +10,6 @@ probability-mass weights.
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
 
 from .clustering import ReductionResult
 from .scenarios import ScenarioSet
@@ -168,6 +167,8 @@ def hierarchical_reduce(scenario_set: ScenarioSet, k: int) -> ReductionResult:
     if k == n:
         labels = np.arange(n)
     else:
+        # imported here: scipy.cluster would add to every command's start-up
+        from scipy.cluster.hierarchy import fcluster, linkage
         Z = linkage(X, method="average", metric="euclidean")
         labels = fcluster(Z, t=k, criterion="maxclust") - 1
     D = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)

@@ -99,15 +99,6 @@ class ReductionResult:
                    extras=d.get("extras", {}))
 
 
-def identity_reduction(probabilities) -> ReductionResult:
-    """Every scenario its own representative (no reduction)."""
-    n = len(probabilities)
-    return ReductionResult(representatives=list(range(n)),
-                           assignment={i: i for i in range(n)},
-                           weights={i: float(probabilities[i]) for i in range(n)},
-                           spdd=0.0, objective=0.0, method="identity")
-
-
 def compute_pdd(matrix: ProblemSpaceMatrix, mu: float = 0.0,
                 scenario_set=None) -> PddMatrix:
     """Symmetrized opportunity-cost distance from the cross-evaluation

@@ -16,11 +16,17 @@ switched off: on the small programs that reach it the heuristic found
 nothing the root node did not, yet took most of each call.
 
 Every HiGHS call goes through :func:`highs_milp`, which hands the model's
-cached CSC matrix, bounds and costs straight to a fresh HiGHS instance
+cached CSC arrays, bounds and costs straight to a fresh HiGHS instance
 through the HiGHS bindings bundled with scipy, and sets only the options
-the call names.  When those private bindings cannot be imported (older
-scipy), it calls ``scipy.optimize.milp`` on the same arguments instead; the
-two paths return the same points, objectives and node counts.
+the call names.  Those bindings are one extension module,
+``scipy.optimize._highspy._core``; it is loaded from its file and
+registered under that name, so importing this module runs none of
+``scipy.optimize``, ``scipy.sparse`` or their array-API layer, which took
+most of a CLI command's start-up, and a later ``import scipy.optimize``
+reuses it.  When that load fails, the same module is imported the normal
+way; when that fails too (older scipy), :func:`highs_milp` calls
+``scipy.optimize.milp`` on the same arguments instead.  The paths return
+the same points, objectives and node counts.
 
 Determinism contract: two solves of the same model produce identical
 variable values.
@@ -28,23 +34,53 @@ variable values.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import OptimizeResult
-from scipy.optimize import milp as scipy_milp
 
 from .errors import ModelError, SolverError
 
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _register_highs_core() -> str:
+    """Load HiGHS's bindings bundled with scipy from their file and register
+    them under their own name (the only name the extension loads under);
+    returns how the import below finds them."""
+    if _CORE in sys.modules:
+        return "already imported"
+    try:
+        # find_spec of a top-level package runs none of its subpackages
+        scipy_dir = os.path.dirname(importlib.util.find_spec("scipy").origin)
+        stem = os.path.join(scipy_dir, "optimize", "_highspy", "_core")
+        path = next(stem + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                    if os.path.exists(stem + suffix))
+        loader = importlib.machinery.ExtensionFileLoader(_CORE, path)
+        spec = importlib.util.spec_from_file_location(_CORE, path, loader=loader)
+        module = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+    except Exception:  # scipy's private layout moved: import it the normal way
+        return "via scipy.optimize"
+    sys.modules[_CORE] = module
+    return "by file path"
+
+
+# how the HiGHS bindings loaded; printed by CI
+_HIGHS_PATH = _register_highs_core()
 try:  # private HiGHS bindings bundled with recent scipy
     from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus,
                                                MatrixFormat, ObjSense, _Highs)
 except ImportError:  # highs_milp falls back to scipy.optimize.milp
     _Highs = None
+    _HIGHS_PATH = "scipy.optimize.milp fallback"
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -68,6 +104,16 @@ warnings.filterwarnings(
 _INT_TOL = 1e-6
 # Activity above this level forces a gating binary during repair.
 _ACTIVE_TOL = 1e-7
+
+
+class CscMatrix(NamedTuple):
+    """A constraint matrix in compressed sparse column form, the layout
+    HiGHS takes; the attribute names are those of a scipy CSC matrix."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
 
 
 class LinExpr:
@@ -118,6 +164,7 @@ class MixedBinaryModel:
         # root step's binary repair; populated by the problem compilers.
         self.gating: list[tuple[int, int, int]] = []
         self._ranges = None
+        self._entry_col = None  # column of each CSC entry, set with _ranges
 
     # -- construction -----------------------------------------------------
 
@@ -223,10 +270,12 @@ class MixedBinaryModel:
 
     def max_violation(self, x: np.ndarray) -> float:
         """Largest constraint or bound violation of ``x`` (equalities
-        two-sided); one sparse mat-vec over the cached row ranges."""
+        two-sided); one sparse mat-vec over the cached row ranges, which
+        sums each row in CSC entry order."""
         x = np.asarray(x, dtype=float)
         A, lo, hi = self._row_ranges()
-        act = A @ x
+        act = np.bincount(A.indices, weights=A.data * x[self._entry_col],
+                          minlength=A.shape[0])
         return max(float(np.max(lo - act, initial=0.0)),
                    float(np.max(act - hi, initial=0.0)),
                    float(np.max(np.asarray(self.lb) - x, initial=0.0)),
@@ -255,9 +304,10 @@ class MixedBinaryModel:
         order = np.argsort(cols, kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-        A = sparse.csc_matrix((vals[order], rows[order], indptr), shape=(m, n))
+        A = CscMatrix(indptr, rows[order], vals[order], (m, n))
         rhs = np.array(rhs, dtype=float)
         rels = np.array(rels, dtype="U2")
+        self._entry_col = cols[order]
         self._ranges = (A, np.where(rels == LE, -math.inf, rhs),
                         np.where(rels == GE, math.inf, rhs))
         return self._ranges
@@ -420,26 +470,42 @@ if _Highs is not None:
     _MINIMIZE = int(ObjSense.kMinimize)
 
 
+@dataclass
+class HighsResult:
+    """The fields of ``scipy.optimize.milp``'s result that callers read."""
+
+    status: int
+    message: str
+    x: np.ndarray | None
+    fun: float | None
+    mip_node_count: int | None
+    mip_gap: float | None
+
+
 def highs_milp(c, *, constraints, integrality, bounds, options):
     """Minimize ``c @ x`` over ``lower <= A @ x <= upper``, ``lb <= x <= ub``
     and integral columns where ``integrality`` is 1, with one fresh HiGHS
     instance.
 
     ``constraints`` is the ``(A, lower, upper)`` triple of
-    :meth:`MixedBinaryModel._row_ranges` (``A`` in CSC form), ``bounds`` an
-    ``(lb, ub)`` pair and ``options`` HiGHS options by name, ``presolve``
-    as a bool; an option HiGHS rejects is ignored.  Returns a
-    ``scipy.optimize.OptimizeResult`` with ``status`` (scipy's codes),
-    ``message``, ``x`` and ``fun`` (None without a point), and, for a MILP
-    with a point, ``mip_node_count`` and ``mip_gap``: what
-    ``scipy.optimize.milp`` returns for the same arguments, which this calls
-    instead when HiGHS's own bindings are unavailable.
+    :meth:`MixedBinaryModel._row_ranges`, where ``A`` is any CSC matrix
+    with ``indptr``, ``indices``, ``data`` and ``shape`` (a
+    :class:`CscMatrix` or a scipy one), ``bounds`` an ``(lb, ub)`` pair and
+    ``options`` HiGHS options by name, ``presolve`` as a bool; an option
+    HiGHS rejects is ignored.  Returns a :class:`HighsResult` with
+    ``status`` (scipy's codes), ``message``, ``x`` and ``fun`` (None without
+    a point), and, for a MILP with a point, ``mip_node_count`` and
+    ``mip_gap``: what ``scipy.optimize.milp`` returns for the same
+    arguments.  When HiGHS's own bindings are unavailable, this calls
+    ``scipy.optimize.milp`` instead and returns its result.
     """
-    if _Highs is None:
-        return scipy_milp(c, constraints=constraints, integrality=integrality,
-                          bounds=bounds, options=options)
     A, lower, upper = constraints
-    A = A.tocsc()
+    if _Highs is None:
+        from scipy.optimize import milp
+        from scipy.sparse import csc_array
+        A = csc_array((A.data, A.indices, A.indptr), shape=A.shape)
+        return milp(c, constraints=(A, lower, upper), integrality=integrality,
+                    bounds=bounds, options=options)
     lb, ub = bounds
     integrality = np.asarray(integrality, dtype=np.int32)
     is_mip = bool(integrality.any())
@@ -449,12 +515,12 @@ def highs_milp(c, *, constraints, integrality, bounds, options):
         if key == "presolve":
             value = "on" if value else "off"
         highs.setOptionValue(key, value)
-    res = OptimizeResult(x=None, fun=None, mip_node_count=None, mip_gap=None)
+    x = fun = nodes = gap = None
     # the array form of passModel copies each buffer once; filling a
     # HighsLp converts the integer arrays element by element
-    if highs.passModel(A.shape[1], A.shape[0], A.nnz, _COLWISE, _MINIMIZE, 0.0,
-                       c, lb, ub, lower, upper, A.indptr, A.indices, A.data,
-                       integrality) == HighsStatus.kError:
+    if highs.passModel(A.shape[1], A.shape[0], int(A.indptr[-1]), _COLWISE,
+                       _MINIMIZE, 0.0, c, lb, ub, lower, upper, A.indptr,
+                       A.indices, A.data, integrality) == HighsStatus.kError:
         status = HighsModelStatus.kModelError
     else:
         solved = highs.run() != HighsStatus.kError
@@ -463,14 +529,12 @@ def highs_milp(c, *, constraints, integrality, bounds, options):
         if solved and (status == HighsModelStatus.kOptimal or (
                 is_mip and status in _MIP_STOPS
                 and info.objective_function_value < math.inf)):
-            res.x = np.array(highs.getSolution().col_value)
-            res.fun = info.objective_function_value
+            x = np.array(highs.getSolution().col_value)
+            fun = info.objective_function_value
             if is_mip:
-                res.mip_node_count = info.mip_node_count
-                res.mip_gap = info.mip_gap
-    res.status = _SCIPY_STATUS.get(status, 4)
-    res.message = highs.modelStatusToString(status)
-    return res
+                nodes, gap = info.mip_node_count, info.mip_gap
+    return HighsResult(_SCIPY_STATUS.get(status, 4),
+                       highs.modelStatusToString(status), x, fun, nodes, gap)
 
 
 # -- LP-file export ---------------------------------------------------------

@@ -128,14 +128,6 @@ class ScenarioSet:
         except ValueError:
             raise ScenarioFormatError(f"no source named {name!r}") from None
 
-    def subset(self, indices) -> "ScenarioSet":
-        """Set restricted to ``indices``, probabilities renormalized."""
-        indices = list(indices)
-        w = self.probabilities[indices]
-        w = w / w.sum()
-        return ScenarioSet(tuple(self.scenarios[i] for i in indices), w,
-                           self.source_names, self.source_roles)
-
 
 def _parse_values(fh) -> tuple[list[str], list[str], dict]:
     """Read the long-format values CSV; returns (scenario ids in first-
@@ -285,11 +277,6 @@ def save_scenarios(scenario_set: ScenarioSet, values_path,
     if probabilities_path is not None:
         with open(probabilities_path, "w", newline="") as fh:
             fh.write(dump_probabilities_csv(scenario_set))
-
-
-def bad_scenario_ids(scenario_set: ScenarioSet) -> list[str]:
-    """Ids the desk-instance generators flagged as injected bad scenarios."""
-    return [s.id for s in scenario_set.scenarios if s.id.endswith("_bad")]
 
 
 def _smooth_noise(rng: np.random.Generator, T: int,

@@ -233,7 +233,6 @@ def build_uc_model(config: UcConfig, scenarios, weights,
                         expr.add(flow[li, t], 1.0)
                 m.add_expr_constraint(expr, EQ, 0.0)
 
-    m.validate()
     return m
 
 

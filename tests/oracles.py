@@ -4,7 +4,8 @@ Everything here recomputes expected values from first principles
 (enumeration, brute force) or through a second solver path: an LP solve by
 ``linprog`` on matrices assembled straight from ``model.rows``, and a
 best-first branch-and-bound over those LPs.  None of it calls
-``solve_milp``, the routine it checks.
+``solve_milp``, the routine it checks.  The last section holds small
+scenario-set helpers the tests share and no pipeline command uses.
 """
 
 import itertools
@@ -17,10 +18,12 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from pdsr.clustering import ReductionResult
 from pdsr.errors import ModelError, SolverError
 from pdsr.milp import (DEFAULT_GAP_TOL, EQ, GAP_LIMIT, GE, INFEASIBLE, LE,
                        OPTIMAL, UNBOUNDED, MixedBinaryModel, Solution,
                        _INT_TOL, _gating_repair)
+from pdsr.scenarios import ScenarioSet
 
 
 @dataclass
@@ -255,6 +258,15 @@ def random_lp(rng, n_vars=None, n_rows=None):
     return m
 
 
+def scipy_constraints(constraints):
+    """An ``(A, lower, upper)`` triple of ``MixedBinaryModel._row_ranges``
+    with ``A`` as a ``scipy.sparse.csc_array``, the form
+    ``scipy.optimize.milp`` takes."""
+    A, lower, upper = constraints
+    return (sparse.csc_array((A.data, A.indices, A.indptr), shape=A.shape),
+            lower, upper)
+
+
 def enumerate_vertices_optimum(model):
     """Best objective over all basic feasible points: every n-subset of
     hyperplanes (rows as equalities plus bound faces) solved and checked."""
@@ -344,3 +356,29 @@ def enumerate_clustering(d, gamma, beta=None, fixed_k=None):
                 cost += beta * r / n
             best = min(best, cost)
     return best
+
+
+# -- scenario-set helpers ----------------------------------------------------
+
+
+def identity_reduction(probabilities) -> ReductionResult:
+    """Every scenario its own representative (no reduction)."""
+    n = len(probabilities)
+    return ReductionResult(representatives=list(range(n)),
+                           assignment={i: i for i in range(n)},
+                           weights={i: float(probabilities[i]) for i in range(n)},
+                           spdd=0.0, objective=0.0, method="identity")
+
+
+def bad_scenario_ids(scenario_set: ScenarioSet) -> list[str]:
+    """Ids the desk-instance generators flagged as injected bad scenarios."""
+    return [s.id for s in scenario_set.scenarios if s.id.endswith("_bad")]
+
+
+def scenario_subset(scenario_set: ScenarioSet, indices) -> ScenarioSet:
+    """Set restricted to ``indices``, probabilities renormalized."""
+    indices = list(indices)
+    w = scenario_set.probabilities[indices]
+    w = w / w.sum()
+    return ScenarioSet(tuple(scenario_set.scenarios[i] for i in indices), w,
+                       scenario_set.source_names, scenario_set.source_roles)

@@ -11,17 +11,16 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (brute_force_milp, enumerate_clustering,
-                     enumerate_vertices_optimum, random_lp, random_milp,
-                     solve_lp)
+from oracles import (bad_scenario_ids, brute_force_milp, enumerate_clustering,
+                     enumerate_vertices_optimum, identity_reduction, random_lp,
+                     random_milp, solve_lp)
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.baselines import run_baseline
-from pdsr.clustering import (PddMatrix, compute_pdd, identity_reduction,
-                             solve_clustering, sweep_beta)
+from pdsr.clustering import PddMatrix, compute_pdd, solve_clustering, sweep_beta
 from pdsr.evaluation import detect_worst_case, optimality_gap
 from pdsr.milp import solve_milp
 from pdsr.projection import build_problem_space_matrix, solve_benchmark
-from pdsr.scenarios import Scenario, ScenarioSet, bad_scenario_ids
+from pdsr.scenarios import Scenario, ScenarioSet
 from pdsr.tsso import evaluate_with_fixed_first_stage
 from pdsr.uc import UcProblem, make_uc_desk_instance
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from oracles import bad_scenario_ids
 from pdsr.adn import AdnConfig, AdnProblem, EsUnit, build_adn_model, make_desk_instance
 from pdsr.errors import ConfigError
 from pdsr.milp import solve_milp
-from pdsr.scenarios import (Scenario, ScenarioSet, bad_scenario_ids,
-                            dump_values_csv)
+from pdsr.scenarios import Scenario, ScenarioSet, dump_values_csv
 from pdsr.tsso import (FirstStageDecision, evaluate_with_fixed_first_stage,
                        solve_scenario_specific, solve_stochastic)
 

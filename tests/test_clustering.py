@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import enumerate_clustering
+from oracles import enumerate_clustering, identity_reduction
 from pdsr.clustering import (PddMatrix, ReductionResult, _clustering_model,
-                             compute_pdd, identity_reduction, solve_clustering,
-                             sweep_beta)
+                             compute_pdd, solve_clustering, sweep_beta)
 from pdsr.errors import InconsistencyError
 from pdsr.projection import ProblemSpaceMatrix
 

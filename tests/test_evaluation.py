@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
+from oracles import bad_scenario_ids, identity_reduction
 from pdsr.adn import AdnProblem, make_desk_instance
-from pdsr.clustering import (PddMatrix, ReductionResult, compute_pdd,
-                             identity_reduction, solve_clustering)
+from pdsr.clustering import PddMatrix, ReductionResult, compute_pdd, solve_clustering
 from pdsr.errors import PdsrError
 from pdsr.evaluation import (GapOutcome, compare_methods, detect_worst_case,
                              evaluate_reduction, optimality_gap, pddbi,
                              scenario_effectiveness, spdd)
 from pdsr.projection import ProblemSpaceMatrix, build_problem_space_matrix, solve_benchmark
-from pdsr.scenarios import ScenarioSet, bad_scenario_ids
+from pdsr.scenarios import ScenarioSet
 from pdsr.uc import UcProblem, make_uc_desk_instance
 
 GAP = 1e-4

@@ -8,6 +8,7 @@ from scipy import sparse
 from scipy.optimize import milp
 
 import pdsr.milp
+from oracles import scipy_constraints
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.milp import LE, MixedBinaryModel, highs_milp, solve_milp
 from pdsr.tsso import _fixed_model, solve_scenario_specific
@@ -60,10 +61,11 @@ def _arrays(model):
 
 
 def _both(c, constraints, bounds, integrality, options):
-    kwargs = dict(constraints=constraints, integrality=integrality,
-                  bounds=bounds)
-    return (highs_milp(c, **kwargs, options=dict(options)),
-            milp(c, **kwargs, options=dict(options)))
+    kwargs = dict(integrality=integrality, bounds=bounds)
+    return (highs_milp(c, constraints=constraints, **kwargs,
+                       options=dict(options)),
+            milp(c, constraints=scipy_constraints(constraints), **kwargs,
+                 options=dict(options)))
 
 
 def _assert_same_optimum(ours, ref, mip):

@@ -21,7 +21,8 @@ from pdsr.milp import (GE, LE, EQ, LinExpr, MixedBinaryModel, export_lp_file,
 from pdsr.tsso import _fixed_model, solve_scenario_specific
 from pdsr.uc import UcProblem, make_uc_desk_instance
 from oracles import (brute_force_milp, enumerate_vertices_optimum, random_lp,
-                     random_milp, solve_lp, solve_milp_reference)
+                     random_milp, scipy_constraints, solve_lp,
+                     solve_milp_reference)
 
 
 def simple_model():
@@ -289,7 +290,7 @@ def _branch_and_cut_objective(model, gap):
     c = np.zeros(model.num_vars)
     for j, a in model.obj.items():
         c[j] = a
-    A, lo, hi = model._row_ranges()
+    A, lo, hi = scipy_constraints(model._row_ranges())
     ref = milp(c, constraints=LinearConstraint(A, lo, hi),
                integrality=np.array(model.is_binary, dtype=int),
                bounds=Bounds(model.lb, model.ub), options={"mip_rel_gap": gap})

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import scenario_subset
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.errors import CacheError
 from pdsr.projection import (build_problem_space_matrix, fingerprint,
@@ -25,7 +26,7 @@ def matrix(desk):
 
 def test_single_scenario_matrix(desk):
     problem, ss = desk
-    single = ss.subset([0])
+    single = scenario_subset(ss, [0])
     m = build_problem_space_matrix(problem, single)
     from pdsr.tsso import solve_scenario_specific
     _, obj = solve_scenario_specific(problem, single.scenarios[0])

