@@ -8,8 +8,7 @@ program and distribution-driven baselines.
 
 from .errors import (CacheError, ConfigError, InconsistencyError, ModelError,
                      PdsrError, RecourseError, ScenarioFormatError, SolverError)
-from .milp import (DEFAULT_GAP_TOL, MixedBinaryModel, Solution, export_lp_file,
-                   solve_milp)
+from .milp import DEFAULT_GAP_TOL, MixedBinaryModel, Solution, solve_milp
 from .scenarios import Scenario, ScenarioSet, load_scenarios, save_scenarios
 from .tsso import (FirstStageDecision, TssoProblem,
                    evaluate_with_fixed_first_stage, solve_scenario_specific,

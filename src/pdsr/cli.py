@@ -251,6 +251,7 @@ def _at_least(kind, lo):
 
 _count = _at_least(int, 1)
 _nonneg = _at_least(float, 0.0)
+_seed = _at_least(int, 0)  # numpy seeds its generators from integers >= 0
 
 
 def _fraction(text):
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_distance(p)
     p.add_argument("--methods", default="pdsr,km_e,kd_e,hc,ws")
     p.add_argument("--K", type=_count, required=True)
-    p.add_argument("--seed", type=int, default=0, help="k-means seed")
+    p.add_argument("--seed", type=_seed, default=0, help="k-means seed")
     _add_benchmark(p)
     p.set_defaults(func=cmd_compare)
 
@@ -349,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="network size (default: ADN 6, UC its 3-bus ring)")
     p.add_argument("--bad-fraction", dest="bad_fraction", type=_fraction,
                    default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_make_desk)
 

@@ -24,9 +24,7 @@ registered under that name, so importing this module runs none of
 ``scipy.optimize``, ``scipy.sparse`` or their array-API layer, which took
 most of a CLI command's start-up, and a later ``import scipy.optimize``
 reuses it.  When that load fails, the same module is imported the normal
-way; when that fails too (older scipy), :func:`highs_milp` calls
-``scipy.optimize.milp`` on the same arguments instead.  The paths return
-the same points, objectives and node counts.
+way; scipy bundles it from 1.15 on.
 
 Determinism contract: two solves of the same model produce identical
 variable values.
@@ -39,7 +37,6 @@ import importlib.util
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -75,12 +72,12 @@ def _register_highs_core() -> str:
 
 # how the HiGHS bindings loaded; printed by CI
 _HIGHS_PATH = _register_highs_core()
-try:  # private HiGHS bindings bundled with recent scipy
+try:  # private HiGHS bindings bundled with scipy
     from scipy.optimize._highspy._core import (HighsModelStatus, HighsStatus,
                                                MatrixFormat, ObjSense, _Highs)
-except ImportError:  # highs_milp falls back to scipy.optimize.milp
-    _Highs = None
-    _HIGHS_PATH = "scipy.optimize.milp fallback"
+except ImportError as exc:
+    raise ImportError("pdsr needs the HiGHS bindings bundled with "
+                      "scipy>=1.15") from exc
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -90,15 +87,6 @@ UNBOUNDED = "unbounded"
 GAP_LIMIT = "gap_limit"
 
 DEFAULT_GAP_TOL = 1e-4
-
-# On the scipy.optimize.milp fallback, scipy forwards the branch-and-cut
-# option it does not know to HiGHS verbatim with a RuntimeWarning, and a
-# HiGHS build without it warns with the same prefix and ignores it.  Filtered
-# once here: catch_warnings around the call would swap global state under
-# worker threads.
-warnings.filterwarnings(
-    "ignore",
-    message=r"Unrecognized options detected: \{'mip_heuristic_run_feasibility_jump'")
 
 # |x - round(x)| below this counts as integral.
 _INT_TOL = 1e-6
@@ -182,8 +170,6 @@ class MixedBinaryModel:
         return len(self.var_names) - 1
 
     def add_constraint(self, coeffs: dict[int, float], relation: str, rhs: float):
-        if relation not in (LE, EQ, GE):
-            raise ModelError(f"unknown relation {relation!r}")
         if not coeffs:
             raise ModelError("constraint references no variables")
         n = len(self.var_names)
@@ -194,8 +180,7 @@ class MixedBinaryModel:
                 raise ModelError("non-finite constraint coefficient")
         if not math.isfinite(rhs):
             raise ModelError("non-finite right-hand side")
-        self.rows.append((dict(coeffs), relation, float(rhs)))
-        self._ranges = None
+        self._add_row(dict(coeffs), relation, float(rhs))
 
     def add_expr_constraint(self, expr: LinExpr, relation: str, rhs: float):
         """Add ``expr <relation> rhs``; the expression constant moves to the
@@ -204,7 +189,13 @@ class MixedBinaryModel:
         coeffs = {j: a for j, a in expr.coeffs.items() if a != 0.0}
         if not coeffs:
             raise ModelError("expression constraint has no nonzero coefficient")
-        self.rows.append((coeffs, relation, float(rhs - expr.constant)))
+        self._add_row(coeffs, relation, float(rhs - expr.constant))
+
+    def _add_row(self, coeffs: dict[int, float], relation: str, rhs: float):
+        # _row_ranges reads any relation but <= and >= as an equality
+        if relation not in (LE, EQ, GE):
+            raise ModelError(f"unknown relation {relation!r}")
+        self.rows.append((coeffs, relation, rhs))
         self._ranges = None
 
     def add_objective(self, var: int, coef: float, group: str | None = None):
@@ -385,13 +376,13 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
         options["time_limit"] = float(time_limit)
     res = highs_milp(c, constraints=constraints, integrality=integrality,
                      bounds=bounds, options=options)
-    nodes = max(1, int(getattr(res, "mip_node_count", 0) or 0))
+    nodes = max(1, int(res.mip_node_count or 0))
     if res.status == 0:
         x = np.asarray(res.x)
         viol = model.max_violation(x)
         if viol > 1e-5:
             raise SolverError(f"solution violates constraints by {viol:.3e}")
-        gap = float(getattr(res, "mip_gap", 0.0) or 0.0)
+        gap = float(res.mip_gap or 0.0)
         return Solution(OPTIMAL, float(res.fun), x, mip_gap=gap,
                         node_count=nodes)
     if res.status == 2:
@@ -401,7 +392,7 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
     if res.status == 1:  # time/iteration limit; carry the incumbent if any
         x = np.asarray(res.x) if res.x is not None else None
         obj = float(res.fun) if x is not None else math.inf
-        gap = float(getattr(res, "mip_gap", math.inf) or math.inf)
+        gap = float(res.mip_gap or math.inf)
         return Solution(GAP_LIMIT, obj, x, mip_gap=gap, node_count=nodes)
     raise SolverError(f"MILP solve failed (HiGHS status {res.status}): {res.message}")
 
@@ -454,20 +445,19 @@ def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
 
 # -- HiGHS -------------------------------------------------------------------
 
-if _Highs is not None:
-    # HiGHS model status -> scipy.optimize.milp status code (4 otherwise)
-    _SCIPY_STATUS = {HighsModelStatus.kOptimal: 0,
-                     HighsModelStatus.kTimeLimit: 1,
-                     HighsModelStatus.kIterationLimit: 1,
-                     HighsModelStatus.kInfeasible: 2,
-                     HighsModelStatus.kModelError: 2,
-                     HighsModelStatus.kUnbounded: 3}
-    # stops after which a MILP incumbent, if there is one, is returned
-    _MIP_STOPS = (HighsModelStatus.kTimeLimit,
-                  HighsModelStatus.kIterationLimit,
-                  HighsModelStatus.kSolutionLimit)
-    _COLWISE = int(MatrixFormat.kColwise)
-    _MINIMIZE = int(ObjSense.kMinimize)
+# HiGHS model status -> scipy.optimize.milp status code (4 otherwise)
+_SCIPY_STATUS = {HighsModelStatus.kOptimal: 0,
+                 HighsModelStatus.kTimeLimit: 1,
+                 HighsModelStatus.kIterationLimit: 1,
+                 HighsModelStatus.kInfeasible: 2,
+                 HighsModelStatus.kModelError: 2,
+                 HighsModelStatus.kUnbounded: 3}
+# stops after which a MILP incumbent, if there is one, is returned
+_MIP_STOPS = (HighsModelStatus.kTimeLimit,
+              HighsModelStatus.kIterationLimit,
+              HighsModelStatus.kSolutionLimit)
+_COLWISE = int(MatrixFormat.kColwise)
+_MINIMIZE = int(ObjSense.kMinimize)
 
 
 @dataclass
@@ -496,16 +486,9 @@ def highs_milp(c, *, constraints, integrality, bounds, options):
     ``status`` (scipy's codes), ``message``, ``x`` and ``fun`` (None without
     a point), and, for a MILP with a point, ``mip_node_count`` and
     ``mip_gap``: what ``scipy.optimize.milp`` returns for the same
-    arguments.  When HiGHS's own bindings are unavailable, this calls
-    ``scipy.optimize.milp`` instead and returns its result.
+    arguments.
     """
     A, lower, upper = constraints
-    if _Highs is None:
-        from scipy.optimize import milp
-        from scipy.sparse import csc_array
-        A = csc_array((A.data, A.indices, A.indptr), shape=A.shape)
-        return milp(c, constraints=(A, lower, upper), integrality=integrality,
-                    bounds=bounds, options=options)
     lb, ub = bounds
     integrality = np.asarray(integrality, dtype=np.int32)
     is_mip = bool(integrality.any())
@@ -536,58 +519,3 @@ def highs_milp(c, *, constraints, integrality, bounds, options):
     return HighsResult(_SCIPY_STATUS.get(status, 4),
                        highs.modelStatusToString(status), x, fun, nodes, gap)
 
-
-# -- LP-file export ---------------------------------------------------------
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def _term_string(coeffs: dict[int, float], names: list[str]) -> str:
-    parts = []
-    for j in sorted(coeffs):
-        a = coeffs[j]
-        if a == 0.0:
-            continue
-        if not parts:
-            parts.append(f"{_fmt(a)} {names[j]}")
-        elif a < 0:
-            parts.append(f"- {_fmt(-a)} {names[j]}")
-        else:
-            parts.append(f"+ {_fmt(a)} {names[j]}")
-    if not parts:
-        parts.append(_fmt(0.0))
-    return " ".join(parts)
-
-
-def export_lp_file(model: MixedBinaryModel, path):
-    """Write ``model`` in the textual CPLEX-LP format.
-
-    Sections: Minimize / Subject To / Bounds / Binaries (if any) / End.
-    Variable names are taken from the model and are stable across runs.
-    """
-    model.validate()
-    lines = ["Minimize", f" obj: {_term_string(model.obj, model.var_names)}",
-             "Subject To"]
-    for i, (coeffs, rel, rhs) in enumerate(model.rows):
-        op = {LE: "<=", EQ: "=", GE: ">="}[rel]
-        lines.append(f" c{i}: {_term_string(coeffs, model.var_names)} {op} {_fmt(rhs)}")
-    lines.append("Bounds")
-    for j, name in enumerate(model.var_names):
-        lo, hi = model.lb[j], model.ub[j]
-        if lo == -math.inf and hi == math.inf:
-            lines.append(f" {name} free")
-        elif hi == math.inf:
-            lines.append(f" {name} >= {_fmt(lo)}")
-        elif lo == -math.inf:
-            lines.append(f" {name} <= {_fmt(hi)}")
-        else:
-            lines.append(f" {_fmt(lo)} <= {name} <= {_fmt(hi)}")
-    if any(model.is_binary):
-        lines.append("Binaries")
-        for j, name in enumerate(model.var_names):
-            if model.is_binary[j]:
-                lines.append(f" {name}")
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

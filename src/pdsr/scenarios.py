@@ -116,18 +116,6 @@ class ScenarioSet:
     def ids(self) -> list[str]:
         return [s.id for s in self.scenarios]
 
-    def index_of(self, scenario_id: str) -> int:
-        for i, s in enumerate(self.scenarios):
-            if s.id == scenario_id:
-                return i
-        raise KeyError(scenario_id)
-
-    def source_index(self, name: str) -> int:
-        try:
-            return self.source_names.index(name)
-        except ValueError:
-            raise ScenarioFormatError(f"no source named {name!r}") from None
-
 
 def _parse_values(fh) -> tuple[list[str], list[str], dict]:
     """Read the long-format values CSV; returns (scenario ids in first-

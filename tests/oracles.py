@@ -382,3 +382,13 @@ def scenario_subset(scenario_set: ScenarioSet, indices) -> ScenarioSet:
     w = w / w.sum()
     return ScenarioSet(tuple(scenario_set.scenarios[i] for i in indices), w,
                        scenario_set.source_names, scenario_set.source_roles)
+
+
+def scenario_index(scenario_set: ScenarioSet, scenario_id: str) -> int:
+    """Position of the scenario with ``scenario_id``."""
+    return scenario_set.ids().index(scenario_id)
+
+
+def source_index(scenario_set: ScenarioSet, name: str) -> int:
+    """Row of source ``name`` in every scenario's values."""
+    return scenario_set.source_names.index(name)

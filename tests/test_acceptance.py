@@ -13,7 +13,7 @@ import pytest
 
 from oracles import (bad_scenario_ids, brute_force_milp, enumerate_clustering,
                      enumerate_vertices_optimum, identity_reduction, random_lp,
-                     random_milp, solve_lp)
+                     random_milp, solve_lp, source_index)
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.baselines import run_baseline
 from pdsr.clustering import PddMatrix, compute_pdd, solve_clustering, sweep_beta
@@ -108,8 +108,8 @@ def test_criterion_1_metric_axioms():
                                         buses=4, bad_fraction=0.0)
         problem = AdnProblem(config, ss.source_names)
         base = ss.scenarios[0]
-        price_row = ss.source_index("price")
-        load_row = ss.source_index("load1")
+        price_row = source_index(ss, "price")
+        load_row = source_index(ss, "load1")
         for mu in (0.5,):
             dist = []
             noise = None

@@ -163,6 +163,7 @@ def test_evaluate_rejects_misfit_reduction_before_solving(
     (["compare", "--K", "2", "--benchmark-time-limit", "-1"],
      "--benchmark-time-limit", 2),
     (["compare", "--K", "2", "--methods", ","], "--methods", 1),
+    (["compare", "--K", "2", "--methods", "km_e", "--seed", "-1"], "--seed", 2),
     (["project", "--seed", "1"], "--seed", 2),
     (["project", "--mu", "1"], "--mu", 2),
     (["cluster", "--K", "2", "--seed", "1"], "--seed", 2),
@@ -173,8 +174,8 @@ def test_evaluate_rejects_misfit_reduction_before_solving(
 ], ids=["workers_0", "cluster_k_0", "cluster_k_above_n", "beta_negative",
         "beta_range_two_fields", "compare_k_above_n",
         "benchmark_time_limit_negative", "compare_no_methods",
-        "project_seed", "project_mu", "cluster_seed", "gap_tol_nan",
-        "gap_tol_negative", "worst_case_bound_nan"])
+        "compare_seed_negative", "project_seed", "project_mu", "cluster_seed",
+        "gap_tol_nan", "gap_tol_negative", "worst_case_bound_nan"])
 def test_bad_arguments_rejected_before_solving(instance, tmp_path, capsys,
                                                monkeypatch, argv, flag, code):
     def no_solve(*args, **kwargs):
@@ -199,8 +200,9 @@ def test_bad_arguments_rejected_before_solving(instance, tmp_path, capsys,
     (["--problem", "uc", "--N", "4", "--bad-fraction", "5"], "--bad-fraction"),
     (["--problem", "adn", "--bad-fraction", "nan"], "--bad-fraction"),
     (["--problem", "adn", "--bad-fraction", "-0.1"], "--bad-fraction"),
+    (["--problem", "uc", "--N", "4", "--T", "4", "--seed", "-1"], "--seed"),
 ], ids=["n_zero", "n_negative", "t_zero", "bad_fraction_above_one",
-        "bad_fraction_nan", "bad_fraction_negative"])
+        "bad_fraction_nan", "bad_fraction_negative", "seed_negative"])
 def test_bad_make_desk_arguments_rejected(tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(["make-desk", *argv, "--out", str(tmp_path / "desk")])

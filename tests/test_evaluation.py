@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import bad_scenario_ids, identity_reduction
+from oracles import bad_scenario_ids, identity_reduction, scenario_index
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.clustering import PddMatrix, ReductionResult, compute_pdd, solve_clustering
 from pdsr.errors import PdsrError
@@ -317,7 +317,7 @@ def test_eq8_style_upper_bound(desk):
 def test_worst_case_flags_on_desk_instance(desk):
     problem, ss, matrix, _ = desk
     rep = detect_worst_case(matrix)
-    bad = [ss.index_of(b) for b in bad_scenario_ids(ss)]
+    bad = [scenario_index(ss, b) for b in bad_scenario_ids(ss)]
     assert set(bad) <= set(rep.flagged_indices())
 
 

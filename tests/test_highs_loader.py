@@ -39,12 +39,18 @@ def _run(code: str) -> dict:
 
 
 def test_cli_import_keeps_heavy_scipy_subpackages_out():
+    # numpy installs warning filters of its own when it is imported
     out = _run("""
+import warnings
+import numpy
+filters = list(warnings.filters)
 import pdsr.cli, pdsr.milp
 heavy = ("scipy.optimize", "scipy.sparse", "scipy.cluster")
 print(json.dumps({"path": pdsr.milp._HIGHS_PATH,
-                  "loaded": [m for m in heavy if m in sys.modules]}))
+                  "loaded": [m for m in heavy if m in sys.modules],
+                  "filters_kept": warnings.filters == filters}))
 """)
+    assert out["filters_kept"]
     if out["path"] != "by file path":
         pytest.skip(f"HiGHS bindings loaded {out['path']}")
     assert out["loaded"] == []
@@ -78,13 +84,10 @@ import scipy.optimize
 from scipy.optimize._highspy import _core
 import pdsr.milp
 print(json.dumps({"path": pdsr.milp._HIGHS_PATH,
-                  "same": pdsr.milp._Highs is getattr(_core, "_Highs", None),
+                  "same": pdsr.milp._Highs is _core._Highs,
                   "objective": tiny_objective()}))
 """)
-    assert out["path"] in ("already imported", "scipy.optimize.milp fallback")
-    if out["path"] == "already imported":
-        assert out["same"]
-    assert out["objective"] == -1.0
+    assert out == {"path": "already imported", "same": True, "objective": -1.0}
 
 
 # the import system keeps its own reference to the loader class, and
@@ -99,7 +102,7 @@ class ExtensionFileLoader(importlib.machinery.ExtensionFileLoader):
 importlib.machinery.ExtensionFileLoader = ExtensionFileLoader
 """
 
-# the normal import of the bindings fails as well, as on a scipy without them
+# the normal import of the bindings fails as well, as on a scipy before 1.15
 BLOCKED_IMPORT = f"""
 class Block:
     def find_spec(self, name, path=None, target=None):
@@ -114,21 +117,20 @@ def test_failed_file_load_falls_back_to_the_normal_import():
     out = _run(BROKEN_LOADER + """
 import pdsr.milp
 print(json.dumps({"path": pdsr.milp._HIGHS_PATH,
-                  "bindings": pdsr.milp._Highs is not None,
                   "optimize": "scipy.optimize" in sys.modules,
                   "objective": tiny_objective()}))
 """)
-    if out["path"] == "scipy.optimize.milp fallback":
-        pytest.skip("this scipy has no HiGHS bindings")
-    assert out == {"path": "via scipy.optimize", "bindings": True,
-                   "optimize": True, "objective": -1.0}
+    assert out == {"path": "via scipy.optimize", "optimize": True,
+                   "objective": -1.0}
 
 
-def test_failed_normal_import_falls_back_to_scipy_milp():
-    # solves on this path are checked in test_highs_paths.py
+def test_blocked_bindings_import_names_the_scipy_floor():
     out = _run(BROKEN_LOADER + BLOCKED_IMPORT + """
-import pdsr.cli, pdsr.milp
-print(json.dumps({"path": pdsr.milp._HIGHS_PATH,
-                  "bindings": pdsr.milp._Highs is not None}))
+try:
+    import pdsr.milp
+    error = ""
+except ImportError as exc:
+    error = str(exc)
+print(json.dumps({"error": error}))
 """)
-    assert out == {"path": "scipy.optimize.milp fallback", "bindings": False}
+    assert "scipy>=1.15" in out["error"]

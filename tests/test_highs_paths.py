@@ -1,22 +1,16 @@
-"""The two HiGHS paths of ``pdsr.milp.highs_milp``: the direct call through
-HiGHS's own bindings and the ``scipy.optimize.milp`` fallback must return
-the same results on the same arrays."""
+"""``pdsr.milp.highs_milp`` calls HiGHS through its own bindings; on the
+same arrays it must return what ``scipy.optimize.milp`` returns."""
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.optimize import milp
 
-import pdsr.milp
 from oracles import scipy_constraints
 from pdsr.adn import AdnProblem, make_desk_instance
-from pdsr.milp import LE, MixedBinaryModel, highs_milp, solve_milp
+from pdsr.milp import LE, MixedBinaryModel, highs_milp
 from pdsr.tsso import _fixed_model, solve_scenario_specific
 from pdsr.uc import UcProblem, make_uc_desk_instance
-
-direct = pytest.mark.skipif(pdsr.milp._Highs is None,
-                            reason="HiGHS bindings not importable: only the "
-                                   "scipy.optimize.milp fallback runs")
 
 # the options solve_milp passes to the root-step LPs and to branch-and-cut
 LP_OPTIONS = {"presolve": True}
@@ -77,7 +71,6 @@ def _assert_same_optimum(ours, ref, mip):
         assert ours.mip_gap == ref.mip_gap
 
 
-@direct
 @pytest.mark.parametrize("name", ["adn_full_set", "adn_diagonal",
                                   "adn_cross_cell", "uc_full_set",
                                   "uc_diagonal", "uc_cross_cell"])
@@ -110,7 +103,6 @@ def _infeasible_lp():
     return m
 
 
-@direct
 @pytest.mark.parametrize("model, status", [(_infeasible_lp(), 2),
                                            (_unbounded_lp(), 3)],
                          ids=["infeasible", "unbounded"])
@@ -136,7 +128,6 @@ def _market_split(m=4, n=36, seed=0):
     return c, (A, d, d), bounds, integrality
 
 
-@direct
 @pytest.mark.parametrize("time_limit, incumbent", [(0.0, False), (0.5, True)],
                          ids=["no_incumbent", "incumbent"])
 def test_direct_call_matches_scipy_milp_at_time_limit(time_limit, incumbent):
@@ -146,18 +137,3 @@ def test_direct_call_matches_scipy_milp_at_time_limit(time_limit, incumbent):
     assert ours.status == ref.status == 1
     assert (ours.x is not None) == (ref.x is not None) == incumbent
 
-
-def test_fallback_adapter_is_scipy_milp(monkeypatch, desk_models):
-    # without HiGHS's bindings highs_milp is scipy.optimize.milp, and the
-    # root step and branch-and-cut of solve_milp run on it unchanged
-    model = desk_models["adn_cross_cell"]
-    c, constraints, bounds = _arrays(model)
-    binary = np.array(model.is_binary, dtype=int)
-    direct_sol = solve_milp(model)
-    monkeypatch.setattr(pdsr.milp, "_Highs", None)
-    ours, ref = _both(c, constraints, bounds, binary, MIP_OPTIONS)
-    _assert_same_optimum(ours, ref, mip=True)
-    fallback_sol = solve_milp(model)
-    assert np.array_equal(fallback_sol.x, direct_sol.x)
-    assert fallback_sol.objective == direct_sol.objective
-    assert fallback_sol.node_count == direct_sol.node_count

@@ -1,5 +1,5 @@
 """Solver backend: trivial cases, oracle cross-checks, the root step, the
-branch-and-cut options, LP-file round trip."""
+branch-and-cut options, the feasibility re-check."""
 
 import inspect
 import itertools
@@ -16,8 +16,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 import pdsr.milp
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.errors import ModelError
-from pdsr.milp import (GE, LE, EQ, LinExpr, MixedBinaryModel, export_lp_file,
-                       solve_milp)
+from pdsr.milp import GE, LE, EQ, LinExpr, MixedBinaryModel, solve_milp
 from pdsr.tsso import _fixed_model, solve_scenario_specific
 from pdsr.uc import UcProblem, make_uc_desk_instance
 from oracles import (brute_force_milp, enumerate_vertices_optimum, random_lp,
@@ -82,6 +81,20 @@ def test_expression_row_with_cancelled_coefficients_rejected():
     expr = LinExpr().add(x, 1.0).add(x, -1.0).add_const(2.0)
     with pytest.raises(ModelError, match="no nonzero coefficient"):
         m.add_expr_constraint(expr, LE, 5.0)
+    assert m.rows == []
+
+
+@pytest.mark.parametrize("add", [
+    lambda m, x: m.add_constraint({x: 1.0}, "<", 3.0),
+    lambda m, x: m.add_expr_constraint(LinExpr().add(x, 1.0), "<", 3.0),
+], ids=["coefficient_row", "expression_row"])
+def test_unknown_relation_rejected(add):
+    # an expression row with "<" once solved as the equality x = 3
+    m = MixedBinaryModel()
+    x = m.add_var("x", 0.0, 10.0)
+    m.add_objective(x, 1.0)
+    with pytest.raises(ModelError, match="unknown relation '<'"):
+        add(m, x)
     assert m.rows == []
 
 
@@ -407,7 +420,7 @@ def test_adn_cross_cell_branch_and_cut_matches_highs_defaults(monkeypatch):
 
 
 def test_option_warning_filtered_in_a_fresh_interpreter():
-    # the module-level filter must hold in a plain interpreter that turns
+    # a solve must warn nothing in a plain interpreter that turns
     # RuntimeWarning into an error, not only under pytest's own filters
     code = "\n".join([
         "from pdsr.milp import LE, MixedBinaryModel, solve_milp",
@@ -467,120 +480,3 @@ def test_time_limit_returns_gap_limit():
     sol = solve_milp_reference(model, gap_tol=0.0, time_limit=0.0)
     assert sol.status in ("gap_limit", "optimal", "infeasible")
 
-
-# -- LP-file export ---------------------------------------------------------
-
-
-def parse_lp_file(path):
-    """Independent minimal reader for the exported subset of the LP format.
-
-    Returns (objective dict by name, constant, rows, bounds, binaries).
-    """
-    sections = {"minimize": [], "subject to": [], "bounds": [], "binaries": []}
-    current = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            low = line.lower()
-            if low in ("minimize", "subject to", "bounds", "binaries", "end"):
-                current = None if low == "end" else low
-                continue
-            sections[current].append(line)
-
-    def parse_terms(text):
-        # the exported grammar always writes explicit coefficients:
-        # "c name" pairs joined by +/- sign tokens, optional bare constant
-        toks = text.split()
-        coeffs, const, sign, i = {}, 0.0, 1.0, 0
-        while i < len(toks):
-            tok = toks[i]
-            if tok in ("+", "-"):
-                sign = 1.0 if tok == "+" else -1.0
-                i += 1
-                continue
-            value = float(tok)
-            if i + 1 < len(toks) and toks[i + 1] not in ("+", "-"):
-                name = toks[i + 1]
-                coeffs[name] = coeffs.get(name, 0.0) + sign * value
-                i += 2
-            else:
-                const += sign * value
-                i += 1
-            sign = 1.0
-        return coeffs, const
-
-    obj_text = " ".join(sections["minimize"])
-    assert obj_text.startswith("obj:")
-    obj, const = parse_terms(obj_text[4:])
-    rows = []
-    for line in sections["subject to"]:
-        _, body = line.split(":", 1)
-        for op in ("<=", ">=", "="):
-            if f" {op} " in body:
-                lhs, rhs = body.rsplit(f" {op} ", 1)
-                coeffs, _ = parse_terms(lhs)
-                rows.append((coeffs, op, float(rhs)))
-                break
-    bounds = {}
-    for line in sections["bounds"]:
-        if line.endswith(" free"):
-            bounds[line[:-5].strip()] = (-math.inf, math.inf)
-        elif " <= " in line:
-            parts = line.split(" <= ")
-            if len(parts) == 3:
-                bounds[parts[1].strip()] = (float(parts[0]), float(parts[2]))
-            else:
-                bounds[parts[0].strip()] = (-math.inf, float(parts[1]))
-        elif " >= " in line:
-            name, lo = line.split(" >= ")
-            bounds[name.strip()] = (float(lo), math.inf)
-    return obj, const, rows, bounds, set(sections["binaries"])
-
-
-def test_export_single_variable(tmp_path):
-    m = MixedBinaryModel()
-    x = m.add_var("x", 0.0, 10.0)
-    m.add_objective(x, 2.0)
-    path = tmp_path / "m.lp"
-    export_lp_file(m, path)
-    text = path.read_text()
-    assert text.count("obj:") == 1
-    assert "obj: 2.0 x" in text
-    bounds_lines = text.split("Bounds\n")[1].splitlines()
-    assert [l for l in bounds_lines if l.strip() and l != "End"] == [" 0.0 <= x <= 10.0"]
-
-
-def test_export_round_trip(tmp_path):
-    rng = np.random.default_rng(21)
-    model, _ = random_milp(rng, max_binaries=4, max_cont=3)
-    path = tmp_path / "model.lp"
-    export_lp_file(model, path)
-    obj, const, rows, bounds, binaries = parse_lp_file(path)
-    names = model.var_names
-    expected_obj = {names[j]: a for j, a in model.obj.items() if a != 0.0}
-    assert set(obj) == set(expected_obj)
-    for name, coef in expected_obj.items():
-        assert obj[name] == pytest.approx(coef, abs=1e-12)
-    assert const == 0.0
-    assert len(rows) == len(model.rows)
-    for (coeffs, op, rhs), (exp_c, exp_rel, exp_rhs) in zip(rows, model.rows):
-        expected = {names[j]: a for j, a in exp_c.items() if a != 0.0}
-        assert coeffs == pytest.approx(expected)
-        assert rhs == pytest.approx(exp_rhs, abs=1e-12)
-        assert op == exp_rel
-    for j, name in enumerate(names):
-        assert bounds[name][0] == pytest.approx(model.lb[j])
-        assert bounds[name][1] == pytest.approx(model.ub[j])
-    assert binaries == {names[j] for j in model.binary_indices}
-
-
-def test_export_no_constraints(tmp_path):
-    m = MixedBinaryModel()
-    x = m.add_var("x", 0.0, 1.0)
-    m.add_objective(x, 1.0)
-    path = tmp_path / "empty.lp"
-    export_lp_file(m, path)
-    text = path.read_text()
-    assert "Subject To\nBounds" in text  # empty section is still valid
