@@ -15,7 +15,7 @@ import numpy as np
 
 from .clustering import PddMatrix, ReductionResult
 from .errors import PdsrError
-from .milp import DEFAULT_GAP_TOL, GAP_LIMIT
+from .milp import DEFAULT_GAP_TOL, GAP_LIMIT, MixedBinaryModel
 from .parallel import pmap
 from .projection import ProblemSpaceMatrix, solve_benchmark
 from .scenarios import ScenarioSet
@@ -74,15 +74,38 @@ class GapOutcome:
     mean_components: dict         # objective slices, probability-weighted
 
 
+@dataclass
+class VerificationStore:
+    """What one command keeps between verifications on its scenario set:
+    each scenario's program, compiled on first use so that later decisions
+    re-solve warm on its HiGHS instance in the command's order (whatever
+    the worker count), and each verified decision's result by its bytes."""
+
+    models: dict[int, MixedBinaryModel] = field(default_factory=dict)
+    verified: dict[bytes, tuple] = field(default_factory=dict)
+
+
 def verification_costs(problem: TssoProblem, decision: FirstStageDecision,
                        scenario_set: ScenarioSet,
-                       gap_tol: float = DEFAULT_GAP_TOL, workers: int = 1):
+                       gap_tol: float = DEFAULT_GAP_TOL, workers: int = 1,
+                       store: VerificationStore | None = None):
     """Per-scenario objective of a fixed decision, and each objective
     group's cost averaged over the scenarios with their probabilities (so
-    the groups sum to the full-set objective)."""
-    pairs = pmap(lambda s: evaluate_with_fixed_first_stage(
-        problem, decision, s, gap_tol=gap_tol, with_components=True),
-        scenario_set.scenarios, workers)
+    the groups sum to the full-set objective).  Scenario programs come from
+    ``store`` (compiled into it on first use); without one they are
+    compiled for this call."""
+    models = {} if store is None else store.models
+    scenarios = scenario_set.scenarios
+
+    def evaluate(j: int):
+        model = models.get(j)
+        if model is None:
+            model = models[j] = problem.build_model([scenarios[j]], [1.0])
+        return evaluate_with_fixed_first_stage(
+            problem, decision, scenarios[j], gap_tol=gap_tol,
+            with_components=True, model=model)
+
+    pairs = pmap(evaluate, range(len(scenarios)), workers)
     values = [float(v) for v, _ in pairs]
     groups = sorted(pairs[0][1]) if pairs else []
     means = {g: float(np.dot(scenario_set.probabilities,
@@ -101,27 +124,27 @@ def _benchmark(problem: TssoProblem, scenario_set: ScenarioSet, gap_tol: float,
 
 def _verified(problem: TssoProblem, decision: FirstStageDecision,
               scenario_set: ScenarioSet, gap_tol: float, workers: int,
-              verified: dict):
-    """:func:`verification_costs` of ``decision``, computed once per
-    distinct decision value: ``verified`` maps the bytes of decisions
-    already verified on ``scenario_set`` to their result."""
+              store: VerificationStore):
+    """:func:`verification_costs` of ``decision`` on the programs of
+    ``store``, computed once per distinct decision value."""
     key = decision.values.tobytes()
-    if key not in verified:
-        verified[key] = verification_costs(problem, decision, scenario_set,
-                                           gap_tol=gap_tol, workers=workers)
-    return verified[key]
+    if key not in store.verified:
+        store.verified[key] = verification_costs(
+            problem, decision, scenario_set, gap_tol=gap_tol, workers=workers,
+            store=store)
+    return store.verified[key]
 
 
 def _reduced_gap(problem: TssoProblem, scenario_set: ScenarioSet, reps,
                  weights, bench_obj: float | None, gap_tol: float,
-                 workers: int, verified: dict) -> GapOutcome:
+                 workers: int, store: VerificationStore) -> GapOutcome:
     """Solve the program on scenarios ``reps`` with ``weights``, then verify
     its decision on every scenario of the full set (see :func:`_verified`)."""
     z_red, _, _ = solve_stochastic(
         problem, [scenario_set.scenarios[r] for r in reps], weights,
         gap_tol=gap_tol)
     vals, means = _verified(problem, z_red, scenario_set, gap_tol, workers,
-                            verified)
+                            store)
     reduced_on_full = float(np.dot(scenario_set.probabilities, vals))
     og_abs = og_pct = None
     if bench_obj is not None:
@@ -134,42 +157,48 @@ def _reduced_gap(problem: TssoProblem, scenario_set: ScenarioSet, reps,
 def optimality_gap(problem: TssoProblem, scenario_set: ScenarioSet,
                    result: ReductionResult, gap_tol: float = DEFAULT_GAP_TOL,
                    workers: int = 1, benchmark=None,
-                   verified: dict | None = None) -> GapOutcome:
+                   store: VerificationStore | None = None) -> GapOutcome:
     """Loss from dispatching on the reduced set, verified on the full set.
 
     ``benchmark`` is the full-set (decision, objective) pair the loss is
     measured against.  When it is falsy (None or False, e.g. the benchmark
     solve hit its time limit) the gap is reported as not-computed (None)
     and only the full-set cost of the reduced decision is available.
-    ``verified``, shared across calls on one scenario set, lets a decision
-    verified before be reused instead of verified again.
+    ``store``, shared across calls on one scenario set, compiles each
+    scenario's program once and lets a decision verified before be reused
+    instead of verified again.
     """
     reps = result.representatives
     return _reduced_gap(problem, scenario_set, reps,
                         [result.weights[r] for r in reps],
                         float(benchmark[1]) if benchmark else None,
-                        gap_tol, workers, {} if verified is None else verified)
+                        gap_tol, workers,
+                        VerificationStore() if store is None else store)
 
 
 def scenario_effectiveness(problem: TssoProblem, scenario_set: ScenarioSet,
                            result: ReductionResult, base: GapOutcome,
                            gap_tol: float = DEFAULT_GAP_TOL,
-                           workers: int = 1) -> dict[int, float]:
+                           workers: int = 1,
+                           store: VerificationStore | None = None
+                           ) -> dict[int, float]:
     """Increase in percent optimality gap when one representative is
     removed (remaining weights renormalized to sum to one), measured
-    against ``base``, the gap outcome of ``result`` itself."""
+    against ``base``, the gap outcome of ``result`` itself.  The drops
+    share ``store`` (see :func:`optimality_gap`), or one of their own."""
     if result.k < 2:
         raise ValueError("scenario effectiveness requires at least 2 representatives")
     if base.og_pct is None:
         raise PdsrError("scenario effectiveness needs a percent gap (no "
                         "benchmark, or its objective is too close to zero)")
+    store = VerificationStore() if store is None else store
     se = {}
     for drop in result.representatives:
         keep = [r for r in result.representatives if r != drop]
         mass = sum(result.weights[r] for r in keep)
         out = _reduced_gap(problem, scenario_set, keep,
                            [result.weights[r] / mass for r in keep],
-                           base.benchmark_objective, gap_tol, workers, {})
+                           base.benchmark_objective, gap_tol, workers, store)
         se[drop] = out.og_pct - base.og_pct
     return se
 
@@ -266,15 +295,18 @@ def evaluate_reduction(problem: TssoProblem, scenario_set: ScenarioSet,
                        workers: int = 1, with_se: bool = True,
                        worst_case_bound: float = 2.0,
                        benchmark_time_limit: float | None = None) -> EvaluationReport:
-    """Assemble the full evaluation report for one reduction."""
+    """Assemble the full evaluation report for one reduction; its gap and
+    every drop of its scenario effectiveness share one
+    :class:`VerificationStore`."""
     timings = {}
     t0 = time.monotonic()
     bench = _benchmark(problem, scenario_set, gap_tol, benchmark_time_limit)
     timings["benchmark_seconds"] = time.monotonic() - t0
 
     t0 = time.monotonic()
+    store = VerificationStore()
     gap = optimality_gap(problem, scenario_set, result, gap_tol=gap_tol,
-                         workers=workers, benchmark=bench)
+                         workers=workers, benchmark=bench, store=store)
     timings["gap_seconds"] = time.monotonic() - t0
 
     try:
@@ -286,7 +318,7 @@ def evaluate_reduction(problem: TssoProblem, scenario_set: ScenarioSet,
     if with_se and result.k >= 2 and bench is not None:
         t0 = time.monotonic()
         se = scenario_effectiveness(problem, scenario_set, result, gap,
-                                    gap_tol, workers)
+                                    gap_tol, workers, store=store)
         timings["se_seconds"] = time.monotonic() - t0
 
     wc = detect_worst_case(matrix, bound=worst_case_bound)
@@ -338,12 +370,12 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
                  "og_abs": 0.0 if bench else None,
                  "objective_on_full": bench[1] if bench else None,
                  "representatives": list(range(len(scenario_set)))}
-    # a decision two reductions (or a reduction and the benchmark) share is
-    # verified once
-    verified: dict[bytes, tuple] = {}
+    # each scenario is compiled once, and a decision two reductions (or a
+    # reduction and the benchmark) share is verified once
+    store = VerificationStore()
     if bench:
         _, means = _verified(problem, bench[0], scenario_set, gap_tol, workers,
-                             verified)
+                             store)
         bench_row["mean_components"] = means
         bench_row["first_stage"] = problem.first_stage_summary(bench[0])
     rows.append(bench_row)
@@ -369,7 +401,7 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
             if key not in gaps:
                 gaps[key] = optimality_gap(problem, scenario_set, result,
                                            gap_tol=gap_tol, workers=workers,
-                                           benchmark=bench, verified=verified)
+                                           benchmark=bench, store=store)
             gap = gaps[key]
             tm["evaluation_seconds"] = time.monotonic() - t0
             row.update({

@@ -16,9 +16,11 @@ switched off: on the small programs that reach it the heuristic found
 nothing the root node did not, yet took most of each call.
 
 Every HiGHS call goes through :func:`highs_milp`, which hands the model's
-cached CSC arrays, bounds and costs straight to a fresh HiGHS instance
-through the HiGHS bindings bundled with scipy, and sets only the options
-the call names.  Those bindings are one extension module,
+cached CSC arrays, bounds and costs straight to a HiGHS instance through
+the HiGHS bindings bundled with scipy, and sets only the options the call
+names.  The root-step LPs re-solve warm on one instance the model keeps
+(see :class:`MixedBinaryModel`); branch-and-cut runs on a fresh one.
+Those bindings are one extension module,
 ``scipy.optimize._highspy._core``; it is loaded from its file and
 registered under that name, so importing this module runs none of
 ``scipy.optimize``, ``scipy.sparse`` or their array-API layer, which took
@@ -26,8 +28,9 @@ most of a CLI command's start-up, and a later ``import scipy.optimize``
 reuses it.  When that load fails, the same module is imported the normal
 way; scipy bundles it from 1.15 on.
 
-Determinism contract: two solves of the same model produce identical
-variable values.
+Determinism contract: the same sequence of solves on the same model
+produces identical variable values; the first solve of a model depends on
+nothing before it.
 """
 
 from __future__ import annotations
@@ -133,9 +136,14 @@ class MixedBinaryModel:
     """A minimize-sense mixed-binary linear program.
 
     Models are append-only while being built, apart from variable bounds,
-    which a caller may tighten before solving (a first-stage decision is
-    fixed by setting ``lb = ub`` on its columns).  A model must not be
-    mutated once a solve has started; solves on distinct instances may run
+    which a caller may tighten before solving; :func:`solve_milp` also
+    takes ``(lb, ub)`` overrides that leave the model untouched (a
+    first-stage decision is fixed by ``lb = ub`` on its columns).
+
+    A model holds one HiGHS instance with its LP relaxation, created by the
+    first root-step LP and dropped whenever a column, row or objective term
+    is added; later root-step LPs re-solve warm on it.  So never solve one
+    model from two threads at once; solves on distinct models may run
     concurrently.
     """
 
@@ -153,6 +161,7 @@ class MixedBinaryModel:
         self.gating: list[tuple[int, int, int]] = []
         self._ranges = None
         self._entry_col = None  # column of each CSC entry, set with _ranges
+        self._highs = None  # HiGHS instance of the LP relaxation (highs_milp)
 
     # -- construction -----------------------------------------------------
 
@@ -166,7 +175,7 @@ class MixedBinaryModel:
         self.lb.append(float(lb))
         self.ub.append(float(ub))
         self.is_binary.append(bool(binary))
-        self._ranges = None
+        self._ranges = self._highs = None
         return len(self.var_names) - 1
 
     def add_constraint(self, coeffs: dict[int, float], relation: str, rhs: float):
@@ -196,11 +205,12 @@ class MixedBinaryModel:
         if relation not in (LE, EQ, GE):
             raise ModelError(f"unknown relation {relation!r}")
         self.rows.append((coeffs, relation, rhs))
-        self._ranges = None
+        self._ranges = self._highs = None
 
     def add_objective(self, var: int, coef: float, group: str | None = None):
         """Accumulate ``coef * x[var]`` into the objective (and a group)."""
         self.obj[var] = self.obj.get(var, 0.0) + coef
+        self._highs = None
         if group:
             g = self.obj_groups.setdefault(group, {})
             g[var] = g.get(var, 0.0) + coef
@@ -227,11 +237,14 @@ class MixedBinaryModel:
             total += a * x[j]
         return total
 
-    def validate(self):
-        """Reject bad bounds and non-finite objective or row data; expression
-        rows skip :meth:`add_constraint`'s eager check, so all rows are
-        checked here, once, on the assembled arrays."""
-        lb, ub = np.array(self.lb), np.array(self.ub)
+    def validate(self, bounds=None):
+        """Reject bad bounds (the model's, or the ``(lb, ub)`` override) and
+        non-finite objective or row data; expression rows skip
+        :meth:`add_constraint`'s eager check, so all rows are checked here,
+        once, on the assembled arrays."""
+        lb, ub = self._bounds(bounds)
+        if lb.shape != (self.num_vars,) or ub.shape != (self.num_vars,):
+            raise ModelError(f"bounds must hold {self.num_vars} values each")
         bad_lb = np.isnan(lb) | (lb == math.inf)
         bad_ub = np.isnan(ub)
         bad_bin = np.array(self.is_binary, dtype=bool) & ((lb < 0.0) | (ub > 1.0))
@@ -259,18 +272,28 @@ class MixedBinaryModel:
         if not (np.isfinite(lo) | np.isfinite(hi)).all():
             raise ModelError("non-finite right-hand side")
 
-    def max_violation(self, x: np.ndarray) -> float:
+    def max_violation(self, x: np.ndarray, bounds=None) -> float:
         """Largest constraint or bound violation of ``x`` (equalities
-        two-sided); one sparse mat-vec over the cached row ranges, which
-        sums each row in CSC entry order."""
+        two-sided), against the model's bounds or the ``(lb, ub)``
+        override; one sparse mat-vec over the cached row ranges, which sums
+        each row in CSC entry order."""
         x = np.asarray(x, dtype=float)
         A, lo, hi = self._row_ranges()
+        lb, ub = self._bounds(bounds)
         act = np.bincount(A.indices, weights=A.data * x[self._entry_col],
                           minlength=A.shape[0])
         return max(float(np.max(lo - act, initial=0.0)),
                    float(np.max(act - hi, initial=0.0)),
-                   float(np.max(np.asarray(self.lb) - x, initial=0.0)),
-                   float(np.max(x - np.asarray(self.ub), initial=0.0)))
+                   float(np.max(lb - x, initial=0.0)),
+                   float(np.max(x - ub, initial=0.0)))
+
+    def _bounds(self, bounds=None):
+        """``(lb, ub)`` as float arrays: the override if given, else copies
+        of the model's own."""
+        if bounds is None:
+            return np.array(self.lb), np.array(self.ub)
+        return (np.asarray(bounds[0], dtype=float),
+                np.asarray(bounds[1], dtype=float))
 
     # -- solver-facing arrays ----------------------------------------------
 
@@ -337,7 +360,7 @@ def _gating_repair(model: MixedBinaryModel, x: np.ndarray) -> dict[int, int]:
 
 
 def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
-               time_limit: float | None = None) -> Solution:
+               time_limit: float | None = None, bounds=None) -> Solution:
     """Exactly solve the mixed-binary model to a proven relative gap.
 
     First a root step (:func:`_root_step`): the LP relaxation is solved and
@@ -351,13 +374,19 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
     branch-and-cut runs single-threaded without its feasibility-jump
     heuristic, which took most of each call on the desk programs and changed
     no result (HiGHS builds that lack the option ignore it).  Both are
-    deterministic: identical input gives identical variable values.  With
+    deterministic: the first solve of a model, or the same sequence of
+    solves on it, gives identical variable values.  With
     ``time_limit`` the root step is skipped and, when the limit is hit, the
-    best incumbent is returned with status ``gap_limit``.  The test suite
+    best incumbent is returned with status ``gap_limit``.  ``bounds``, an
+    ``(lb, ub)`` pair of arrays, replaces the model's variable bounds for
+    this solve without changing them.
+
+    The root-step LPs re-solve on the HiGHS instance the model keeps, so
+    never solve one model from two threads at once.  The test suite
     cross-checks this routine against brute-force enumeration and an
     independent reference branch-and-bound.
     """
-    model.validate()
+    model.validate(bounds)
     if not (math.isfinite(gap_tol) and gap_tol >= 0):
         raise ModelError(f"gap_tol must be finite and >= 0, got {gap_tol}")
     c = np.zeros(model.num_vars)
@@ -365,7 +394,7 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
         c[j] = a
     integrality = np.array(model.is_binary, dtype=int)
     constraints = model._row_ranges()
-    bounds = (np.array(model.lb), np.array(model.ub))
+    bounds = model._bounds(bounds)
     if time_limit is None and integrality.any():
         root = _root_step(model, c, constraints, bounds, gap_tol)
         if root is not None:
@@ -379,7 +408,7 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
     nodes = max(1, int(res.mip_node_count or 0))
     if res.status == 0:
         x = np.asarray(res.x)
-        viol = model.max_violation(x)
+        viol = model.max_violation(x, bounds)
         if viol > 1e-5:
             raise SolverError(f"solution violates constraints by {viol:.3e}")
         gap = float(res.mip_gap or 0.0)
@@ -407,10 +436,11 @@ def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
     discharge left by the LP under a repaired gate) gets one more LP with
     every binary fixed at its repaired value, but only when no binary
     outside the gating triples was fractional: a fractional commitment or
-    clustering binary signals a weak bound a fixed-binary LP cannot close."""
+    clustering binary signals a weak bound a fixed-binary LP cannot close.
+    Both LPs run on the model's kept HiGHS instance."""
     relaxed = np.zeros(model.num_vars, dtype=int)
     res = highs_milp(c, constraints=constraints, integrality=relaxed,
-                     bounds=bounds, options={"presolve": True})
+                     bounds=bounds, options={"presolve": True}, model=model)
     if res.status != 0:
         return None
     bound = float(res.fun)
@@ -420,7 +450,7 @@ def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
     values = np.fromiter(fix.values(), dtype=float, count=len(fix))
     lp_binaries = x[binaries]
     x[binaries] = values
-    if model.max_violation(x) > 1e-5:
+    if model.max_violation(x, bounds) > 1e-5:
         gates = {d for d, _, _ in model.gating}
         fractional = np.abs(lp_binaries - np.round(lp_binaries)) > _INT_TOL
         if any(int(j) not in gates for j in binaries[fractional]):
@@ -428,12 +458,13 @@ def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
         lb, ub = bounds[0].copy(), bounds[1].copy()
         lb[binaries] = ub[binaries] = values
         res = highs_milp(c, constraints=constraints, integrality=relaxed,
-                         bounds=(lb, ub), options={"presolve": True})
+                         bounds=(lb, ub), options={"presolve": True},
+                         model=model)
         if res.status != 0:
             return None
         x = np.array(res.x, dtype=float)
         x[binaries] = values
-        if model.max_violation(x) > 1e-5:
+        if model.max_violation(x, bounds) > 1e-5:
             return None
     obj = float(c @ x)
     slack = obj - bound
@@ -472,10 +503,10 @@ class HighsResult:
     mip_gap: float | None
 
 
-def highs_milp(c, *, constraints, integrality, bounds, options):
+def highs_milp(c, *, constraints, integrality, bounds, options, model=None):
     """Minimize ``c @ x`` over ``lower <= A @ x <= upper``, ``lb <= x <= ub``
     and integral columns where ``integrality`` is 1, with one fresh HiGHS
-    instance.
+    instance, or with the one ``model`` keeps.
 
     ``constraints`` is the ``(A, lower, upper)`` triple of
     :meth:`MixedBinaryModel._row_ranges`, where ``A`` is any CSC matrix
@@ -487,23 +518,40 @@ def highs_milp(c, *, constraints, integrality, bounds, options):
     a point), and, for a MILP with a point, ``mip_node_count`` and
     ``mip_gap``: what ``scipy.optimize.milp`` returns for the same
     arguments.
+
+    With ``model`` (an LP over that model's arrays) the instance is kept on
+    the model: later calls only change every column's bounds and run again,
+    so HiGHS starts the dual simplex from the basis the last call left.  So
+    never call it for one model from two threads at once.
     """
     A, lower, upper = constraints
     lb, ub = bounds
     integrality = np.asarray(integrality, dtype=np.int32)
     is_mip = bool(integrality.any())
-    highs = _Highs()
-    highs.setOptionValue("log_to_console", False)
+    highs = None if model is None else model._highs
+    warm = highs is not None
+    if not warm:
+        highs = _Highs()
+        highs.setOptionValue("log_to_console", False)
     for key, value in options.items():
         if key == "presolve":
             value = "on" if value else "off"
         highs.setOptionValue(key, value)
     x = fun = nodes = gap = None
-    # the array form of passModel copies each buffer once; filling a
-    # HighsLp converts the integer arrays element by element
-    if highs.passModel(A.shape[1], A.shape[0], int(A.indptr[-1]), _COLWISE,
-                       _MINIMIZE, 0.0, c, lb, ub, lower, upper, A.indptr,
-                       A.indices, A.data, integrality) == HighsStatus.kError:
+    solved = False
+    if warm:
+        # a bound change keeps the basis, which the next run starts from
+        n = A.shape[1]
+        loaded = highs.changeColsBounds(n, np.arange(n, dtype=np.int32),
+                                        lb, ub) != HighsStatus.kError
+    else:
+        # the array form of passModel copies each buffer once; filling a
+        # HighsLp converts the integer arrays element by element
+        loaded = highs.passModel(
+            A.shape[1], A.shape[0], int(A.indptr[-1]), _COLWISE, _MINIMIZE,
+            0.0, c, lb, ub, lower, upper, A.indptr, A.indices, A.data,
+            integrality) != HighsStatus.kError
+    if not loaded:
         status = HighsModelStatus.kModelError
     else:
         solved = highs.run() != HighsStatus.kError
@@ -516,6 +564,8 @@ def highs_milp(c, *, constraints, integrality, bounds, options):
             fun = info.objective_function_value
             if is_mip:
                 nodes, gap = info.mip_node_count, info.mip_gap
+    if model is not None:
+        model._highs = highs if solved else None
     return HighsResult(_SCIPY_STATUS.get(status, 4),
                        highs.modelStatusToString(status), x, fun, nodes, gap)
 

@@ -211,11 +211,12 @@ def solve_scenario_specific(problem: TssoProblem, scenario,
     return z, obj
 
 
-def _fixed_model(problem: TssoProblem, decision: FirstStageDecision,
-                 scenario) -> MixedBinaryModel:
-    """The single-scenario program with every first-stage column fixed at
-    the decision (``lb = ub``); binary columns are rounded to exact 0/1 so
-    the gating rows see clean commitments."""
+def _fixed_bounds(problem: TssoProblem, decision: FirstStageDecision,
+                  model: MixedBinaryModel):
+    """``(lb, ub)`` of ``model``, a program of the problem with a free first
+    stage, with every first-stage column fixed at the decision
+    (``lb = ub``); binary columns are rounded to exact 0/1 so the gating
+    rows see clean commitments.  The model itself is left as it is."""
     names = problem.first_stage_names()
     values = np.asarray(decision.values, dtype=float)
     if values.shape != (len(names),):
@@ -223,33 +224,40 @@ def _fixed_model(problem: TssoProblem, decision: FirstStageDecision,
                           f"the problem has {len(names)}")
     if not np.isfinite(values).all():
         raise ConfigError("first-stage decision has non-finite values")
-    model = problem.build_model([scenario], [1.0])
+    lb, ub = np.array(model.lb), np.array(model.ub)
     for name, value in zip(names, values):
         j = model.index_of(name)
         if model.is_binary[j]:
             value = round(value)
-        model.lb[j] = model.ub[j] = float(value)
-    return model
+        lb[j] = ub[j] = float(value)
+    return lb, ub
 
 
 def evaluate_with_fixed_first_stage(problem: TssoProblem,
                                     decision: FirstStageDecision, scenario,
                                     gap_tol: float = DEFAULT_GAP_TOL,
-                                    with_components: bool = False):
+                                    with_components: bool = False,
+                                    model: MixedBinaryModel | None = None):
     """Evaluate F(z, xi): first-stage cost plus optimal recourse for one
     scenario, the problem-space entry of the paper.
 
-    The scenario's program is compiled with a free first stage, whose
-    columns are then fixed at ``decision`` by their bounds; one MILP solve
-    gives the value.  A decision of the wrong length raises ConfigError.
-    With ``with_components`` returns (value, named objective slices).
+    The scenario's program, compiled with a free first stage, is solved
+    once with its first-stage columns fixed at ``decision`` by bound
+    overrides.  ``model`` is that program compiled before (its bounds are
+    not changed), so several decisions can share one compile and re-solve
+    warm on its HiGHS instance; without it the program is compiled here.
+    A decision of the wrong length raises ConfigError.  With
+    ``with_components`` returns (value, named objective slices).
     """
-    model = _fixed_model(problem, decision, scenario)
-    sol = solve_milp(model, gap_tol=gap_tol)
+    if model is None:
+        model = problem.build_model([scenario], [1.0])
+    sol = solve_milp(model, gap_tol=gap_tol,
+                     bounds=_fixed_bounds(problem, decision, model))
     if sol.status != OPTIMAL or sol.x is None:
         raise RecourseError(
             f"second stage {sol.status} for fixed first stage "
-            f"(source scenario {decision.source_scenario!r})")
+            f"(source scenario {decision.source_scenario!r}) on scenario "
+            f"{scenario.id!r}")
     if not with_components:
         return sol.objective
     groups = {g: model.group_value(g, sol.x) for g in model.obj_groups}

@@ -4,8 +4,9 @@ Everything here recomputes expected values from first principles
 (enumeration, brute force) or through a second solver path: an LP solve by
 ``linprog`` on matrices assembled straight from ``model.rows``, and a
 best-first branch-and-bound over those LPs.  None of it calls
-``solve_milp``, the routine it checks.  The last section holds small
-scenario-set helpers the tests share and no pipeline command uses.
+``solve_milp``, the routine it checks.  The last sections hold a
+fixed-decision model and small scenario-set helpers the tests share and
+no pipeline command uses.
 """
 
 import itertools
@@ -24,6 +25,7 @@ from pdsr.milp import (DEFAULT_GAP_TOL, EQ, GAP_LIMIT, GE, INFEASIBLE, LE,
                        OPTIMAL, UNBOUNDED, MixedBinaryModel, Solution,
                        _INT_TOL, _gating_repair)
 from pdsr.scenarios import ScenarioSet
+from pdsr.tsso import _fixed_bounds
 
 
 @dataclass
@@ -356,6 +358,19 @@ def enumerate_clustering(d, gamma, beta=None, fixed_k=None):
                 cost += beta * r / n
             best = min(best, cost)
     return best
+
+
+# -- fixed-decision models ---------------------------------------------------
+
+
+def fixed_model(problem, decision, scenario) -> MixedBinaryModel:
+    """Scenario ``scenario``'s program with its first-stage columns fixed at
+    ``decision`` in the model's own bounds (binaries rounded), the model
+    ``evaluate_with_fixed_first_stage`` solves through bound overrides."""
+    model = problem.build_model([scenario], [1.0])
+    model.lb, model.ub = (b.tolist() for b in _fixed_bounds(problem, decision,
+                                                             model))
+    return model
 
 
 # -- scenario-set helpers ----------------------------------------------------

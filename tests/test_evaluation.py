@@ -6,10 +6,11 @@ import pytest
 from oracles import bad_scenario_ids, identity_reduction, scenario_index
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.clustering import PddMatrix, ReductionResult, compute_pdd, solve_clustering
-from pdsr.errors import PdsrError
+from pdsr.errors import PdsrError, RecourseError
 from pdsr.evaluation import (GapOutcome, compare_methods, detect_worst_case,
                              evaluate_reduction, optimality_gap, pddbi,
-                             scenario_effectiveness, spdd)
+                             scenario_effectiveness, spdd, verification_costs)
+from pdsr.milp import INFEASIBLE, Solution
 from pdsr.projection import ProblemSpaceMatrix, build_problem_space_matrix, solve_benchmark
 from pdsr.scenarios import ScenarioSet
 from pdsr.uc import UcProblem, make_uc_desk_instance
@@ -248,7 +249,8 @@ def test_evaluate_reduction_calls_module_scenario_effectiveness(desk,
     red = solve_clustering(pdd, ss.probabilities, fixed_k=3)
     calls = []
 
-    def counted(problem, scenario_set, result, base, gap_tol, workers):
+    def counted(problem, scenario_set, result, base, gap_tol, workers,
+                store=None):
         calls.append(base)
         return {r: 0.0 for r in result.representatives}
 
@@ -341,6 +343,45 @@ def test_verification_costs_match_independent_loop(desk):
     assert gap.mean_components == report.verification_costs["mean_components"]
 
 
+def test_failed_verification_names_its_scenario(desk, monkeypatch):
+    import pdsr.tsso
+    problem, ss, matrix, _ = desk
+    monkeypatch.setattr(pdsr.tsso, "solve_milp", lambda *args, **kwargs:
+                        Solution(INFEASIBLE, np.inf, None))
+    decision = matrix.decisions[2]
+    with pytest.raises(RecourseError) as err:
+        verification_costs(problem, decision, ss)
+    assert "source scenario 2" in str(err.value)
+    assert f"on scenario {ss.scenarios[0].id!r}" in str(err.value)
+
+
+def test_store_shared_by_more_worker_threads_than_cores(desk, monkeypatch):
+    # worker threads fill one store; with frequent thread switches each
+    # scenario is still compiled once and the report matches one worker's
+    import sys
+    problem, ss, matrix, _ = desk
+    pdd = compute_pdd(matrix)
+    red = solve_clustering(pdd, ss.probabilities, fixed_k=3)
+    compiles = []
+    build = problem.build_model
+
+    def compiled(*args, **kwargs):
+        compiles.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(problem, "build_model", compiled)
+    one = evaluate_reduction(problem, ss, red, matrix, pdd, workers=1)
+    compiles.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = evaluate_reduction(problem, ss, red, matrix, pdd, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(compiles) == len(ss) + red.k + 2
+    assert many.to_json_dict() == one.to_json_dict()
+
+
 def test_each_decision_solved_and_verified_once(monkeypatch):
     # every distinct reduced decision is solved once and verified once per
     # scenario, and the full-set benchmark is solved once per command
@@ -361,17 +402,30 @@ def test_each_decision_solved_and_verified_once(monkeypatch):
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(pdsr.tsso, "solve_milp", counted)
+    # every program compiled: the benchmark, each reduced program and, once
+    # per command, each scenario's program that decisions are verified on
+    compiles = []
+    build = problem.build_model
+
+    def compiled(*args, **kwargs):
+        compiles.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(problem, "build_model", compiled)
     n, k, m = len(ss), red.k, len(methods)
 
     evaluate_reduction(problem, ss, red, matrix, pdd)
     assert len(calls) == (k + 1) * (n + 1) + 1 == 36
+    assert len(compiles) == n + k + 2 == 12
     calls.clear()
+    compiles.clear()
     rows, _ = compare_methods(problem, ss, methods, k, matrix=matrix)
     assert [r["status"] for r in rows] == ["ok"] * (m + 1)
     # on this instance two methods pick the same reduction
     distinct = len({tuple(r["representatives"]) for r in rows[1:]})
     assert distinct < m
     assert len(calls) == (distinct + 1) * (n + 1)
+    assert len(compiles) == 1 + distinct + n
 
 
 def test_compare_verifies_each_distinct_decision_once(monkeypatch):

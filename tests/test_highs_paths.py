@@ -6,10 +6,10 @@ import pytest
 from scipy import sparse
 from scipy.optimize import milp
 
-from oracles import scipy_constraints
+from oracles import fixed_model, scipy_constraints
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.milp import LE, MixedBinaryModel, highs_milp
-from pdsr.tsso import _fixed_model, solve_scenario_specific
+from pdsr.tsso import solve_scenario_specific
 from pdsr.uc import UcProblem, make_uc_desk_instance
 
 # the options solve_milp passes to the root-step LPs and to branch-and-cut
@@ -27,7 +27,7 @@ def _desk_models():
             list(ss.scenarios), list(ss.probabilities))
         models[f"{kind}_diagonal"] = problem.build_model([ss.scenarios[0]], [1.0])
         z, _ = solve_scenario_specific(problem, ss.scenarios[0])
-        models[f"{kind}_cross_cell"] = _fixed_model(problem, z, ss.scenarios[2])
+        models[f"{kind}_cross_cell"] = fixed_model(problem, z, ss.scenarios[2])
     return models
 
 

@@ -17,11 +17,11 @@ import pdsr.milp
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.errors import ModelError
 from pdsr.milp import GE, LE, EQ, LinExpr, MixedBinaryModel, solve_milp
-from pdsr.tsso import _fixed_model, solve_scenario_specific
+from pdsr.tsso import solve_scenario_specific
 from pdsr.uc import UcProblem, make_uc_desk_instance
-from oracles import (brute_force_milp, enumerate_vertices_optimum, random_lp,
-                     random_milp, scipy_constraints, solve_lp,
-                     solve_milp_reference)
+from oracles import (brute_force_milp, enumerate_vertices_optimum,
+                     fixed_model, random_lp, random_milp, scipy_constraints,
+                     solve_lp, solve_milp_reference)
 
 
 def simple_model():
@@ -283,7 +283,7 @@ def test_root_step_closes_uc_cross_evaluation(monkeypatch):
     cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
     problem = UcProblem(cfg, ss.source_names)
     z, _ = solve_scenario_specific(problem, ss.scenarios[0])
-    model = _fixed_model(problem, z, ss.scenarios[1])
+    model = fixed_model(problem, z, ss.scenarios[1])
     assert model.binary_indices
     calls, _ = _record_highs_calls(monkeypatch)
     gap = 1e-4
@@ -408,7 +408,7 @@ def test_adn_cross_cell_branch_and_cut_matches_highs_defaults(monkeypatch):
     cfg, ss = make_desk_instance(seed=0, n_scenarios=6, t_steps=12, buses=6)
     problem = AdnProblem(cfg, ss.source_names)
     z, _ = solve_scenario_specific(problem, ss.scenarios[0])
-    model = _fixed_model(problem, z, ss.scenarios[2])
+    model = fixed_model(problem, z, ss.scenarios[2])
     calls, options = _record_highs_calls(monkeypatch)
     gap = 1e-4
     sol = solve_milp(model, gap_tol=gap)
@@ -480,3 +480,68 @@ def test_time_limit_returns_gap_limit():
     sol = solve_milp_reference(model, gap_tol=0.0, time_limit=0.0)
     assert sol.status in ("gap_limit", "optimal", "infeasible")
 
+
+
+# -- the kept HiGHS instance and bound overrides -----------------------------
+
+
+def _gated_model():
+    # min -x + b/2 s.t. x <= 10 b: the optimum is x = 10, b = 1 (-9.5)
+    m = MixedBinaryModel()
+    x = m.add_var("x", 0.0, 10.0)
+    b = m.add_var("b", 0.0, 1.0, binary=True)
+    m.add_objective(x, -1.0)
+    m.add_objective(b, 0.5)
+    m.add_constraint({x: 1.0, b: -10.0}, LE, 0.0)
+    return m, x, b
+
+
+def test_bound_override_leaves_model_bounds():
+    m, x, b = _gated_model()
+    lb, ub = list(m.lb), list(m.ub)
+    over = (np.array(lb), np.array(ub))
+    over[1][x] = 4.0
+    sol = solve_milp(m, bounds=over)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(-3.5)
+    assert m.lb == lb and m.ub == ub
+    assert list(over[1]) == [4.0, 1.0]
+    assert m.max_violation(np.array([10.0, 1.0])) == 0.0
+    assert m.max_violation(np.array([10.0, 1.0]), over) == pytest.approx(6.0)
+    # the next solve re-solves on the kept instance under the model's bounds
+    assert solve_milp(m).objective == pytest.approx(-9.5)
+
+
+def test_bound_override_of_wrong_length_rejected():
+    m, _, _ = _gated_model()
+    with pytest.raises(ModelError, match="bounds"):
+        solve_milp(m, bounds=(np.zeros(1), np.ones(1)))
+
+
+@pytest.mark.parametrize("change", ["row", "column", "objective"])
+def test_model_grown_after_a_solve_reaches_the_next_lp(monkeypatch, change):
+    m, x, b = _gated_model()
+    assert solve_milp(m).objective == pytest.approx(-9.5)
+    if change == "row":        # x <= 4: LP point x = 4, b = 0.4
+        m.add_constraint({x: 1.0}, LE, 4.0)
+        expected, seen = -3.5, lambda p: p[x] <= 4.0 + 1e-9
+    elif change == "column":   # a free bonus y in [0, 1]
+        y = m.add_var("y", 0.0, 1.0)
+        m.add_objective(y, -1.0)
+        expected, seen = -10.5, lambda p: p.size == 3 and p[y] == 1.0
+    else:                      # x now costs: x = b = 0
+        m.add_objective(x, 2.0)
+        expected, seen = 0.0, lambda p: p[x] == 0.0
+    points = []
+    highs = pdsr.milp.highs_milp
+
+    def recorded(c, **kwargs):
+        res = highs(c, **kwargs)
+        points.append(res.x)
+        return res
+
+    monkeypatch.setattr(pdsr.milp, "highs_milp", recorded)
+    sol = solve_milp(m)
+    # the first LP after the change already solves the grown model
+    assert points[0] is not None and seen(points[0])
+    assert sol.objective == pytest.approx(expected)

@@ -7,6 +7,7 @@ from pdsr.adn import AdnConfig, AdnProblem, EsUnit, make_desk_instance
 from pdsr.scenarios import Scenario, ScenarioSet
 from pdsr.tsso import (evaluate_with_fixed_first_stage, solve_scenario_specific,
                        solve_stochastic)
+from pdsr.uc import UcProblem, make_uc_desk_instance
 
 GAP = 1e-4
 
@@ -142,3 +143,32 @@ def test_gap_bounded_negative_og(desk):
     reduced_on_full = float(np.dot(ss.probabilities, vals))
     _, bench, _ = solve_stochastic(problem, ss.scenarios, ss.probabilities)
     assert reduced_on_full - bench >= -2 * GAP * abs(bench)
+
+
+@pytest.mark.parametrize("kind", ["adn", "uc"])
+def test_warm_resolves_on_one_model_match_cold_cells(kind):
+    # every diagonal decision evaluated on one compiled scenario program,
+    # each re-solving warm on its HiGHS instance, against a fresh compile
+    # per decision
+    if kind == "adn":
+        config, ss = make_desk_instance(seed=0, n_scenarios=6, t_steps=12,
+                                        buses=6)
+        problem = AdnProblem(config, ss.source_names)
+    else:
+        config, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
+        problem = UcProblem(config, ss.source_names)
+    decisions = [solve_scenario_specific(problem, s)[0] for s in ss.scenarios]
+    scenario = ss.scenarios[1]
+    cold = [evaluate_with_fixed_first_stage(problem, z, scenario)
+            for z in decisions]
+    runs = []
+    for _ in range(2):
+        model = problem.build_model([scenario], [1.0])
+        free = (list(model.lb), list(model.ub))
+        runs.append([evaluate_with_fixed_first_stage(problem, z, scenario,
+                                                     model=model)
+                     for z in decisions])
+        assert (model.lb, model.ub) == free
+    assert runs[0] == runs[1]
+    for warm, value in zip(runs[0], cold):
+        assert abs(warm - value) <= 2 * GAP * abs(value)
