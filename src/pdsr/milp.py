@@ -7,13 +7,14 @@ into a single range-constrained matrix (``_row_ranges``), which both the
 HiGHS calls and the feasibility re-check read.  :func:`solve_milp` solves
 the LP relaxation with HiGHS, repairs the binaries of its point with the
 model's gating triples and returns that point when it is feasible and
-within the relative gap of the LP bound.  When the repaired point is
-infeasible but only gating binaries were fractional, a second LP with every
-binary fixed at its repaired value supplies the continuous part and is held
-to the same gap test against the first LP's bound.  Otherwise HiGHS
-branch-and-cut proves the gap, with its feasibility-jump primal heuristic
-switched off: on the small programs that reach it the heuristic found
-nothing the root node did not, yet took most of each call.
+within the relative gap of the LP bound.  When the repaired point breaks a
+row, a second LP with every binary fixed at its repaired value supplies
+the continuous part and is held to the same gap test against the first
+LP's bound.  Otherwise HiGHS branch-and-cut proves the gap, starting from
+the feasible point the root step ended with, if any, as its incumbent, and
+with its feasibility-jump primal heuristic switched off: on the small
+programs that reach it the heuristic found nothing the root node did not,
+yet took most of each call.
 
 Every HiGHS call goes through :func:`highs_milp`, which hands the model's
 cached CSC arrays, bounds and costs straight to a HiGHS instance through
@@ -91,8 +92,6 @@ GAP_LIMIT = "gap_limit"
 
 DEFAULT_GAP_TOL = 1e-4
 
-# |x - round(x)| below this counts as integral.
-_INT_TOL = 1e-6
 # Activity above this level forces a gating binary during repair.
 _ACTIVE_TOL = 1e-7
 
@@ -161,6 +160,7 @@ class MixedBinaryModel:
         self.gating: list[tuple[int, int, int]] = []
         self._ranges = None
         self._entry_col = None  # column of each CSC entry, set with _ranges
+        self._checked = False  # objective and rows passed validate
         self._highs = None  # HiGHS instance of the LP relaxation (highs_milp)
 
     # -- construction -----------------------------------------------------
@@ -176,6 +176,7 @@ class MixedBinaryModel:
         self.ub.append(float(ub))
         self.is_binary.append(bool(binary))
         self._ranges = self._highs = None
+        self._checked = False
         return len(self.var_names) - 1
 
     def add_constraint(self, coeffs: dict[int, float], relation: str, rhs: float):
@@ -206,11 +207,13 @@ class MixedBinaryModel:
             raise ModelError(f"unknown relation {relation!r}")
         self.rows.append((coeffs, relation, rhs))
         self._ranges = self._highs = None
+        self._checked = False
 
     def add_objective(self, var: int, coef: float, group: str | None = None):
         """Accumulate ``coef * x[var]`` into the objective (and a group)."""
         self.obj[var] = self.obj.get(var, 0.0) + coef
         self._highs = None
+        self._checked = False
         if group:
             g = self.obj_groups.setdefault(group, {})
             g[var] = g.get(var, 0.0) + coef
@@ -239,9 +242,10 @@ class MixedBinaryModel:
 
     def validate(self, bounds=None):
         """Reject bad bounds (the model's, or the ``(lb, ub)`` override) and
-        non-finite objective or row data; expression rows skip
-        :meth:`add_constraint`'s eager check, so all rows are checked here,
-        once, on the assembled arrays."""
+        non-finite objective or row data.  The bounds are checked on every
+        call.  Expression rows skip :meth:`add_constraint`'s eager check, so
+        all rows are checked here on the assembled arrays, together with the
+        objective, once until a column, row or objective term is added."""
         lb, ub = self._bounds(bounds)
         if lb.shape != (self.num_vars,) or ub.shape != (self.num_vars,):
             raise ModelError(f"bounds must hold {self.num_vars} values each")
@@ -257,6 +261,8 @@ class MixedBinaryModel:
             if bad_ub[j]:
                 raise ModelError(f"bad upper bound on {name!r}")
             raise ModelError(f"binary {name!r} out of [0, 1]")
+        if self._checked:
+            return
         if not np.isfinite(np.fromiter(self.obj.values(), dtype=float,
                                        count=len(self.obj))).all():
             raise ModelError("non-finite objective coefficient")
@@ -271,6 +277,7 @@ class MixedBinaryModel:
         # infinity, so it is finite exactly when one side is
         if not (np.isfinite(lo) | np.isfinite(hi)).all():
             raise ModelError("non-finite right-hand side")
+        self._checked = True
 
     def max_violation(self, x: np.ndarray, bounds=None) -> float:
         """Largest constraint or bound violation of ``x`` (equalities
@@ -364,20 +371,23 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
     """Exactly solve the mixed-binary model to a proven relative gap.
 
     First a root step (:func:`_root_step`): the LP relaxation is solved and
-    its binaries set by :func:`_gating_repair`.  If that point is
-    infeasible and every binary fractional at the LP point is a gating
-    binary, the LP is solved once more with all binaries fixed at their
+    its binaries set by :func:`_gating_repair`.  If that point breaks a
+    row, the LP is solved once more with all binaries fixed at their
     repaired values.  When the resulting point is feasible and its
     objective is within ``gap_tol`` of the first LP's bound, it is returned
     as optimal with ``node_count=1`` (the same bound-plus-incumbent proof
     branch-and-cut makes, closed at the root).  Otherwise HiGHS
-    branch-and-cut runs single-threaded without its feasibility-jump
-    heuristic, which took most of each call on the desk programs and changed
-    no result (HiGHS builds that lack the option ignore it).  Both are
-    deterministic: the first solve of a model, or the same sequence of
-    solves on it, gives identical variable values.  With
-    ``time_limit`` the root step is skipped and, when the limit is hit, the
-    best incumbent is returned with status ``gap_limit``.  ``bounds``, an
+    branch-and-cut runs single-threaded, handed the root step's feasible
+    point, if it found one, as a starting incumbent, so it stops as soon
+    as its bound is within ``gap_tol`` of that point; it runs without its
+    feasibility-jump heuristic, which took most of each call on the desk
+    programs and changed no result (HiGHS builds that lack the option
+    ignore it).  Both are deterministic: the first solve of a model, or the
+    same sequence of solves on it, gives identical variable values.  The
+    start is only a hint; the result still rests on HiGHS's bound and the
+    ``max_violation`` re-check below.  With ``time_limit`` the root step
+    is skipped and, when the limit is hit, the best incumbent is returned
+    with status ``gap_limit``.  ``bounds``, an
     ``(lb, ub)`` pair of arrays, replaces the model's variable bounds for
     this solve without changing them.
 
@@ -395,8 +405,9 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
     integrality = np.array(model.is_binary, dtype=int)
     constraints = model._row_ranges()
     bounds = model._bounds(bounds)
+    start = None
     if time_limit is None and integrality.any():
-        root = _root_step(model, c, constraints, bounds, gap_tol)
+        root, start = _root_step(model, c, constraints, bounds, gap_tol)
         if root is not None:
             return root
     options = {"mip_rel_gap": gap_tol, "presolve": True,
@@ -404,7 +415,7 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     res = highs_milp(c, constraints=constraints, integrality=integrality,
-                     bounds=bounds, options=options)
+                     bounds=bounds, options=options, start=start)
     nodes = max(1, int(res.mip_node_count or 0))
     if res.status == 0:
         x = np.asarray(res.x)
@@ -427,51 +438,48 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
 
 
 def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
-               bounds, gap_tol: float) -> Solution | None:
-    """The LP relaxation's point with its binaries repaired, as an optimal
-    Solution when it is feasible and proves ``gap_tol`` against the LP
-    bound; None when branch-and-cut is needed.
+               bounds, gap_tol: float):
+    """The LP relaxation's point with its binaries repaired, as
+    ``(solution, start)``: an optimal Solution and None when the point is
+    feasible and proves ``gap_tol`` against the LP bound; else None and the
+    feasible point the step ended with, or None when it has none, for
+    branch-and-cut to start from.
 
-    A repaired point that breaks a row (typically simultaneous charge and
-    discharge left by the LP under a repaired gate) gets one more LP with
-    every binary fixed at its repaired value, but only when no binary
-    outside the gating triples was fractional: a fractional commitment or
-    clustering binary signals a weak bound a fixed-binary LP cannot close.
-    Both LPs run on the model's kept HiGHS instance."""
+    A repaired point that breaks a row (simultaneous charge and discharge
+    left by the LP under a repaired gate, or a rounded commitment that
+    cannot carry the load) gets one more LP with every binary fixed at its
+    repaired value; that point is held to the same gap test against the
+    first LP's bound.  Both LPs run on the model's kept HiGHS instance, so
+    the second starts warm from the first's basis."""
     relaxed = np.zeros(model.num_vars, dtype=int)
     res = highs_milp(c, constraints=constraints, integrality=relaxed,
                      bounds=bounds, options={"presolve": True}, model=model)
     if res.status != 0:
-        return None
+        return None, None
     bound = float(res.fun)
     x = np.array(res.x, dtype=float)
     fix = _gating_repair(model, x)
     binaries = np.fromiter(fix, dtype=int, count=len(fix))
     values = np.fromiter(fix.values(), dtype=float, count=len(fix))
-    lp_binaries = x[binaries]
     x[binaries] = values
     if model.max_violation(x, bounds) > 1e-5:
-        gates = {d for d, _, _ in model.gating}
-        fractional = np.abs(lp_binaries - np.round(lp_binaries)) > _INT_TOL
-        if any(int(j) not in gates for j in binaries[fractional]):
-            return None
         lb, ub = bounds[0].copy(), bounds[1].copy()
         lb[binaries] = ub[binaries] = values
         res = highs_milp(c, constraints=constraints, integrality=relaxed,
                          bounds=(lb, ub), options={"presolve": True},
                          model=model)
         if res.status != 0:
-            return None
+            return None, None
         x = np.array(res.x, dtype=float)
         x[binaries] = values
         if model.max_violation(x, bounds) > 1e-5:
-            return None
+            return None, None
     obj = float(c @ x)
     slack = obj - bound
     if slack > gap_tol * abs(obj):
-        return None
+        return None, x
     gap = slack / abs(obj) if slack > 0.0 else 0.0
-    return Solution(OPTIMAL, obj, x, mip_gap=gap, node_count=1)
+    return Solution(OPTIMAL, obj, x, mip_gap=gap, node_count=1), None
 
 
 # -- HiGHS -------------------------------------------------------------------
@@ -503,7 +511,8 @@ class HighsResult:
     mip_gap: float | None
 
 
-def highs_milp(c, *, constraints, integrality, bounds, options, model=None):
+def highs_milp(c, *, constraints, integrality, bounds, options, model=None,
+               start=None):
     """Minimize ``c @ x`` over ``lower <= A @ x <= upper``, ``lb <= x <= ub``
     and integral columns where ``integrality`` is 1, with one fresh HiGHS
     instance, or with the one ``model`` keeps.
@@ -523,6 +532,11 @@ def highs_milp(c, *, constraints, integrality, bounds, options, model=None):
     the model: later calls only change every column's bounds and run again,
     so HiGHS starts the dual simplex from the basis the last call left.  So
     never call it for one model from two threads at once.
+
+    ``start``, a value for every column, is handed to a MILP's fresh
+    instance as its first incumbent before it runs.  It is only a hint:
+    HiGHS drops a start it cannot use (infeasible, or not a number) and
+    solves as without one.
     """
     A, lower, upper = constraints
     lb, ub = bounds
@@ -554,6 +568,10 @@ def highs_milp(c, *, constraints, integrality, bounds, options, model=None):
     if not loaded:
         status = HighsModelStatus.kModelError
     else:
+        if start is not None:
+            start = np.asarray(start, dtype=float)
+            highs.setSolution(start.size,
+                              np.arange(start.size, dtype=np.int32), start)
         solved = highs.run() != HighsStatus.kError
         status = highs.getModelStatus()
         info = highs.getInfo()

@@ -23,9 +23,12 @@ from pdsr.clustering import ReductionResult
 from pdsr.errors import ModelError, SolverError
 from pdsr.milp import (DEFAULT_GAP_TOL, EQ, GAP_LIMIT, GE, INFEASIBLE, LE,
                        OPTIMAL, UNBOUNDED, MixedBinaryModel, Solution,
-                       _INT_TOL, _gating_repair)
+                       _gating_repair)
 from pdsr.scenarios import ScenarioSet
 from pdsr.tsso import _fixed_bounds
+
+# |x - round(x)| below this counts as integral.
+_INT_TOL = 1e-6
 
 
 @dataclass

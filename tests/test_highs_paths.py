@@ -137,3 +137,26 @@ def test_direct_call_matches_scipy_milp_at_time_limit(time_limit, incumbent):
     assert ours.status == ref.status == 1
     assert (ours.x is not None) == (ref.x is not None) == incumbent
 
+
+@pytest.mark.parametrize("name", ["adn_full_set", "adn_diagonal",
+                                  "adn_cross_cell", "uc_full_set",
+                                  "uc_diagonal", "uc_cross_cell"])
+def test_start_is_only_a_hint(desk_models, name):
+    # an optimal, an infeasible and a non-numeric start each leave the
+    # status and the objective of branch-and-cut as without a start
+    model = desk_models[name]
+    c, constraints, bounds = _arrays(model)
+    binary = np.array(model.is_binary, dtype=int)
+
+    def solve(start):
+        return highs_milp(c, constraints=constraints, integrality=binary,
+                          bounds=bounds, options=dict(MIP_OPTIONS),
+                          start=start)
+
+    ref = solve(None)
+    assert ref.status == 0
+    for start in (ref.x, np.zeros(model.num_vars),
+                  np.full(model.num_vars, np.nan)):
+        res = solve(start)
+        assert res.status == ref.status
+        assert res.fun == ref.fun

@@ -135,6 +135,22 @@ def test_non_finite_coefficient_names_its_variable():
         m.validate()
 
 
+@pytest.mark.parametrize("spoil, message", [
+    (lambda m, x: m.add_objective(x, math.nan),
+     "non-finite objective coefficient"),
+    (lambda m, x: m.add_expr_constraint(LinExpr().add(x, math.inf), GE, 0.0),
+     "non-finite constraint coefficient"),
+], ids=["objective_term", "expression_row"])
+def test_data_added_after_a_solve_is_checked(spoil, message):
+    # the objective and rows are checked once per assembly; adding a term
+    # or a row clears that check
+    m, x = simple_model()
+    assert solve_milp(m).status == "optimal"
+    spoil(m, x)
+    with pytest.raises(ModelError, match=message):
+        solve_milp(m)
+
+
 @pytest.mark.parametrize("var", [5, -1], ids=["beyond_last", "negative"])
 def test_expression_row_on_undeclared_variable_rejected(var):
     m, x = simple_model()
@@ -279,6 +295,22 @@ def _record_highs_calls(monkeypatch):
     return calls, options
 
 
+def _record_starts(monkeypatch):
+    """Record the start (None without one) and the result of every HiGHS
+    call solve_milp makes, as (start, result) pairs in call order."""
+    seen = []
+    highs = pdsr.milp.highs_milp
+
+    def recorded(c, **kwargs):
+        start = kwargs.get("start")
+        res = highs(c, **kwargs)
+        seen.append((None if start is None else np.array(start), res))
+        return res
+
+    monkeypatch.setattr(pdsr.milp, "highs_milp", recorded)
+    return seen
+
+
 def test_root_step_closes_uc_cross_evaluation(monkeypatch):
     cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
     problem = UcProblem(cfg, ss.source_names)
@@ -331,14 +363,17 @@ def test_root_step_resolves_adn_full_set_with_fixed_binaries(monkeypatch):
 
 
 def test_root_step_sends_fractional_commitments_to_branch_and_cut(monkeypatch):
-    # fractional UC commitments are not gating binaries: no second LP
+    # rounded UC commitments break a row, so the LP is re-solved with every
+    # binary fixed; that point misses the gap and starts branch-and-cut
     cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
     model = UcProblem(cfg, ss.source_names).build_model([ss.scenarios[0]], [1.0])
     calls, _ = _record_highs_calls(monkeypatch)
+    starts = _record_starts(monkeypatch)
     sol = solve_milp(model)
-    assert len(calls) == 2
-    assert not calls[0].any()
-    assert np.array_equal(calls[1], np.array(model.is_binary, dtype=int))
+    assert len(calls) == 3
+    assert not calls[0].any() and not calls[1].any()
+    assert np.array_equal(calls[2], np.array(model.is_binary, dtype=int))
+    assert [start is not None for start, _ in starts] == [False, False, True]
     assert sol.status == "optimal"
 
 
@@ -390,15 +425,16 @@ def test_branch_and_cut_runs_without_feasibility_jump(monkeypatch):
     calls, options = _record_highs_calls(monkeypatch)
     solve_milp(_lp_weak_model())
     assert [o.get(NO_JUMP) for o in options] == [None, False]
-    # the UC scenario-specific program still takes LP then branch-and-cut
+    # the UC scenario-specific program takes LP, the fixed-binary LP, then
+    # branch-and-cut
     calls.clear()
     options.clear()
     cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
     model = UcProblem(cfg, ss.source_names).build_model([ss.scenarios[0]], [1.0])
     sol = solve_milp(model)
-    assert [o.get(NO_JUMP) for o in options] == [None, False]
-    assert not calls[0].any()
-    assert np.array_equal(calls[1], np.array(model.is_binary, dtype=int))
+    assert [o.get(NO_JUMP) for o in options] == [None, None, False]
+    assert not calls[0].any() and not calls[1].any()
+    assert np.array_equal(calls[2], np.array(model.is_binary, dtype=int))
     assert sol.status == "optimal"
 
 
@@ -417,6 +453,41 @@ def test_adn_cross_cell_branch_and_cut_matches_highs_defaults(monkeypatch):
     assert sol.status == "optimal" and sol.node_count == 1
     expected = _branch_and_cut_objective(model, gap)
     assert abs(sol.objective - expected) <= gap * abs(expected)
+
+
+def _adn_cross_cell():
+    # cell (0, 2) of the seed-0 desk instance: the fixed-binary LP point
+    # misses the gap
+    cfg, ss = make_desk_instance(seed=0, n_scenarios=6, t_steps=12, buses=6)
+    problem = AdnProblem(cfg, ss.source_names)
+    z, _ = solve_scenario_specific(problem, ss.scenarios[0])
+    return fixed_model(problem, z, ss.scenarios[2])
+
+
+def _uc_diagonal():
+    cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
+    return UcProblem(cfg, ss.source_names).build_model([ss.scenarios[0]], [1.0])
+
+
+@pytest.mark.parametrize("build", [_lp_weak_model, _adn_cross_cell,
+                                   _uc_diagonal],
+                         ids=["lp_weak", "adn_cross_cell", "uc_diagonal"])
+def test_branch_and_cut_starts_from_a_feasible_point(monkeypatch, build):
+    # the repaired LP point (lp_weak) or the fixed-binary LP point misses
+    # the gap; branch-and-cut starts from it and never ends above it
+    model = build()
+    seen = _record_starts(monkeypatch)
+    sol = solve_milp(model)
+    start, res = seen[-1]
+    assert start is not None and res.status == 0
+    xb = start[model.binary_indices]
+    assert np.array_equal(xb, np.round(xb))
+    assert model.max_violation(start) <= 1e-5
+    c = np.zeros(model.num_vars)
+    for j, a in model.obj.items():
+        c[j] = a
+    assert res.fun <= c @ start
+    assert sol.status == "optimal" and sol.objective == res.fun
 
 
 def test_option_warning_filtered_in_a_fresh_interpreter():
