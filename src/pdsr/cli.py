@@ -98,6 +98,14 @@ def _check_k(k, scenario_set):
                           f"({len(scenario_set)})")
 
 
+def _check_worst_case_n(scenario_set):
+    """``evaluate`` and ``compare`` end with worst-case detection, which
+    needs N >= 3; checked before their first solve."""
+    if len(scenario_set) < 3:
+        raise ConfigError("worst-case detection needs at least 3 scenarios, "
+                          f"the set has {len(scenario_set)}")
+
+
 def cmd_cluster(args) -> int:
     problem, scenario_set = _load_problem(args)
     _check_k(args.K, scenario_set)
@@ -161,6 +169,7 @@ def _load_reduction(path, probabilities) -> ReductionResult:
 
 def cmd_evaluate(args) -> int:
     problem, scenario_set = _load_problem(args)
+    _check_worst_case_n(scenario_set)
     result = _load_reduction(args.reduction, scenario_set.probabilities)
     matrix, tau_p, _ = _ensure_matrix(args, problem, scenario_set)
     pdd = compute_pdd(matrix, mu=args.mu, scenario_set=scenario_set)
@@ -182,6 +191,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_compare(args) -> int:
     problem, scenario_set = _load_problem(args)
+    _check_worst_case_n(scenario_set)
     _check_k(args.K, scenario_set)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:

@@ -58,7 +58,7 @@ def pddbi(pdd: PddMatrix, probabilities, result: ReductionResult) -> float:
             sep = max(d[m, nrep], 1e-12)   # guard coincident representatives
             worst = max(worst, (compact[m] + compact[nrep]) / sep)
         total += worst
-    return total / len(reps)
+    return float(total / len(reps))
 
 
 @dataclass

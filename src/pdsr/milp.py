@@ -2,15 +2,16 @@
 
 Every stochastic program in the toolkit compiles down to a
 :class:`MixedBinaryModel`: bounded variables (some binary), a sparse linear
-objective to minimize, and sparse linear rows.  The rows are assembled once
-into a single range-constrained matrix (``_row_ranges``), which both the
-HiGHS calls and the feasibility re-check read.  :func:`solve_milp` solves
-the LP relaxation with HiGHS, repairs the binaries of its point with the
-model's gating triples and returns that point when it is feasible and
-within the relative gap of the LP bound.  When the repaired point breaks a
-row, a second LP with every binary fixed at its repaired value supplies
-the continuous part and is held to the same gap test against the first
-LP's bound.  Otherwise HiGHS branch-and-cut proves the gap, starting from
+objective to minimize, and sparse linear rows.  Its costs, integrality
+and rows are assembled and checked once into one snapshot of solver
+arrays, whose range-constrained matrix both the HiGHS calls and the
+feasibility re-check read.  :func:`solve_milp` solves the LP relaxation
+with HiGHS, repairs the binaries of its point with the model's gating
+triples and returns that point when it is feasible and within the
+relative gap of the LP bound.  When the repaired point breaks a row, a
+second LP with every binary fixed at its repaired value supplies the
+continuous part and is held to the same gap test against the first LP's
+bound.  Otherwise HiGHS branch-and-cut proves the gap, starting from
 the feasible point the root step ended with, if any, as its incumbent, and
 with its feasibility-jump primal heuristic switched off: on the small
 programs that reach it the heuristic found nothing the root node did not,
@@ -18,15 +19,15 @@ yet took most of each call.
 
 Every HiGHS call goes through :func:`highs_milp`, which hands the model's
 cached CSC arrays, bounds and costs straight to a HiGHS instance through
-the HiGHS bindings bundled with scipy, and sets only the options the call
-names.  The root-step LPs re-solve warm on one instance the model keeps
-(see :class:`MixedBinaryModel`); branch-and-cut runs on a fresh one.
-Those bindings are one extension module,
-``scipy.optimize._highspy._core``; it is loaded from its file and
-registered under that name, so importing this module runs none of
-``scipy.optimize``, ``scipy.sparse`` or their array-API layer, which took
-most of a CLI command's start-up, and a later ``import scipy.optimize``
-reuses it.  When that load fails, the same module is imported the normal
+the HiGHS bindings bundled with scipy, sets only the options the call
+names and reads HiGHS's model status into a :class:`Solution`.  The
+root-step LPs re-solve warm on one instance the model keeps (see
+:class:`MixedBinaryModel`); branch-and-cut runs on a fresh one.  Those
+bindings are one extension module, ``scipy.optimize._highspy._core``;
+it is loaded from its file and registered under that name, so importing
+this module runs none of ``scipy.optimize``, ``scipy.sparse`` or their
+array-API layer, which took most of a CLI command's start-up, and a
+later ``import scipy.optimize`` reuses it.  When that load fails, the same module is imported the normal
 way; scipy bundles it from 1.15 on.
 
 Determinism contract: the same sequence of solves on the same model
@@ -106,6 +107,17 @@ class CscMatrix(NamedTuple):
     shape: tuple[int, int]
 
 
+class _Arrays(NamedTuple):
+    """A model's solver-facing arrays, assembled and checked once: costs,
+    integrality (1 on binaries), the ``(A, lower, upper)`` rows in the CSC
+    form HiGHS takes, and the column of each stored entry of ``A``."""
+
+    c: np.ndarray
+    integrality: np.ndarray
+    constraints: tuple[CscMatrix, np.ndarray, np.ndarray]
+    entry_col: np.ndarray
+
+
 class LinExpr:
     """Sparse linear expression over variable indices with a constant term.
 
@@ -139,11 +151,12 @@ class MixedBinaryModel:
     takes ``(lb, ub)`` overrides that leave the model untouched (a
     first-stage decision is fixed by ``lb = ub`` on its columns).
 
-    A model holds one HiGHS instance with its LP relaxation, created by the
-    first root-step LP and dropped whenever a column, row or objective term
-    is added; later root-step LPs re-solve warm on it.  So never solve one
-    model from two threads at once; solves on distinct models may run
-    concurrently.
+    A model holds one snapshot of its solver arrays, assembled by the first
+    solve, and one HiGHS instance with its LP relaxation, created by the
+    first root-step LP; both are dropped whenever a column, row or
+    objective term is added.  Later root-step LPs re-solve warm on that
+    instance, so never solve one model from two threads at once; solves on
+    distinct models may run concurrently.
     """
 
     def __init__(self):
@@ -158,9 +171,7 @@ class MixedBinaryModel:
         # (binary, active-when-0 var, active-when-1 var) triples used by the
         # root step's binary repair; populated by the problem compilers.
         self.gating: list[tuple[int, int, int]] = []
-        self._ranges = None
-        self._entry_col = None  # column of each CSC entry, set with _ranges
-        self._checked = False  # objective and rows passed validate
+        self._arrays = None  # _Arrays snapshot, set by _assembled
         self._highs = None  # HiGHS instance of the LP relaxation (highs_milp)
 
     # -- construction -----------------------------------------------------
@@ -175,8 +186,7 @@ class MixedBinaryModel:
         self.lb.append(float(lb))
         self.ub.append(float(ub))
         self.is_binary.append(bool(binary))
-        self._ranges = self._highs = None
-        self._checked = False
+        self._arrays = self._highs = None
         return len(self.var_names) - 1
 
     def add_constraint(self, coeffs: dict[int, float], relation: str, rhs: float):
@@ -202,18 +212,16 @@ class MixedBinaryModel:
         self._add_row(coeffs, relation, float(rhs - expr.constant))
 
     def _add_row(self, coeffs: dict[int, float], relation: str, rhs: float):
-        # _row_ranges reads any relation but <= and >= as an equality
+        # _assembled reads any relation but <= and >= as an equality
         if relation not in (LE, EQ, GE):
             raise ModelError(f"unknown relation {relation!r}")
         self.rows.append((coeffs, relation, rhs))
-        self._ranges = self._highs = None
-        self._checked = False
+        self._arrays = self._highs = None
 
     def add_objective(self, var: int, coef: float, group: str | None = None):
         """Accumulate ``coef * x[var]`` into the objective (and a group)."""
         self.obj[var] = self.obj.get(var, 0.0) + coef
-        self._highs = None
-        self._checked = False
+        self._arrays = self._highs = None
         if group:
             g = self.obj_groups.setdefault(group, {})
             g[var] = g.get(var, 0.0) + coef
@@ -244,8 +252,8 @@ class MixedBinaryModel:
         """Reject bad bounds (the model's, or the ``(lb, ub)`` override) and
         non-finite objective or row data.  The bounds are checked on every
         call.  Expression rows skip :meth:`add_constraint`'s eager check, so
-        all rows are checked here on the assembled arrays, together with the
-        objective, once until a column, row or objective term is added."""
+        all rows are checked on the assembled arrays, together with the
+        objective, once per assembly (see :meth:`_assembled`)."""
         lb, ub = self._bounds(bounds)
         if lb.shape != (self.num_vars,) or ub.shape != (self.num_vars,):
             raise ModelError(f"bounds must hold {self.num_vars} values each")
@@ -261,33 +269,18 @@ class MixedBinaryModel:
             if bad_ub[j]:
                 raise ModelError(f"bad upper bound on {name!r}")
             raise ModelError(f"binary {name!r} out of [0, 1]")
-        if self._checked:
-            return
-        if not np.isfinite(np.fromiter(self.obj.values(), dtype=float,
-                                       count=len(self.obj))).all():
-            raise ModelError("non-finite objective coefficient")
-        A, lo, hi = self._row_ranges()
-        bad = np.flatnonzero(~np.isfinite(A.data))
-        if bad.size:
-            # CSC: the column of a stored entry is found through indptr
-            col = np.searchsorted(A.indptr, bad[0], side="right") - 1
-            raise ModelError("non-finite constraint coefficient on "
-                             f"{self.var_names[col]!r}")
-        # a row's right-hand side is on each side that is not an outward
-        # infinity, so it is finite exactly when one side is
-        if not (np.isfinite(lo) | np.isfinite(hi)).all():
-            raise ModelError("non-finite right-hand side")
-        self._checked = True
+        self._assembled()
 
     def max_violation(self, x: np.ndarray, bounds=None) -> float:
         """Largest constraint or bound violation of ``x`` (equalities
         two-sided), against the model's bounds or the ``(lb, ub)``
-        override; one sparse mat-vec over the cached row ranges, which sums
+        override; one sparse mat-vec over the assembled rows, which sums
         each row in CSC entry order."""
         x = np.asarray(x, dtype=float)
-        A, lo, hi = self._row_ranges()
+        arrays = self._assembled()
+        A, lo, hi = arrays.constraints
         lb, ub = self._bounds(bounds)
-        act = np.bincount(A.indices, weights=A.data * x[self._entry_col],
+        act = np.bincount(A.indices, weights=A.data * x[arrays.entry_col],
                           minlength=A.shape[0])
         return max(float(np.max(lo - act, initial=0.0)),
                    float(np.max(act - hi, initial=0.0)),
@@ -304,13 +297,19 @@ class MixedBinaryModel:
 
     # -- solver-facing arrays ----------------------------------------------
 
-    def _row_ranges(self):
-        """Build (and cache) the single constraint matrix, in the CSC form
-        HiGHS takes, with [lower, upper] row activities; every HiGHS call
-        and the re-check of a model read it."""
-        if self._ranges is not None:
-            return self._ranges
+    def _assembled(self) -> _Arrays:
+        """The model's :class:`_Arrays`, built and checked on the first call
+        after the model last grew; every HiGHS call and the re-check of a
+        model read them.  Raises on non-finite objective or row data and
+        on an expression row over an undeclared variable."""
+        if self._arrays is not None:
+            return self._arrays
         m, n = len(self.rows), self.num_vars
+        c = np.zeros(n)
+        for j, a in self.obj.items():
+            c[j] = a
+        if not np.isfinite(c).all():
+            raise ModelError("non-finite objective coefficient")
         coeffs, rels, rhs = zip(*self.rows) if self.rows else ((), (), ())
         counts = np.fromiter(map(len, coeffs), dtype=np.intp, count=m)
         nnz = int(counts.sum())
@@ -326,12 +325,22 @@ class MixedBinaryModel:
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
         A = CscMatrix(indptr, rows[order], vals[order], (m, n))
+        entry_col = cols[order]
+        bad = np.flatnonzero(~np.isfinite(A.data))
+        if bad.size:
+            raise ModelError("non-finite constraint coefficient on "
+                             f"{self.var_names[entry_col[bad[0]]]!r}")
         rhs = np.array(rhs, dtype=float)
         rels = np.array(rels, dtype="U2")
-        self._entry_col = cols[order]
-        self._ranges = (A, np.where(rels == LE, -math.inf, rhs),
-                        np.where(rels == GE, math.inf, rhs))
-        return self._ranges
+        lower = np.where(rels == LE, -math.inf, rhs)
+        upper = np.where(rels == GE, math.inf, rhs)
+        # a row's right-hand side is on each side that is not an outward
+        # infinity, so it is finite exactly when one side is
+        if not (np.isfinite(lower) | np.isfinite(upper)).all():
+            raise ModelError("non-finite right-hand side")
+        self._arrays = _Arrays(c, np.array(self.is_binary, dtype=np.int32),
+                               (A, lower, upper), entry_col)
+        return self._arrays
 
 
 @dataclass
@@ -399,46 +408,29 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
     model.validate(bounds)
     if not (math.isfinite(gap_tol) and gap_tol >= 0):
         raise ModelError(f"gap_tol must be finite and >= 0, got {gap_tol}")
-    c = np.zeros(model.num_vars)
-    for j, a in model.obj.items():
-        c[j] = a
-    integrality = np.array(model.is_binary, dtype=int)
-    constraints = model._row_ranges()
+    arrays = model._assembled()
     bounds = model._bounds(bounds)
     start = None
-    if time_limit is None and integrality.any():
-        root, start = _root_step(model, c, constraints, bounds, gap_tol)
+    if time_limit is None and arrays.integrality.any():
+        root, start = _root_step(model, arrays, bounds, gap_tol)
         if root is not None:
             return root
     options = {"mip_rel_gap": gap_tol, "presolve": True,
                "mip_heuristic_run_feasibility_jump": False}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
-    res = highs_milp(c, constraints=constraints, integrality=integrality,
-                     bounds=bounds, options=options, start=start)
-    nodes = max(1, int(res.mip_node_count or 0))
-    if res.status == 0:
-        x = np.asarray(res.x)
-        viol = model.max_violation(x, bounds)
+    sol = highs_milp(arrays.c, constraints=arrays.constraints,
+                     integrality=arrays.integrality, bounds=bounds,
+                     options=options, start=start)
+    if sol.status == OPTIMAL:
+        viol = model.max_violation(sol.x, bounds)
         if viol > 1e-5:
             raise SolverError(f"solution violates constraints by {viol:.3e}")
-        gap = float(res.mip_gap or 0.0)
-        return Solution(OPTIMAL, float(res.fun), x, mip_gap=gap,
-                        node_count=nodes)
-    if res.status == 2:
-        return Solution(INFEASIBLE, math.inf, None, node_count=nodes)
-    if res.status == 3:
-        return Solution(UNBOUNDED, -math.inf, None, node_count=nodes)
-    if res.status == 1:  # time/iteration limit; carry the incumbent if any
-        x = np.asarray(res.x) if res.x is not None else None
-        obj = float(res.fun) if x is not None else math.inf
-        gap = float(res.mip_gap or math.inf)
-        return Solution(GAP_LIMIT, obj, x, mip_gap=gap, node_count=nodes)
-    raise SolverError(f"MILP solve failed (HiGHS status {res.status}): {res.message}")
+    return sol
 
 
-def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
-               bounds, gap_tol: float):
+def _root_step(model: MixedBinaryModel, arrays: _Arrays, bounds,
+               gap_tol: float):
     """The LP relaxation's point with its binaries repaired, as
     ``(solution, start)``: an optimal Solution and None when the point is
     feasible and proves ``gap_tol`` against the LP bound; else None and the
@@ -451,13 +443,14 @@ def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
     repaired value; that point is held to the same gap test against the
     first LP's bound.  Both LPs run on the model's kept HiGHS instance, so
     the second starts warm from the first's basis."""
-    relaxed = np.zeros(model.num_vars, dtype=int)
+    c, constraints = arrays.c, arrays.constraints
+    relaxed = np.zeros_like(arrays.integrality)
     res = highs_milp(c, constraints=constraints, integrality=relaxed,
                      bounds=bounds, options={"presolve": True}, model=model)
-    if res.status != 0:
+    if res.status != OPTIMAL:
         return None, None
-    bound = float(res.fun)
-    x = np.array(res.x, dtype=float)
+    bound = res.objective
+    x = res.x.copy()
     fix = _gating_repair(model, x)
     binaries = np.fromiter(fix, dtype=int, count=len(fix))
     values = np.fromiter(fix.values(), dtype=float, count=len(fix))
@@ -468,9 +461,9 @@ def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
         res = highs_milp(c, constraints=constraints, integrality=relaxed,
                          bounds=(lb, ub), options={"presolve": True},
                          model=model)
-        if res.status != 0:
+        if res.status != OPTIMAL:
             return None, None
-        x = np.array(res.x, dtype=float)
+        x = res.x.copy()
         x[binaries] = values
         if model.max_violation(x, bounds) > 1e-5:
             return None, None
@@ -484,31 +477,14 @@ def _root_step(model: MixedBinaryModel, c: np.ndarray, constraints,
 
 # -- HiGHS -------------------------------------------------------------------
 
-# HiGHS model status -> scipy.optimize.milp status code (4 otherwise)
-_SCIPY_STATUS = {HighsModelStatus.kOptimal: 0,
-                 HighsModelStatus.kTimeLimit: 1,
-                 HighsModelStatus.kIterationLimit: 1,
-                 HighsModelStatus.kInfeasible: 2,
-                 HighsModelStatus.kModelError: 2,
-                 HighsModelStatus.kUnbounded: 3}
-# stops after which a MILP incumbent, if there is one, is returned
-_MIP_STOPS = (HighsModelStatus.kTimeLimit,
-              HighsModelStatus.kIterationLimit,
-              HighsModelStatus.kSolutionLimit)
+# HiGHS model status -> Solution status; highs_milp raises on any other
+_STATUS = {HighsModelStatus.kOptimal: OPTIMAL,
+           HighsModelStatus.kInfeasible: INFEASIBLE,
+           HighsModelStatus.kUnbounded: UNBOUNDED,
+           HighsModelStatus.kTimeLimit: GAP_LIMIT,
+           HighsModelStatus.kIterationLimit: GAP_LIMIT}
 _COLWISE = int(MatrixFormat.kColwise)
 _MINIMIZE = int(ObjSense.kMinimize)
-
-
-@dataclass
-class HighsResult:
-    """The fields of ``scipy.optimize.milp``'s result that callers read."""
-
-    status: int
-    message: str
-    x: np.ndarray | None
-    fun: float | None
-    mip_node_count: int | None
-    mip_gap: float | None
 
 
 def highs_milp(c, *, constraints, integrality, bounds, options, model=None,
@@ -517,16 +493,15 @@ def highs_milp(c, *, constraints, integrality, bounds, options, model=None,
     and integral columns where ``integrality`` is 1, with one fresh HiGHS
     instance, or with the one ``model`` keeps.
 
-    ``constraints`` is the ``(A, lower, upper)`` triple of
-    :meth:`MixedBinaryModel._row_ranges`, where ``A`` is any CSC matrix
-    with ``indptr``, ``indices``, ``data`` and ``shape`` (a
-    :class:`CscMatrix` or a scipy one), ``bounds`` an ``(lb, ub)`` pair and
-    ``options`` HiGHS options by name, ``presolve`` as a bool; an option
-    HiGHS rejects is ignored.  Returns a :class:`HighsResult` with
-    ``status`` (scipy's codes), ``message``, ``x`` and ``fun`` (None without
-    a point), and, for a MILP with a point, ``mip_node_count`` and
-    ``mip_gap``: what ``scipy.optimize.milp`` returns for the same
-    arguments.
+    ``constraints`` is an ``(A, lower, upper)`` triple as a model
+    assembles it, where ``A`` is any CSC matrix with ``indptr``,
+    ``indices``, ``data`` and ``shape`` (a :class:`CscMatrix` or a scipy
+    one), ``bounds`` an ``(lb, ub)`` pair and ``options`` HiGHS options by
+    name, ``presolve`` as a bool; an option HiGHS rejects is ignored.
+    Returns a :class:`Solution`: optimal, infeasible and unbounded as
+    HiGHS reports them, a time or iteration limit as ``gap_limit`` with
+    the MILP's incumbent, if any; ``x`` is None and ``objective`` infinite
+    without a point.  Any other HiGHS status raises :class:`SolverError`.
 
     With ``model`` (an LP over that model's arrays) the instance is kept on
     the model: later calls only change every column's bounds and run again,
@@ -551,7 +526,7 @@ def highs_milp(c, *, constraints, integrality, bounds, options, model=None,
         if key == "presolve":
             value = "on" if value else "off"
         highs.setOptionValue(key, value)
-    x = fun = nodes = gap = None
+    status = HighsModelStatus.kModelError
     solved = False
     if warm:
         # a bound change keeps the basis, which the next run starts from
@@ -565,25 +540,26 @@ def highs_milp(c, *, constraints, integrality, bounds, options, model=None,
             A.shape[1], A.shape[0], int(A.indptr[-1]), _COLWISE, _MINIMIZE,
             0.0, c, lb, ub, lower, upper, A.indptr, A.indices, A.data,
             integrality) != HighsStatus.kError
-    if not loaded:
-        status = HighsModelStatus.kModelError
-    else:
+    if loaded:
         if start is not None:
             start = np.asarray(start, dtype=float)
             highs.setSolution(start.size,
                               np.arange(start.size, dtype=np.int32), start)
         solved = highs.run() != HighsStatus.kError
         status = highs.getModelStatus()
-        info = highs.getInfo()
-        if solved and (status == HighsModelStatus.kOptimal or (
-                is_mip and status in _MIP_STOPS
-                and info.objective_function_value < math.inf)):
-            x = np.array(highs.getSolution().col_value)
-            fun = info.objective_function_value
-            if is_mip:
-                nodes, gap = info.mip_node_count, info.mip_gap
     if model is not None:
         model._highs = highs if solved else None
-    return HighsResult(_SCIPY_STATUS.get(status, 4),
-                       highs.modelStatusToString(status), x, fun, nodes, gap)
-
+    outcome = _STATUS.get(status) if solved else None
+    if outcome is None:
+        raise SolverError("MILP solve failed (HiGHS status "
+                          f"{highs.modelStatusToString(status)!r})")
+    info = highs.getInfo()
+    fun = info.objective_function_value
+    if outcome == OPTIMAL or (outcome == GAP_LIMIT and is_mip
+                              and fun < math.inf):
+        x = np.array(highs.getSolution().col_value)
+        gap, nodes = (info.mip_gap, info.mip_node_count) if is_mip else (0.0, 1)
+        return Solution(outcome, fun, x, mip_gap=gap, node_count=max(1, nodes))
+    return Solution(outcome, -math.inf if outcome == UNBOUNDED else math.inf,
+                    None, mip_gap=math.inf if outcome == GAP_LIMIT else 0.0,
+                    node_count=1)

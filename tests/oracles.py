@@ -264,7 +264,7 @@ def random_lp(rng, n_vars=None, n_rows=None):
 
 
 def scipy_constraints(constraints):
-    """An ``(A, lower, upper)`` triple of ``MixedBinaryModel._row_ranges``
+    """The ``(A, lower, upper)`` rows of ``MixedBinaryModel._assembled()``
     with ``A`` as a ``scipy.sparse.csc_array``, the form
     ``scipy.optimize.milp`` takes."""
     A, lower, upper = constraints

@@ -99,6 +99,10 @@ def test_sweep_beta_rows(instance, tmp_path):
             value = row.split(",")[header.index(col)]
             if value:
                 assert 0.0 <= float(value) <= 1.0
+        # every cell is empty or a plain number, never a numpy repr
+        for value in row.split(","):
+            if value:
+                float(value)
 
 
 def test_evaluate_identity_reduction(instance, tmp_path):
@@ -150,6 +154,34 @@ def test_evaluate_rejects_misfit_reduction_before_solving(
                                   "--reduction", out / "bad.json"]]) == 1
     assert capsys.readouterr().err.startswith("error: reduction ")
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
+def test_fewer_than_three_scenarios_rejected_before_solving(
+        tmp_path, capsys, monkeypatch, command):
+    # worst-case detection, which both commands end with, needs N >= 3
+    base = tmp_path / "desk"
+    run_ok(["make-desk", "--problem", "uc", "--N", "2", "--T", "6",
+            "--seed", "0", "--out", base])
+    (base / "reduction.json").write_text(json.dumps(
+        {"representatives": [0], "assignment": {"0": 0, "1": 0},
+         "weights": {"0": 1.0}}))
+    rest = {"evaluate": ["--reduction", base / "reduction.json"],
+            "compare": ["--K", "1"]}[command]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver called before N was checked")
+
+    monkeypatch.setattr("pdsr.milp.highs_milp", no_solve)
+    capsys.readouterr()
+    argv = [command, "--problem", "uc", "--config", base / "config.json",
+            "--scenarios", base / "scenarios.csv",
+            "--probabilities", base / "probabilities.csv", "--out", base,
+            *rest]
+    assert main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: worst-case detection needs at least 3 scenarios")
+    assert not (base / "F.csv").exists()
 
 
 # the instance has N=4 scenarios

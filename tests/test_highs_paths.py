@@ -1,5 +1,5 @@
 """``pdsr.milp.highs_milp`` calls HiGHS through its own bindings; on the
-same arrays it must return what ``scipy.optimize.milp`` returns."""
+same arrays it must find what ``scipy.optimize.milp`` finds."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,9 @@ from scipy.optimize import milp
 
 from oracles import fixed_model, scipy_constraints
 from pdsr.adn import AdnProblem, make_desk_instance
-from pdsr.milp import LE, MixedBinaryModel, highs_milp
+from pdsr.errors import SolverError
+from pdsr.milp import (GAP_LIMIT, INFEASIBLE, LE, OPTIMAL, UNBOUNDED,
+                       CscMatrix, MixedBinaryModel, highs_milp)
 from pdsr.tsso import solve_scenario_specific
 from pdsr.uc import UcProblem, make_uc_desk_instance
 
@@ -51,7 +53,8 @@ def _arrays(model):
     c = np.zeros(model.num_vars)
     for j, a in model.obj.items():
         c[j] = a
-    return c, model._row_ranges(), (np.array(model.lb), np.array(model.ub))
+    return (c, model._assembled().constraints,
+            (np.array(model.lb), np.array(model.ub)))
 
 
 def _both(c, constraints, bounds, integrality, options):
@@ -63,11 +66,11 @@ def _both(c, constraints, bounds, integrality, options):
 
 
 def _assert_same_optimum(ours, ref, mip):
-    assert ours.status == ref.status == 0
+    assert ours.status == OPTIMAL and ref.status == 0
     assert np.array_equal(ours.x, ref.x)
-    assert ours.fun == ref.fun
+    assert ours.objective == ref.fun
     if mip:
-        assert ours.mip_node_count == ref.mip_node_count
+        assert ours.node_count == ref.mip_node_count
         assert ours.mip_gap == ref.mip_gap
 
 
@@ -103,15 +106,27 @@ def _infeasible_lp():
     return m
 
 
-@pytest.mark.parametrize("model, status", [(_infeasible_lp(), 2),
-                                           (_unbounded_lp(), 3)],
+@pytest.mark.parametrize("model, status, code",
+                         [(_infeasible_lp(), INFEASIBLE, 2),
+                          (_unbounded_lp(), UNBOUNDED, 3)],
                          ids=["infeasible", "unbounded"])
-def test_direct_call_matches_scipy_milp_without_optimum(model, status):
+def test_direct_call_matches_scipy_milp_without_optimum(model, status, code):
     c, constraints, bounds = _arrays(model)
     relaxed = np.zeros(model.num_vars, dtype=int)
     ours, ref = _both(c, constraints, bounds, relaxed, LP_OPTIONS)
-    assert ours.status == ref.status == status
+    assert ours.status == status and ref.status == code
     assert ours.x is None and ref.x is None
+
+
+def test_model_that_highs_rejects_raises():
+    # a row index past the only row: HiGHS rejects the model, which is a
+    # failure, not an infeasible program
+    A = CscMatrix(np.array([0, 1], dtype=np.int32),
+                  np.array([5], dtype=np.int32), np.array([1.0]), (1, 1))
+    with pytest.raises(SolverError, match="Model error"):
+        highs_milp(np.ones(1), constraints=(A, np.zeros(1), np.ones(1)),
+                   integrality=np.zeros(1, dtype=int),
+                   bounds=(np.zeros(1), np.ones(1)), options=LP_OPTIONS)
 
 
 def _market_split(m=4, n=36, seed=0):
@@ -134,7 +149,7 @@ def test_direct_call_matches_scipy_milp_at_time_limit(time_limit, incumbent):
     c, constraints, bounds, integrality = _market_split()
     ours, ref = _both(c, constraints, bounds, integrality,
                       dict(MIP_OPTIONS, time_limit=time_limit))
-    assert ours.status == ref.status == 1
+    assert ours.status == GAP_LIMIT and ref.status == 1
     assert (ours.x is not None) == (ref.x is not None) == incumbent
 
 
@@ -154,9 +169,9 @@ def test_start_is_only_a_hint(desk_models, name):
                           start=start)
 
     ref = solve(None)
-    assert ref.status == 0
+    assert ref.status == OPTIMAL
     for start in (ref.x, np.zeros(model.num_vars),
                   np.full(model.num_vars, np.nan)):
         res = solve(start)
         assert res.status == ref.status
-        assert res.fun == ref.fun
+        assert res.objective == ref.objective

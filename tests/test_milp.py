@@ -335,7 +335,7 @@ def _branch_and_cut_objective(model, gap):
     c = np.zeros(model.num_vars)
     for j, a in model.obj.items():
         c[j] = a
-    A, lo, hi = scipy_constraints(model._row_ranges())
+    A, lo, hi = scipy_constraints(model._assembled().constraints)
     ref = milp(c, constraints=LinearConstraint(A, lo, hi),
                integrality=np.array(model.is_binary, dtype=int),
                bounds=Bounds(model.lb, model.ub), options={"mip_rel_gap": gap})
@@ -479,15 +479,15 @@ def test_branch_and_cut_starts_from_a_feasible_point(monkeypatch, build):
     seen = _record_starts(monkeypatch)
     sol = solve_milp(model)
     start, res = seen[-1]
-    assert start is not None and res.status == 0
+    assert start is not None and res.status == "optimal"
     xb = start[model.binary_indices]
     assert np.array_equal(xb, np.round(xb))
     assert model.max_violation(start) <= 1e-5
     c = np.zeros(model.num_vars)
     for j, a in model.obj.items():
         c[j] = a
-    assert res.fun <= c @ start
-    assert sol.status == "optimal" and sol.objective == res.fun
+    assert res.objective <= c @ start
+    assert sol.status == "optimal" and sol.objective == res.objective
 
 
 def test_option_warning_filtered_in_a_fresh_interpreter():
