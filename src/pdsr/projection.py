@@ -2,9 +2,11 @@
 
 The projection cross-evaluates scenario-specific optima: entry (i, j) of
 the matrix is the objective of scenario j dispatched with the first-stage
-decision that is optimal for scenario i.  Diagonal solves run first (the
-off-diagonal entries of row i need decision i); the result is independent
-of worker count and scheduling.
+decision that is optimal for scenario i.  Each row is one task: its
+diagonal solve gives decision i, which its off-diagonal entries then
+need, and its programs re-solve warm on one HiGHS instance handed from
+program to program.  The result is independent of worker count and
+scheduling.
 
 The matrix is cached as a CSV with scenario-id headers plus a JSON sidecar
 carrying the fingerprint, decisions, and timings; a cache is only reusable
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheError, InconsistencyError, RecourseError
-from .milp import DEFAULT_GAP_TOL
+from .milp import DEFAULT_GAP_TOL, lp_relay
 from .parallel import pmap
 from .scenarios import ScenarioSet, dump_values_csv, dump_probabilities_csv
 from .tsso import (FirstStageDecision, TssoProblem,
@@ -75,60 +77,60 @@ def build_problem_space_matrix(problem: TssoProblem, scenario_set: ScenarioSet,
                                workers: int = 1,
                                gap_tol: float = DEFAULT_GAP_TOL) -> ProblemSpaceMatrix:
     """Solve the N scenario-specific programs and the N(N-1) cross
-    evaluations.
+    evaluations, one row per task.
 
     Each scenario-specific optimum is taken as the solver returns it (ties
-    among optima are its deterministic choice).  Cell (i, j) compiles
-    scenario j's program and fixes its first stage at decision i by column
-    bounds (:func:`evaluate_with_fixed_first_stage`).
+    among optima are its deterministic choice).  Row i solves scenario i's
+    program for decision i, then evaluates that decision on every other
+    scenario j in increasing order: cell (i, j) compiles scenario j's
+    program and fixes its first stage at decision i by column bounds
+    (:func:`evaluate_with_fixed_first_stage`).  The row's programs share
+    one matrix, so the row hands one HiGHS LP instance from program to
+    program (:func:`~pdsr.milp.lp_relay`) and each program's first LP
+    starts from the last one's basis.  A row is a fixed sequence of solves,
+    so the matrix does not depend on the worker count.  The timings are
+    the busy seconds of the diagonal and the cross solves, summed over
+    rows.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     n = len(scenario_set)
     scenarios = scenario_set.scenarios
 
-    t0 = time.monotonic()
+    def row(i: int):
+        values = np.empty(n)
+        with lp_relay():
+            t0 = time.monotonic()
+            try:
+                z, values[i] = solve_scenario_specific(
+                    problem, scenarios[i], gap_tol=gap_tol, source_index=i)
+            except RecourseError as exc:
+                raise RecourseError(
+                    f"scenario-specific solve failed at i={i}: {exc}")
+            t1 = time.monotonic()
+            for j in range(n):
+                if j == i:
+                    continue
+                try:
+                    values[j] = evaluate_with_fixed_first_stage(
+                        problem, decision=z, scenario=scenarios[j],
+                        gap_tol=gap_tol)
+                except RecourseError as exc:
+                    raise RecourseError(
+                        f"cross evaluation failed at (i={i}, j={j}): {exc}")
+        return z, values, t1 - t0, time.monotonic() - t1
 
-    def diag(i: int):
-        try:
-            z, obj = solve_scenario_specific(problem, scenarios[i],
-                                             gap_tol=gap_tol, source_index=i)
-        except RecourseError as exc:
-            raise RecourseError(f"scenario-specific solve failed at i={i}: {exc}")
-        return z, obj
-
-    diag_results = pmap(diag, range(n), workers)
-    diag_seconds = time.monotonic() - t0
-
-    decisions = [z for z, _ in diag_results]
-    F = np.zeros((n, n))
-    for i, (_, obj) in enumerate(diag_results):
-        F[i, i] = obj
-
-    t1 = time.monotonic()
-    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-
-    def cell(ij):
-        i, j = ij
-        try:
-            return evaluate_with_fixed_first_stage(problem, decisions[i],
-                                                   scenarios[j], gap_tol=gap_tol)
-        except RecourseError as exc:
-            raise RecourseError(f"cross evaluation failed at (i={i}, j={j}): {exc}")
-
-    for (i, j), value in zip(cells, pmap(cell, cells, workers)):
-        F[i, j] = value
-    offdiag_seconds = time.monotonic() - t1
-
+    decisions, values, diag_seconds, cross_seconds = zip(
+        *pmap(row, range(n), workers))
     matrix = ProblemSpaceMatrix(
-        values=F,
-        decisions=decisions,
+        values=np.array(values),
+        decisions=list(decisions),
         scenario_ids=scenario_set.ids(),
         fingerprint=fingerprint(problem, scenario_set, gap_tol),
         gap_tol=gap_tol,
         meta={"first_stage_names": problem.first_stage_names(),
-              "timings": {"diagonal_seconds": diag_seconds,
-                          "offdiagonal_seconds": offdiag_seconds}},
+              "timings": {"diagonal_seconds": sum(diag_seconds),
+                          "offdiagonal_seconds": sum(cross_seconds)}},
     )
     matrix.check_diagonal_optimality()
     return matrix
@@ -167,7 +169,9 @@ def save_matrix(matrix: ProblemSpaceMatrix, path):
 
 
 def load_matrix(path, expected_fingerprint: str) -> ProblemSpaceMatrix:
-    """Load a cached matrix; refuses a fingerprint mismatch."""
+    """Load a cached matrix; refuses a fingerprint mismatch and a cache
+    that is truncated, reordered, holds a non-finite value or not one
+    decision per scenario."""
     p = Path(path)
     try:
         with open(_meta_path(p)) as fh:
@@ -187,6 +191,10 @@ def load_matrix(path, expected_fingerprint: str) -> ProblemSpaceMatrix:
                 raise CacheError(f"cache {p} is truncated")
             if next(reader, None) is not None:
                 raise CacheError(f"cache {p} has rows after its last scenario")
+        decisions = [FirstStageDecision(np.array([float(v) for v in d["values"]]),
+                                        float(d["objective_at_source"]),
+                                        d["source_scenario"])
+                     for d in meta["decisions"]]
     except CacheError:
         raise
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -195,11 +203,14 @@ def load_matrix(path, expected_fingerprint: str) -> ProblemSpaceMatrix:
         raise CacheError(
             "cached matrix fingerprint does not match the requested problem "
             "configuration/scenario data (stale cache)")
-    decisions = [FirstStageDecision(np.array([float(v) for v in d["values"]]),
-                                    float(d["objective_at_source"]),
-                                    d["source_scenario"])
-                 for d in meta["decisions"]]
-    return ProblemSpaceMatrix(np.array(values), decisions, list(ids),
+    values = np.array(values)
+    if not (np.isfinite(values).all()
+            and all(np.isfinite(d.values).all() for d in decisions)):
+        raise CacheError(f"cache {p} holds a non-finite value")
+    if len(decisions) != len(ids):
+        raise CacheError(f"cache {p} holds {len(decisions)} decisions for "
+                         f"{len(ids)} scenarios")
+    return ProblemSpaceMatrix(values, decisions, list(ids),
                               meta["fingerprint"], float(meta["gap_tol"]),
                               meta.get("meta", {}))
 

@@ -47,6 +47,30 @@ def test_project_and_cache_reuse(instance, tmp_path, capsys):
     assert "reused" in again
 
 
+@pytest.mark.parametrize("corrupt", ["nan_entry", "short_decisions"])
+def test_corrupt_cache_is_rebuilt(instance, tmp_path, capsys, corrupt):
+    """A cache whose matrix holds a non-finite entry or too few decisions
+    is rebuilt, not used."""
+    out = tmp_path / "run"
+    out.mkdir()
+    run_ok(["project", *common(instance, out)])
+    good = (out / "F.csv").read_text()
+    if corrupt == "nan_entry":
+        lines = good.splitlines()
+        cells = lines[1].split(",")
+        cells[2] = "nan"
+        lines[1] = ",".join(cells)
+        (out / "F.csv").write_text("\n".join(lines) + "\n")
+    else:
+        meta = json.loads((out / "F.meta.json").read_text())
+        meta["decisions"].pop()
+        (out / "F.meta.json").write_text(json.dumps(meta))
+    capsys.readouterr()
+    run_ok(["cluster", *common(instance, out), "--K", "2"])
+    assert (out / "F.csv").read_text() == good
+    assert len(json.loads((out / "F.meta.json").read_text())["decisions"]) == 4
+
+
 def test_cluster_beta_zero_keeps_all(instance, tmp_path):
     out = tmp_path / "run"
     out.mkdir()

@@ -16,8 +16,9 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 import pdsr.milp
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.errors import ModelError
-from pdsr.milp import GE, LE, EQ, LinExpr, MixedBinaryModel, solve_milp
-from pdsr.tsso import solve_scenario_specific
+from pdsr.milp import (GE, LE, EQ, LinExpr, MixedBinaryModel, lp_relay,
+                       solve_milp)
+from pdsr.tsso import _fixed_bounds, solve_scenario_specific
 from pdsr.uc import UcProblem, make_uc_desk_instance
 from oracles import (brute_force_milp, enumerate_vertices_optimum,
                      fixed_model, random_lp, random_milp, scipy_constraints,
@@ -616,3 +617,106 @@ def test_model_grown_after_a_solve_reaches_the_next_lp(monkeypatch, change):
     # the first LP after the change already solves the grown model
     assert points[0] is not None and seen(points[0])
     assert sol.objective == pytest.approx(expected)
+
+
+# -- handing a kept LP instance to the next model ----------------------------
+
+
+def _desk_problem(kind, t_steps=None):
+    if kind == "adn":
+        cfg, ss = make_desk_instance(seed=0, n_scenarios=6,
+                                     t_steps=t_steps or 12, buses=6)
+        return AdnProblem(cfg, ss.source_names), ss
+    cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=t_steps or 6)
+    return UcProblem(cfg, ss.source_names), ss
+
+
+def _record_lps(monkeypatch):
+    """Record every root-step LP as (model, whether the model kept an
+    instance when called, LP objective), in call order."""
+    seen = []
+    highs = pdsr.milp.highs_milp
+
+    def recorded(c, **kwargs):
+        model = kwargs.get("model")
+        warm = model is not None and model._highs is not None
+        res = highs(c, **kwargs)
+        if model is not None:
+            seen.append((model, warm, res.objective))
+        return res
+
+    monkeypatch.setattr(pdsr.milp, "highs_milp", recorded)
+    return seen
+
+
+def _first_lp(seen, model):
+    """(warm, objective) of the first recorded LP of ``model``."""
+    return next((warm, obj) for m, warm, obj in seen if m is model)
+
+
+@pytest.mark.parametrize("kind", ["adn", "uc"])
+def test_handed_over_instance_solves_like_a_fresh_one(monkeypatch, kind):
+    # diagonal 0, then cell (0, 1): the same matrix, other row bounds (and
+    # on ADN other costs, the price)
+    problem, ss = _desk_problem(kind)
+    donor = problem.build_model([ss.scenarios[0]], [1.0])
+    z, _ = solve_scenario_specific(problem, ss.scenarios[0])
+    cell = problem.build_model([ss.scenarios[1]], [1.0])
+    fresh = problem.build_model([ss.scenarios[1]], [1.0])
+    (_, lo0, hi0), (_, lo1, hi1) = (donor._assembled().constraints,
+                                    cell._assembled().constraints)
+    assert ((lo0 != lo1) | (hi0 != hi1)).any()
+    if kind == "adn":
+        assert (donor._assembled().c != cell._assembled().c).any()
+    bounds = _fixed_bounds(problem, z, cell)
+    solve_milp(donor)
+    assert donor._highs is not None
+    seen = _record_lps(monkeypatch)
+    assert cell.take_highs(donor)
+    assert donor._highs is None and cell._highs is not None
+    warm = solve_milp(cell, bounds=bounds)
+    cold = solve_milp(fresh, bounds=bounds)
+    (was_warm, lp_warm), (was_cold, lp_cold) = (_first_lp(seen, cell),
+                                                _first_lp(seen, fresh))
+    assert was_warm and not was_cold
+    # the first LP on the handed-over instance is the fresh model's LP
+    assert lp_warm == pytest.approx(lp_cold, rel=1e-9)
+    assert warm.status == cold.status == "optimal"
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert cell.max_violation(warm.x, bounds) <= 1e-5
+
+
+@pytest.mark.parametrize("other", ["two_scenarios", "other_t"])
+def test_other_matrix_refuses_the_instance(other):
+    problem, ss = _desk_problem("adn")
+    donor = problem.build_model([ss.scenarios[0]], [1.0])
+    solve_milp(donor)
+    kept = donor._highs
+
+    def build():
+        if other == "two_scenarios":
+            return problem.build_model(ss.scenarios[:2], [0.5, 0.5])
+        short, ss10 = _desk_problem("adn", t_steps=10)
+        return short.build_model([ss10.scenarios[0]], [1.0])
+
+    model = build()
+    assert not model.take_highs(donor)
+    assert donor._highs is kept and model._highs is None
+    with lp_relay():
+        solve_milp(donor)
+        sol = solve_milp(model)
+    assert donor._highs is kept
+    assert np.array_equal(sol.x, solve_milp(build()).x)
+
+
+def test_relay_hands_the_instance_on_within_its_block(monkeypatch):
+    problem, ss = _desk_problem("uc")
+    models = [problem.build_model([s], [1.0]) for s in ss.scenarios[:3]]
+    seen = _record_lps(monkeypatch)
+    with lp_relay():
+        solve_milp(models[0])
+        solve_milp(models[1])
+    solve_milp(models[2])
+    assert [_first_lp(seen, m)[0] for m in models] == [False, True, False]
+    assert models[0]._highs is None and models[1]._highs is not None
+    assert not pdsr.milp._relay.active and pdsr.milp._relay.last is None

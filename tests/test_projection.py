@@ -1,5 +1,7 @@
 """Projection matrix: construction, caching, worker invariance."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pdsr.errors import CacheError
 from pdsr.projection import (build_problem_space_matrix, fingerprint,
                              load_matrix, save_matrix)
 from pdsr.scenarios import Scenario, ScenarioSet
+from pdsr.tsso import evaluate_with_fixed_first_stage
 
 
 @pytest.fixture(scope="module")
@@ -52,11 +55,27 @@ def test_diagonal_column_minimal(matrix):
 
 
 def test_worker_invariance(desk, matrix):
+    """A row is a fixed sequence of solves, so the matrix is the same bytes
+    on 1, 2 and 8 workers."""
     problem, ss = desk
     sequential = build_problem_space_matrix(problem, ss, workers=1)
-    assert np.allclose(matrix.values, sequential.values, atol=1e-9)
+    assert np.array_equal(matrix.values, sequential.values)
     m8 = build_problem_space_matrix(problem, ss, workers=8)
-    assert np.allclose(matrix.values, m8.values, atol=1e-9)
+    assert np.array_equal(matrix.values, m8.values)
+    for m in (sequential, m8):
+        for a, b in zip(matrix.decisions, m.decisions):
+            assert np.array_equal(a.values, b.values)
+
+
+def test_rows_match_cold_cells(desk, matrix):
+    """A cell solved on the instance its row handed over gives the value a
+    cold solve of the cell gives."""
+    problem, ss = desk
+    for i, z in enumerate(matrix.decisions):
+        for j, scen in enumerate(ss.scenarios):
+            if i != j:
+                cold = evaluate_with_fixed_first_stage(problem, z, scen)
+                assert matrix.values[i, j] == pytest.approx(cold, rel=1e-9)
 
 
 def test_save_load_round_trip(tmp_path, matrix):
@@ -90,6 +109,41 @@ def test_truncated_cache_rejected(tmp_path, matrix):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-2]) + "\n")
     with pytest.raises(CacheError):
+        load_matrix(path, expected_fingerprint=matrix.fingerprint)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_cache_entry_rejected(tmp_path, matrix, bad):
+    path = tmp_path / "F.csv"
+    save_matrix(matrix, path)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[1] = bad
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheError, match="non-finite"):
+        load_matrix(path, expected_fingerprint=matrix.fingerprint)
+
+
+def test_non_finite_cached_decision_rejected(tmp_path, matrix):
+    path = tmp_path / "F.csv"
+    save_matrix(matrix, path)
+    meta_path = tmp_path / "F.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["decisions"][1]["values"][0] = "nan"
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(CacheError, match="non-finite"):
+        load_matrix(path, expected_fingerprint=matrix.fingerprint)
+
+
+def test_short_cached_decision_list_rejected(tmp_path, matrix):
+    path = tmp_path / "F.csv"
+    save_matrix(matrix, path)
+    meta_path = tmp_path / "F.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta["decisions"].pop()
+    meta_path.write_text(json.dumps(meta))
+    with pytest.raises(CacheError, match="decisions for"):
         load_matrix(path, expected_fingerprint=matrix.fingerprint)
 
 
