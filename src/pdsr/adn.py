@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .milp import GE, LE, EQ, LinExpr, MixedBinaryModel
+from .milp import GE, LE, EQ, MixedBinaryModel
 from .scenarios import Scenario, ScenarioSet, _pick_bad, _smooth_noise
 from .tsso import (NetworkConfig, NetworkProblem, _penalized_recourse,
                    _source_rows)
@@ -177,57 +177,58 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
         for b in range(1, cfg.n_buses):
             pi, r, x = parent[b]
             for t in range(T):
-                expr = LinExpr()
-                expr.add(volt[b, t], 1.0)
-                expr.add(fp[b, t], 2.0 * r)
-                expr.add(fq[b, t], 2.0 * x)
+                cols = [volt[b, t], fp[b, t], fq[b, t]]
+                vals = [1.0, 2.0 * r, 2.0 * x]
                 if pi == 0:
-                    m.add_expr_constraint(expr, EQ, 1.0)
+                    m.add_row(cols, vals, EQ, 1.0)
                 else:
-                    expr.add(volt[pi, t], -1.0)
-                    m.add_expr_constraint(expr, EQ, 0.0)
+                    m.add_row(cols + [volt[pi, t]], vals + [-1.0], EQ, 0.0)
 
-        def injection(b: int, t: int) -> LinExpr:
-            # net withdrawal at the bus: storage + load - renewables
-            expr = LinExpr()
-            for k, e in enumerate(cfg.es_units):
-                if e.node == b:
-                    expr.add(ch[k, t], 1.0)
-                    expr.add(dis[k, t], -1.0)
-            if (b, t) in shed:
-                expr.add_const(load_mw[b, t])
-                expr.add(shed[b, t], -1.0)
-            if (b, t) in curt:
-                expr.add_const(-res_mw[b, t])
-                expr.add(curt[b, t], 1.0)
-            return expr
-
-        # active balance: inflow - child outflows = net withdrawal
+        # active balance: inflow - child outflows = net withdrawal (storage
+        # + load - renewables), the bus data summed into the right-hand side
         for b in range(cfg.n_buses):
             for t in range(T):
-                expr = injection(b, t)
+                cols, vals = [], []
+                for k, e in enumerate(cfg.es_units):
+                    if e.node == b:
+                        cols += (ch[k, t], dis[k, t])
+                        vals += (1.0, -1.0)
+                data = 0.0
+                if (b, t) in shed:
+                    data += load_mw[b, t]
+                    cols.append(shed[b, t])
+                    vals.append(-1.0)
+                if (b, t) in curt:
+                    data += -res_mw[b, t]
+                    cols.append(curt[b, t])
+                    vals.append(1.0)
                 for c in children[b]:
-                    expr.add(fp[c, t], 1.0)
+                    cols.append(fp[c, t])
+                    vals.append(1.0)
                 if b == 0:
                     # transmission import plays the parent-line role
-                    expr.add(pt[t], -1.0)
-                    expr.add(tp[t], -1.0)
-                    expr.add(tm[t], 1.0)
+                    cols += (pt[t], tp[t], tm[t])
+                    vals += (-1.0, -1.0, 1.0)
                 else:
-                    expr.add(fp[b, t], -1.0)
-                m.add_expr_constraint(expr, EQ, 0.0)
+                    cols.append(fp[b, t])
+                    vals.append(-1.0)
+                m.add_row(cols, vals, EQ, 0.0 - data)
 
         # reactive balance at non-root buses (the root imports freely)
         for b in range(1, cfg.n_buses):
             for t in range(T):
-                expr = LinExpr()
+                cols, vals = [], []
+                data = 0.0
                 if (b, t) in shed:
-                    expr.add_const(cfg.reactive_ratio * load_mw[b, t])
-                    expr.add(shed[b, t], -cfg.reactive_ratio)
+                    data += cfg.reactive_ratio * load_mw[b, t]
+                    cols.append(shed[b, t])
+                    vals.append(-cfg.reactive_ratio)
                 for c in children[b]:
-                    expr.add(fq[c, t], 1.0)
-                expr.add(fq[b, t], -1.0)
-                m.add_expr_constraint(expr, EQ, 0.0)
+                    cols.append(fq[c, t])
+                    vals.append(1.0)
+                cols.append(fq[b, t])
+                vals.append(-1.0)
+                m.add_row(cols, vals, EQ, 0.0 - data)
 
         # storage: gating, stored-energy dynamics, SoC window in MWh,
         # terminal energy equal to initial
@@ -235,21 +236,15 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
             for t in range(T):
                 m.add_constraint({ch[k, t]: 1.0, des[k, t]: e.p_max}, LE, e.p_max)
                 m.add_constraint({dis[k, t]: 1.0, des[k, t]: -e.p_max}, LE, 0.0)
-                expr = LinExpr()
-                expr.add(stored[k, t], 1.0)
-                expr.add(ch[k, t], -e.eta_c * dt)
-                expr.add(dis[k, t], dt / e.eta_d)
+                cols = [stored[k, t], ch[k, t], dis[k, t]]
+                vals = [1.0, -e.eta_c * dt, dt / e.eta_d]
                 if t == 0:
-                    expr.add(ecap[k], -e.soc0)
+                    m.add_row(cols + [ecap[k]], vals + [-e.soc0], EQ, 0.0)
                 else:
-                    expr.add(stored[k, t - 1], -1.0)
-                m.add_expr_constraint(expr, EQ, 0.0)
-                hi = LinExpr().add(stored[k, t], 1.0).add(ecap[k], -e.soc_max)
-                m.add_expr_constraint(hi, LE, 0.0)
-                lo = LinExpr().add(stored[k, t], 1.0).add(ecap[k], -e.soc_min)
-                m.add_expr_constraint(lo, GE, 0.0)
-            terminal = LinExpr().add(stored[k, T - 1], 1.0).add(ecap[k], -e.soc0)
-            m.add_expr_constraint(terminal, EQ, 0.0)
+                    m.add_row(cols + [stored[k, t - 1]], vals + [-1.0], EQ, 0.0)
+                m.add_row([stored[k, t], ecap[k]], [1.0, -e.soc_max], LE, 0.0)
+                m.add_row([stored[k, t], ecap[k]], [1.0, -e.soc_min], GE, 0.0)
+            m.add_row([stored[k, T - 1], ecap[k]], [1.0, -e.soc0], EQ, 0.0)
 
         # trading: one balancing direction at a time, net exchange within the
         # interconnection limit
@@ -257,10 +252,9 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
             m.add_constraint({tp[t]: 1.0, dts[t]: cfg.p_trade_max}, LE,
                              cfg.p_trade_max)
             m.add_constraint({tm[t]: 1.0, dts[t]: -cfg.p_trade_max}, LE, 0.0)
-            net_hi = LinExpr().add(pt[t], 1.0).add(tp[t], 1.0).add(tm[t], -1.0)
-            m.add_expr_constraint(net_hi, LE, cfg.p_trade_max)
-            net_lo = LinExpr().add(pt[t], 1.0).add(tp[t], 1.0).add(tm[t], -1.0)
-            m.add_expr_constraint(net_lo, GE, -cfg.p_trade_max)
+            net = [pt[t], tp[t], tm[t]]
+            m.add_row(net, [1.0, 1.0, -1.0], LE, cfg.p_trade_max)
+            m.add_row(net, [1.0, 1.0, -1.0], GE, -cfg.p_trade_max)
 
     return m
 

@@ -57,6 +57,9 @@ class ReductionResult:
         reps = set(self.representatives)
         if not reps:
             raise ValueError("no representatives")
+        if len(reps) != len(self.representatives):
+            twice = next(r for r in reps if self.representatives.count(r) > 1)
+            raise ValueError(f"representative {twice} listed twice")
         for r in reps:
             if self.assignment.get(r) != r:
                 raise ValueError(f"representative {r} not assigned to itself")
@@ -67,7 +70,7 @@ class ReductionResult:
             raise ValueError("weights do not cover the representatives")
         total = sum(self.weights.values())
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {total!r}")
+            raise ValueError(f"weights sum to {float(total)!r}")
         for r in reps:
             mass = float(sum(probabilities[i] for i in self.members(r)))
             if abs(mass - self.weights[r]) > 1e-9:

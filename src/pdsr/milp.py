@@ -2,14 +2,15 @@
 
 Every stochastic program in the toolkit compiles down to a
 :class:`MixedBinaryModel`: bounded variables (some binary), a sparse linear
-objective to minimize, and sparse linear rows.  Its costs, integrality
-and rows are assembled and checked once into one snapshot of solver
-arrays, whose range-constrained matrix both the HiGHS calls and the
-feasibility re-check read.  :func:`solve_milp` solves the LP relaxation
-with HiGHS, repairs the binaries of its point with the model's gating
-triples and returns that point when it is feasible and within the
-relative gap of the LP bound.  When the repaired point breaks a row, a
-second LP with every binary fixed at its repaired value supplies the
+objective to minimize, and sparse linear rows, which the compilers emit
+one call per row into flat buffers (:meth:`MixedBinaryModel.add_row`).
+Its costs, integrality and rows are assembled and checked once into one
+snapshot of solver arrays, whose range-constrained matrix both the HiGHS
+calls and the feasibility re-check read.  :func:`solve_milp` solves the
+LP relaxation with HiGHS, repairs the binaries of its point with the
+model's gating triples and returns that point when it is feasible and
+within the relative gap of the LP bound.  When the repaired point breaks
+a row, a second LP with every binary fixed at its repaired value supplies the
 continuous part and is held to the same gap test against the first LP's
 bound.  Otherwise HiGHS branch-and-cut proves the gap, starting from
 the feasible point the root step ended with, if any, as its incumbent, and
@@ -47,7 +48,6 @@ import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -122,31 +122,6 @@ class _Arrays(NamedTuple):
     entry_col: np.ndarray
 
 
-class LinExpr:
-    """Sparse linear expression over variable indices with a constant term.
-
-    The problem compilers build rows with it so that data terms (loads,
-    renewable output, initial states) sit next to variable terms;
-    :meth:`MixedBinaryModel.add_expr_constraint` moves the constant to the
-    right-hand side.
-    """
-
-    __slots__ = ("coeffs", "constant")
-
-    def __init__(self):
-        self.coeffs: dict[int, float] = {}
-        self.constant = 0.0
-
-    def add(self, var: int, coef: float) -> "LinExpr":
-        """Add ``coef * x[var]``."""
-        self.coeffs[var] = self.coeffs.get(var, 0.0) + coef
-        return self
-
-    def add_const(self, value: float) -> "LinExpr":
-        self.constant += value
-        return self
-
-
 class MixedBinaryModel:
     """A minimize-sense mixed-binary linear program.
 
@@ -154,6 +129,13 @@ class MixedBinaryModel:
     which a caller may tighten before solving; :func:`solve_milp` also
     takes ``(lb, ub)`` overrides that leave the model untouched (a
     first-stage decision is fixed by ``lb = ub`` on its columns).
+
+    The rows are kept in flat buffers: the column indices and
+    coefficients of every row, stored row after row (``row_cols``,
+    ``row_vals``), and one length, relation and right-hand side per row
+    (``row_len``, ``row_rel``, ``row_rhs``).  The problem compilers emit a
+    row with one :meth:`add_row` call; :meth:`add_constraint` takes a
+    ``{column: coefficient}`` dict and checks it eagerly.
 
     A model holds one snapshot of its solver arrays, assembled by the first
     solve, and one HiGHS instance with its LP relaxation, created by the
@@ -172,7 +154,11 @@ class MixedBinaryModel:
         self.obj: dict[int, float] = {}
         # Named objective slices (e.g. penalty cost) for reporting.
         self.obj_groups: dict[str, dict[int, float]] = {}
-        self.rows: list[tuple[dict[int, float], str, float]] = []
+        self.row_cols: list[int] = []
+        self.row_vals: list[float] = []
+        self.row_len: list[int] = []
+        self.row_rel: list[str] = []
+        self.row_rhs: list[float] = []
         # (binary, active-when-0 var, active-when-1 var) triples used by the
         # root step's binary repair; populated by the problem compilers.
         self.gating: list[tuple[int, int, int]] = []
@@ -195,6 +181,9 @@ class MixedBinaryModel:
         return len(self.var_names) - 1
 
     def add_constraint(self, coeffs: dict[int, float], relation: str, rhs: float):
+        """Add ``sum(a * x[j] for j, a in coeffs.items()) <relation> rhs``,
+        checking the columns, coefficients and right-hand side now; zero
+        coefficients are kept."""
         if not coeffs:
             raise ModelError("constraint references no variables")
         n = len(self.var_names)
@@ -205,22 +194,37 @@ class MixedBinaryModel:
                 raise ModelError("non-finite constraint coefficient")
         if not math.isfinite(rhs):
             raise ModelError("non-finite right-hand side")
-        self._add_row(dict(coeffs), relation, float(rhs))
+        self._push_row(list(coeffs), list(coeffs.values()), relation,
+                       float(rhs))
 
-    def add_expr_constraint(self, expr: LinExpr, relation: str, rhs: float):
-        """Add ``expr <relation> rhs``; the expression constant moves to the
-        right-hand side.  A row whose coefficients all cancel is a
-        compiler fault and raises."""
-        coeffs = {j: a for j, a in expr.coeffs.items() if a != 0.0}
-        if not coeffs:
-            raise ModelError("expression constraint has no nonzero coefficient")
-        self._add_row(coeffs, relation, float(rhs - expr.constant))
+    def add_row(self, cols: list[int], vals: list[float], relation: str,
+                rhs: float):
+        """Add ``sum(vals[k] * x[cols[k]]) <relation> rhs``, the row of a
+        problem compiler.  The compiler folds the row's data terms into
+        ``rhs`` as ``rhs - data``, ``data`` summed from ``0.0`` in term
+        order, so the same data gives the same bits.  Zero
+        coefficients are dropped, and a row left with none is a compiler
+        fault and raises; the columns and values are checked with the
+        assembled arrays (see :meth:`_assembled`)."""
+        if len(cols) != len(vals):
+            raise ModelError(f"row has {len(cols)} columns and "
+                             f"{len(vals)} coefficients")
+        if 0.0 in vals:
+            cols = [j for j, a in zip(cols, vals) if a != 0.0]
+            vals = [a for a in vals if a != 0.0]
+        if not vals:
+            raise ModelError("row has no nonzero coefficient")
+        self._push_row(cols, vals, relation, rhs)
 
-    def _add_row(self, coeffs: dict[int, float], relation: str, rhs: float):
+    def _push_row(self, cols, vals, relation: str, rhs: float):
         # _assembled reads any relation but <= and >= as an equality
         if relation not in (LE, EQ, GE):
             raise ModelError(f"unknown relation {relation!r}")
-        self.rows.append((coeffs, relation, rhs))
+        self.row_cols += cols
+        self.row_vals += vals
+        self.row_len.append(len(vals))
+        self.row_rel.append(relation)
+        self.row_rhs.append(rhs)
         self._arrays = self._highs = None
 
     def add_objective(self, var: int, coef: float, group: str | None = None):
@@ -256,8 +260,8 @@ class MixedBinaryModel:
     def validate(self, bounds=None):
         """Reject bad bounds (the model's, or the ``(lb, ub)`` override) and
         non-finite objective or row data.  The bounds are checked on every
-        call.  Expression rows skip :meth:`add_constraint`'s eager check, so
-        all rows are checked on the assembled arrays, together with the
+        call.  :meth:`add_row` skips :meth:`add_constraint`'s eager check,
+        so all rows are checked on the assembled arrays, together with the
         objective, once per assembly (see :meth:`_assembled`)."""
         lb, ub = self._bounds(bounds)
         if lb.shape != (self.num_vars,) or ub.shape != (self.num_vars,):
@@ -333,38 +337,43 @@ class MixedBinaryModel:
     def _assembled(self) -> _Arrays:
         """The model's :class:`_Arrays`, built and checked on the first call
         after the model last grew; every HiGHS call and the re-check of a
-        model read them.  Raises on non-finite objective or row data and
-        on an expression row over an undeclared variable."""
+        model read them.  Raises on non-finite objective or row data, on a
+        row over an undeclared variable and on a row that lists one
+        variable twice, so a duplicate entry never reaches HiGHS."""
         if self._arrays is not None:
             return self._arrays
-        m, n = len(self.rows), self.num_vars
+        m, n = len(self.row_len), self.num_vars
         c = np.zeros(n)
         for j, a in self.obj.items():
             c[j] = a
         if not np.isfinite(c).all():
             raise ModelError("non-finite objective coefficient")
-        coeffs, rels, rhs = zip(*self.rows) if self.rows else ((), (), ())
-        counts = np.fromiter(map(len, coeffs), dtype=np.intp, count=m)
-        nnz = int(counts.sum())
-        cols = np.fromiter(chain.from_iterable(coeffs), dtype=np.intp, count=nnz)
-        vals = np.fromiter(chain.from_iterable(map(dict.values, coeffs)),
-                           dtype=float, count=nnz)
-        if nnz and not (cols.min() >= 0 and cols.max() < n):
-            # expression rows skip add_constraint's index check
+        cols = np.array(self.row_cols, dtype=np.intp)
+        vals = np.array(self.row_vals, dtype=float)
+        if cols.size and not (cols.min() >= 0 and cols.max() < n):
+            # add_row skips add_constraint's index check
             raise ModelError("constraint references an undeclared variable")
-        rows = np.repeat(np.arange(m, dtype=np.int32), counts)
-        # a stable sort by column keeps each column's rows ascending
+        rows = np.repeat(np.arange(m, dtype=np.int32),
+                         np.array(self.row_len, dtype=np.intp))
+        # a stable sort by column keeps each column's rows ascending, so a
+        # row's repeated column lands on adjacent entries
         order = np.argsort(cols, kind="stable")
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
         A = CscMatrix(indptr, rows[order], vals[order], (m, n))
         entry_col = cols[order]
+        twice = np.flatnonzero((entry_col[1:] == entry_col[:-1])
+                               & (A.indices[1:] == A.indices[:-1]))
+        if twice.size:
+            k = twice[0]
+            raise ModelError(f"row {A.indices[k]} lists "
+                             f"{self.var_names[entry_col[k]]!r} twice")
         bad = np.flatnonzero(~np.isfinite(A.data))
         if bad.size:
             raise ModelError("non-finite constraint coefficient on "
                              f"{self.var_names[entry_col[bad[0]]]!r}")
-        rhs = np.array(rhs, dtype=float)
-        rels = np.array(rels, dtype="U2")
+        rhs = np.array(self.row_rhs, dtype=float)
+        rels = np.array(self.row_rel, dtype="U2")
         lower = np.where(rels == LE, -math.inf, rhs)
         upper = np.where(rels == GE, math.inf, rhs)
         # a row's right-hand side is on each side that is not an outward

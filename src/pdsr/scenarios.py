@@ -125,8 +125,9 @@ def _parse_values(fh) -> tuple[list[str], list[str], dict]:
     if header is None or [h.strip() for h in header] != ["scenario_id", "source", "t", "value"]:
         raise ScenarioFormatError(
             "values file line 1: expected header 'scenario_id,source,t,value'")
-    scen_order: list[str] = []
-    src_order: list[str] = []
+    # dicts as ordered sets: a repeated key keeps its first position
+    scen_order: dict[str, None] = {}
+    src_order: dict[str, None] = {}
     cells: dict[tuple[str, str, int], float] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -147,14 +148,11 @@ def _parse_values(fh) -> tuple[list[str], list[str], dict]:
         if (sid, src, t) in cells:
             raise ScenarioFormatError(
                 f"values file line {lineno}: duplicate cell ({sid},{src},{t})")
-        if sid not in scen_order:
-            scen_order.append(sid)
-        if src not in src_order:
-            src_order.append(src)
+        scen_order[sid] = src_order[src] = None
         cells[(sid, src, t)] = v
     if not cells:
         raise ScenarioFormatError("values file contains no data rows")
-    return scen_order, src_order, cells
+    return list(scen_order), list(src_order), cells
 
 
 def load_scenarios(values_path, probabilities_path=None) -> ScenarioSet:

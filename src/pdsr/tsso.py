@@ -136,22 +136,24 @@ def _penalized_recourse(m: MixedBinaryModel, cfg: NetworkConfig, scen, src,
     for name, bus in cfg.res_sources.items():
         res_by_bus.setdefault(bus, []).append(name)
     load_mw, shed, res_mw, curt = {}, {}, {}, {}
+    shed_cost = w * cfg.penalty_shed * dt
+    curtail_cost = w * cfg.penalty_curtail * dt
     for b in sorted(set(loads_by_bus) | set(cfg.fixed_loads)):
+        rows = [scen.values[src[n]].tolist() for n in loads_by_bus.get(b, ())]
+        fixed = cfg.fixed_loads.get(b, [0.0] * T)
         for t in range(T):
-            total = float(sum(scen.values[src[n], t]
-                              for n in loads_by_bus.get(b, ())))
-            total += float(cfg.fixed_loads.get(b, [0.0] * T)[t])
+            total = float(sum(row[t] for row in rows))
+            total += float(fixed[t])
             load_mw[b, t] = total
             shed[b, t] = m.add_var(f"Ls[{b},{s},{t}]", 0.0, total)
-            m.add_objective(shed[b, t], w * cfg.penalty_shed * dt,
-                            group="in_penalty")
+            m.add_objective(shed[b, t], shed_cost, group="in_penalty")
     for b, names in sorted(res_by_bus.items()):
+        rows = [scen.values[src[n]].tolist() for n in names]
         for t in range(T):
-            avail = float(sum(scen.values[src[n], t] for n in names))
+            avail = float(sum(row[t] for row in rows))
             res_mw[b, t] = avail
             curt[b, t] = m.add_var(f"Rc[{b},{s},{t}]", 0.0, avail)
-            m.add_objective(curt[b, t], w * cfg.penalty_curtail * dt,
-                            group="in_penalty")
+            m.add_objective(curt[b, t], curtail_cost, group="in_penalty")
     return load_mw, shed, res_mw, curt
 
 
@@ -184,7 +186,7 @@ def solve_stochastic(problem: TssoProblem, scenarios, weights,
     if len(scenarios) == 0:
         raise ValueError("empty scenario set")
     if abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights sum to {weights.sum()!r}, expected 1")
+        raise ValueError(f"weights sum to {float(weights.sum())!r}, expected 1")
     model = problem.build_model(scenarios, weights)
     sol = solve_milp(model, gap_tol=gap_tol, time_limit=time_limit)
     if sol.status == GAP_LIMIT and sol.x is None:

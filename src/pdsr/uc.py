@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .milp import GE, LE, EQ, LinExpr, MixedBinaryModel
+from .milp import GE, LE, EQ, MixedBinaryModel
 from .scenarios import Scenario, ScenarioSet, _pick_bad, _smooth_noise
 from .tsso import (NetworkConfig, NetworkProblem, _penalized_recourse,
                    _source_rows)
@@ -104,15 +104,14 @@ def build_uc_model(config: UcConfig, scenarios, weights,
             m.add_objective(u_fs[g][t], gen.cost_no_load, group="da_gen")
 
     for g, gen in enumerate(gens):
+        u = u_fs[g]
         for t in range(T):
             v = m.add_var(f"V[{g},{t}]", -1.0, 1.0)
             sc = m.add_var(f"SC[{g},{t}]", 0.0, math.inf)
-            expr = LinExpr().add(v, 1.0).add(u_fs[g][t], -1.0)
             if t == 0:
-                expr.add_const(float(gen.u0))
+                m.add_row([v, u[t]], [1.0, -1.0], EQ, 0.0 - float(gen.u0))
             else:
-                expr.add(u_fs[g][t - 1], 1.0)
-            m.add_expr_constraint(expr, EQ, 0.0)
+                m.add_row([v, u[t], u[t - 1]], [1.0, -1.0, 1.0], EQ, 0.0)
             m.add_constraint({sc: 1.0, v: -gen.cost_start}, GE, 0.0)
             m.add_constraint({sc: 1.0, v: gen.cost_stop}, GE, 0.0)
             m.add_objective(sc, 1.0, group="da_gen")
@@ -120,36 +119,26 @@ def build_uc_model(config: UcConfig, scenarios, weights,
             # windows truncated at the end of the horizon
             up_end = min(t + gen.min_up, T - 1)
             if up_end > t:
-                expr = LinExpr()
-                for tau in range(t + 1, up_end + 1):
-                    expr.add(u_fs[g][tau], 1.0)
-                expr.add(v, -float(up_end - t))
-                m.add_expr_constraint(expr, GE, 0.0)
+                m.add_row(u[t + 1:up_end + 1] + [v],
+                          [1.0] * (up_end - t) + [-float(up_end - t)], GE, 0.0)
             down_end = min(t + gen.min_down, T - 1)
             if down_end > t:
                 # sum of (1 - u) over the window >= -v * window
-                expr = LinExpr()
-                for tau in range(t + 1, down_end + 1):
-                    expr.add(u_fs[g][tau], -1.0)
-                expr.add(v, float(down_end - t))
-                m.add_expr_constraint(expr, GE, -float(down_end - t))
+                m.add_row(u[t + 1:down_end + 1] + [v],
+                          [-1.0] * (down_end - t) + [float(down_end - t)],
+                          GE, -float(down_end - t))
 
     for g, gen in enumerate(gens):
+        p, u = p_fs[g], u_fs[g]
         for t in range(T):
             # scheduled output within committed limits and ramps
-            m.add_expr_constraint(
-                LinExpr().add(p_fs[g][t], 1.0).add(u_fs[g][t], -gen.p_max),
-                LE, 0.0)
-            m.add_expr_constraint(
-                LinExpr().add(p_fs[g][t], 1.0).add(u_fs[g][t], -gen.p_min),
-                GE, 0.0)
+            m.add_row([p[t], u[t]], [1.0, -gen.p_max], LE, 0.0)
+            m.add_row([p[t], u[t]], [1.0, -gen.p_min], GE, 0.0)
             for rel, limit in ((LE, gen.ramp_up), (GE, -gen.ramp_down)):
-                ramp = LinExpr().add(p_fs[g][t], 1.0)
                 if t == 0:
-                    ramp.add_const(-gen.p0)
+                    m.add_row([p[t]], [1.0], rel, limit - (0.0 - gen.p0))
                 else:
-                    ramp.add(p_fs[g][t - 1], -1.0)
-                m.add_expr_constraint(ramp, rel, limit)
+                    m.add_row([p[t], p[t - 1]], [1.0, -1.0], rel, limit)
 
     # -- second stage: regulation, DC flow, recourse ------------------------
     ref = cfg.reference_bus
@@ -178,60 +167,59 @@ def build_uc_model(config: UcConfig, scenarios, weights,
                                                           w, s)
 
         for g, gen in enumerate(gens):
+            p, u = p_fs[g], u_fs[g]
             for t in range(T):
                 # realized output = schedule + regulation, within commitment
-                expr = (LinExpr().add(pg[g, t], 1.0).add(p_fs[g][t], -1.0)
-                        .add(up[g, t], -1.0).add(dn[g, t], 1.0))
-                m.add_expr_constraint(expr, EQ, 0.0)
+                m.add_row([pg[g, t], p[t], up[g, t], dn[g, t]],
+                          [1.0, -1.0, -1.0, 1.0], EQ, 0.0)
                 for reg in (up[g, t], dn[g, t]):
-                    m.add_expr_constraint(
-                        LinExpr().add(reg, 1.0).add(u_fs[g][t], -gen.p_max),
-                        LE, 0.0)
+                    m.add_row([reg, u[t]], [1.0, -gen.p_max], LE, 0.0)
                 m.add_constraint({up[g, t]: 1.0, dreg[g, t]: -gen.p_max}, LE, 0.0)
                 m.add_constraint({dn[g, t]: 1.0, dreg[g, t]: gen.p_max}, LE,
                                  gen.p_max)
-                m.add_expr_constraint(
-                    LinExpr().add(pg[g, t], 1.0).add(u_fs[g][t], -gen.p_max),
-                    LE, 0.0)
-                m.add_expr_constraint(
-                    LinExpr().add(pg[g, t], 1.0).add(u_fs[g][t], -gen.p_min),
-                    GE, 0.0)
+                m.add_row([pg[g, t], u[t]], [1.0, -gen.p_max], LE, 0.0)
+                m.add_row([pg[g, t], u[t]], [1.0, -gen.p_min], GE, 0.0)
                 for rel, limit in ((LE, gen.ramp_up), (GE, -gen.ramp_down)):
-                    ramp = LinExpr().add(pg[g, t], 1.0)
                     if t == 0:
-                        ramp.add_const(-gen.p0)
+                        m.add_row([pg[g, t]], [1.0], rel,
+                                  limit - (0.0 - gen.p0))
                     else:
-                        ramp.add(pg[g, t - 1], -1.0)
-                    m.add_expr_constraint(ramp, rel, limit)
+                        m.add_row([pg[g, t], pg[g, t - 1]], [1.0, -1.0], rel,
+                                  limit)
 
         for li, (i, j, bsus) in enumerate(cfg.lines):
             for t in range(T):
                 # the reference angle is 0, so its term is left out
-                expr = LinExpr().add(flow[li, t], 1.0)
+                cols, vals = [flow[li, t]], [1.0]
                 if i != ref:
-                    expr.add(theta[i, t], -bsus)
+                    cols.append(theta[i, t])
+                    vals.append(-bsus)
                 if j != ref:
-                    expr.add(theta[j, t], bsus)
-                m.add_expr_constraint(expr, EQ, 0.0)
+                    cols.append(theta[j, t])
+                    vals.append(bsus)
+                m.add_row(cols, vals, EQ, 0.0)
 
         for b in range(cfg.n_buses):
             for t in range(T):
-                expr = LinExpr()
-                for g, gen in enumerate(gens):
-                    if gen.bus == b:
-                        expr.add(pg[g, t], 1.0)
+                cols = [pg[g, t] for g, gen in enumerate(gens) if gen.bus == b]
+                vals = [1.0] * len(cols)
+                data = 0.0
                 if (b, t) in curt:
-                    expr.add_const(res_mw[b, t])
-                    expr.add(curt[b, t], -1.0)
+                    data += res_mw[b, t]
+                    cols.append(curt[b, t])
+                    vals.append(-1.0)
                 if (b, t) in shed:
-                    expr.add_const(-load_mw[b, t])
-                    expr.add(shed[b, t], 1.0)
+                    data += -load_mw[b, t]
+                    cols.append(shed[b, t])
+                    vals.append(1.0)
                 for li, (i, j, _) in enumerate(cfg.lines):
                     if i == b:
-                        expr.add(flow[li, t], -1.0)
+                        cols.append(flow[li, t])
+                        vals.append(-1.0)
                     elif j == b:
-                        expr.add(flow[li, t], 1.0)
-                m.add_expr_constraint(expr, EQ, 0.0)
+                        cols.append(flow[li, t])
+                        vals.append(1.0)
+                m.add_row(cols, vals, EQ, 0.0 - data)
 
     return m
 

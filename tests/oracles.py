@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values from first principles
 (enumeration, brute force) or through a second solver path: an LP solve by
-``linprog`` on matrices assembled straight from ``model.rows``, and a
+``linprog`` on matrices assembled straight from the model's row buffers
+(:func:`model_rows`), and a
 best-first branch-and-bound over those LPs.  None of it calls
 ``solve_milp``, the routine it checks.  The last sections hold a
 fixed-decision model and small scenario-set helpers the tests share and
@@ -41,6 +42,17 @@ class OracleSolution(Solution):
     trace: list = field(default_factory=list)
 
 
+def model_rows(model):
+    """The model's rows as ``(terms, relation, rhs)``, ``terms`` the row's
+    ``(column, coefficient)`` pairs, read straight from its row buffers."""
+    start = 0
+    for n, rel, rhs in zip(model.row_len, model.row_rel, model.row_rhs):
+        stop = start + n
+        yield (list(zip(model.row_cols[start:stop],
+                        model.row_vals[start:stop])), rel, rhs)
+        start = stop
+
+
 def _lp_arrays(model):
     """``linprog`` arrays (c, A_ub, b_ub, A_eq, b_eq) read from the model's
     rows: ``>=`` rows are negated into ``<=`` rows, equalities kept apart."""
@@ -50,7 +62,7 @@ def _lp_arrays(model):
         c[j] = a
     ub_r, ub_c, ub_v, ub_b = [], [], [], []
     eq_r, eq_c, eq_v, eq_b = [], [], [], []
-    for coeffs, rel, rhs in model.rows:
+    for terms, rel, rhs in model_rows(model):
         if rel == EQ:
             r, cc, vv, bb = eq_r, eq_c, eq_v, eq_b
             sign = 1.0
@@ -58,7 +70,7 @@ def _lp_arrays(model):
             r, cc, vv, bb = ub_r, ub_c, ub_v, ub_b
             sign = 1.0 if rel == LE else -1.0
         i = len(bb)
-        for j, a in coeffs.items():
+        for j, a in terms:
             r.append(i)
             cc.append(j)
             vv.append(sign * a)
@@ -277,9 +289,9 @@ def enumerate_vertices_optimum(model):
     hyperplanes (rows as equalities plus bound faces) solved and checked."""
     n = model.num_vars
     planes = []
-    for coeffs, rel, rhs in model.rows:
+    for terms, rel, rhs in model_rows(model):
         row = np.zeros(n)
-        for j, a in coeffs.items():
+        for j, a in terms:
             row[j] = a
         planes.append((row, rhs))
     for j in range(n):

@@ -157,9 +157,18 @@ def _misfit_weights_not_one(red, n):
     red["weights"] = {r: w / 2 for r, w in red["weights"].items()}
 
 
+def _misfit_rep_listed_twice(red, n):
+    # every other field still fits; the representative's weight would count
+    # twice in the reduced program
+    red["representatives"] = sorted(red["representatives"]
+                                    + red["representatives"][:1])
+
+
 @pytest.mark.parametrize("misfit", [_misfit_rep_out_of_range,
-                                    _misfit_weights_not_one],
-                         ids=["rep_out_of_range", "weights_not_one"])
+                                    _misfit_weights_not_one,
+                                    _misfit_rep_listed_twice],
+                         ids=["rep_out_of_range", "weights_not_one",
+                              "rep_listed_twice"])
 def test_evaluate_rejects_misfit_reduction_before_solving(
         instance, tmp_path, capsys, monkeypatch, misfit):
     out = tmp_path / "run"
@@ -268,7 +277,7 @@ def test_bad_make_desk_arguments_rejected(tmp_path, capsys, argv, flag):
 
 
 def test_non_finite_config_value_rejected(instance, tmp_path, capsys):
-    # json.load accepts NaN; the line resistance lands in expression rows,
+    # json.load accepts NaN; the line resistance lands in compiler rows,
     # which must not reach HiGHS
     config = json.loads((instance / "config.json").read_text())
     config["lines"][0][2] = float("nan")

@@ -209,6 +209,15 @@ def test_identity_reduction_shape():
     assert red.spdd == 0.0
 
 
+def test_repeated_representative_rejected():
+    # listed twice, a representative's weight would count twice in the
+    # reduced program
+    red = identity_reduction(np.array([0.25, 0.25, 0.5]))
+    red.representatives = [0, 1, 1, 2]
+    with pytest.raises(ValueError, match="representative 1 listed twice"):
+        red.validate(np.array([0.25, 0.25, 0.5]))
+
+
 def test_reduction_json_round_trip():
     rng = np.random.default_rng(7)
     d = random_pdd(rng, 5)

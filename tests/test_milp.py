@@ -16,13 +16,12 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 import pdsr.milp
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.errors import ModelError
-from pdsr.milp import (GE, LE, EQ, LinExpr, MixedBinaryModel, lp_relay,
-                       solve_milp)
+from pdsr.milp import GE, LE, EQ, MixedBinaryModel, lp_relay, solve_milp
 from pdsr.tsso import _fixed_bounds, solve_scenario_specific
 from pdsr.uc import UcProblem, make_uc_desk_instance
 from oracles import (brute_force_milp, enumerate_vertices_optimum,
-                     fixed_model, random_lp, random_milp, scipy_constraints,
-                     solve_lp, solve_milp_reference)
+                     fixed_model, model_rows, random_lp, random_milp,
+                     scipy_constraints, solve_lp, solve_milp_reference)
 
 
 def simple_model():
@@ -77,40 +76,63 @@ def test_model_validation():
 
 
 def test_expression_row_with_cancelled_coefficients_rejected():
+    # a compiler row (add_row) drops zero coefficients; one left with none
+    # is a compiler fault
     m = MixedBinaryModel()
     x = m.add_var("x", 0.0, 1.0)
-    expr = LinExpr().add(x, 1.0).add(x, -1.0).add_const(2.0)
+    y = m.add_var("y", 0.0, 1.0)
     with pytest.raises(ModelError, match="no nonzero coefficient"):
-        m.add_expr_constraint(expr, LE, 5.0)
-    assert m.rows == []
+        m.add_row([x, y], [0.0, -0.0], LE, 5.0 - 2.0)
+    assert m.row_len == []
+
+
+def test_row_listing_a_column_twice_rejected(monkeypatch):
+    # HiGHS must never see a duplicate entry in one row's column
+    def no_solve(*args, **kwargs):
+        raise AssertionError("HiGHS called on a row with a repeated column")
+
+    monkeypatch.setattr(pdsr.milp, "highs_milp", no_solve)
+    m = MixedBinaryModel()
+    x = m.add_var("x", 0.0, 1.0)
+    y = m.add_var("y", 0.0, 1.0)
+    m.add_constraint({x: 1.0}, LE, 1.0)
+    m.add_row([x, y, y], [1.0, 2.0, -1.0], LE, 1.0)
+    with pytest.raises(ModelError, match="row 1 lists 'y' twice"):
+        solve_milp(m)
+
+
+def test_row_with_mismatched_columns_and_coefficients_rejected():
+    m = MixedBinaryModel()
+    x = m.add_var("x", 0.0, 1.0)
+    with pytest.raises(ModelError, match="1 columns and 2 coefficients"):
+        m.add_row([x], [1.0, 0.0], LE, 1.0)
+    assert m.row_len == []
 
 
 @pytest.mark.parametrize("add", [
     lambda m, x: m.add_constraint({x: 1.0}, "<", 3.0),
-    lambda m, x: m.add_expr_constraint(LinExpr().add(x, 1.0), "<", 3.0),
+    lambda m, x: m.add_row([x], [1.0], "<", 3.0),
 ], ids=["coefficient_row", "expression_row"])
 def test_unknown_relation_rejected(add):
-    # an expression row with "<" once solved as the equality x = 3
+    # a compiler row with "<" once solved as the equality x = 3
     m = MixedBinaryModel()
     x = m.add_var("x", 0.0, 10.0)
     m.add_objective(x, 1.0)
     with pytest.raises(ModelError, match="unknown relation '<'"):
         add(m, x)
-    assert m.rows == []
+    assert m.row_len == []
 
 
 @pytest.mark.parametrize("spoil", [
-    lambda m, x, y: m.add_expr_constraint(LinExpr().add(x, math.nan)
-                                          .add(y, 1.0), LE, 1.0),
-    lambda m, x, y: m.add_expr_constraint(LinExpr().add(x, math.inf), GE, 0.0),
-    lambda m, x, y: m.add_expr_constraint(LinExpr().add(x, 1.0)
-                                          .add_const(math.nan), EQ, 0.0),
-    lambda m, x, y: m.add_expr_constraint(LinExpr().add(y, 1.0), LE, math.inf),
+    lambda m, x, y: m.add_row([x, y], [math.nan, 1.0], LE, 1.0),
+    lambda m, x, y: m.add_row([x], [math.inf], GE, 0.0),
+    lambda m, x, y: m.add_row([x], [1.0], EQ, 0.0 - math.nan),
+    lambda m, x, y: m.add_row([y], [1.0], LE, math.inf),
     lambda m, x, y: m.ub.__setitem__(y, math.nan),
 ], ids=["nan_coefficient", "inf_coefficient", "nan_constant", "inf_rhs",
         "nan_upper_bound"])
 def test_non_finite_model_data_rejected_before_solving(monkeypatch, spoil):
-    # expression rows are only checked when the model is validated, which
+    # compiler rows are only checked when the model is validated, which
     # every solve does before HiGHS sees the arrays
     def no_solve(*args, **kwargs):
         raise AssertionError("HiGHS called on a non-finite model")
@@ -130,7 +152,7 @@ def test_non_finite_coefficient_names_its_variable():
     x = m.add_var("x", 0.0, 1.0)
     y = m.add_var("y", 0.0, 1.0)
     z = m.add_var("z", 0.0, 1.0)
-    m.add_expr_constraint(LinExpr().add(z, math.nan).add(x, 1.0), LE, 1.0)
+    m.add_row([z, x], [math.nan, 1.0], LE, 1.0)
     m.add_constraint({y: 1.0}, LE, 1.0)
     with pytest.raises(ModelError, match=r"non-finite constraint coefficient on 'z'"):
         m.validate()
@@ -139,7 +161,7 @@ def test_non_finite_coefficient_names_its_variable():
 @pytest.mark.parametrize("spoil, message", [
     (lambda m, x: m.add_objective(x, math.nan),
      "non-finite objective coefficient"),
-    (lambda m, x: m.add_expr_constraint(LinExpr().add(x, math.inf), GE, 0.0),
+    (lambda m, x: m.add_row([x], [math.inf], GE, 0.0),
      "non-finite constraint coefficient"),
 ], ids=["objective_term", "expression_row"])
 def test_data_added_after_a_solve_is_checked(spoil, message):
@@ -155,7 +177,7 @@ def test_data_added_after_a_solve_is_checked(spoil, message):
 @pytest.mark.parametrize("var", [5, -1], ids=["beyond_last", "negative"])
 def test_expression_row_on_undeclared_variable_rejected(var):
     m, x = simple_model()
-    m.add_expr_constraint(LinExpr().add(x, 1.0).add(var, 1.0), LE, 1.0)
+    m.add_row([x, var], [1.0, 1.0], LE, 1.0)
     with pytest.raises(ModelError, match="undeclared variable"):
         solve_milp(m)
 
@@ -529,8 +551,8 @@ def test_max_violation_rows_and_bounds():
 def test_max_violation_matches_row_loop():
     def loop_violation(model, x):
         worst = 0.0
-        for coeffs, rel, rhs in model.rows:
-            lhs = sum(a * x[j] for j, a in coeffs.items())
+        for terms, rel, rhs in model_rows(model):
+            lhs = sum(a * x[j] for j, a in terms)
             worst = max(worst, {LE: lhs - rhs, GE: rhs - lhs,
                                 EQ: abs(lhs - rhs)}[rel])
         for j in range(model.num_vars):

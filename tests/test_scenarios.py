@@ -64,6 +64,20 @@ def test_load_order_is_first_appearance(tmp_path):
     assert ss.ids() == ["z", "a", "m"]
 
 
+def test_load_order_is_first_appearance_with_interleaved_rows(tmp_path):
+    # scenarios and sources come back after others; each keeps the place
+    # of its first row
+    vals = tmp_path / "v.csv"
+    write_values(vals, ["b,wt1,1,0.5", "a,load1,0,2.0", "b,load1,0,3.0",
+                        "a,wt1,1,0.25", "b,wt1,0,0.75", "a,load1,1,4.0",
+                        "b,load1,1,5.0", "a,wt1,0,0.125"])
+    ss = load_scenarios(vals)
+    assert ss.ids() == ["b", "a"]
+    assert ss.source_names == ("wt1", "load1")
+    assert ss.scenarios[0].values.tolist() == [[0.75, 0.5], [3.0, 5.0]]
+    assert ss.scenarios[1].values.tolist() == [[0.125, 0.25], [2.0, 4.0]]
+
+
 def test_negative_power_source_rejected():
     with pytest.raises(ScenarioFormatError, match="negative"):
         ScenarioSet((Scenario("a", [[-1.0, 0.0]]),), np.array([1.0]), ("wt1",))

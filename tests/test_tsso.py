@@ -27,6 +27,13 @@ def test_singleton_set_matches_scenario_specific(desk):
     assert z2.values == pytest.approx(z1.values, abs=1e-6)
 
 
+def test_weights_off_one_named_as_a_plain_number(desk):
+    problem, ss = desk
+    weights = np.array([0.5, 0.75])
+    with pytest.raises(ValueError, match=r"^weights sum to 1\.25, expected 1$"):
+        solve_stochastic(problem, ss.scenarios[:2], weights)
+
+
 def test_identity_reduction_matches_benchmark(desk):
     problem, ss = desk
     _, obj1, _ = solve_stochastic(problem, ss.scenarios, ss.probabilities)
