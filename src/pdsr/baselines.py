@@ -69,8 +69,12 @@ def kmeans_reduce(scenario_set: ScenarioSet, k: int, seed: int = 0) -> Reduction
             new_labels = np.argmin(dists, axis=1)
             for c in range(k):
                 if not np.any(new_labels == c):
-                    # reseed an empty cluster from the farthest point
-                    far = int(np.argmax(np.min(dists, axis=1)))
+                    # reseed an empty cluster from the farthest point that
+                    # leaves its own cluster non-empty
+                    sizes = np.bincount(new_labels, minlength=k)
+                    far = int(np.argmax(np.where(sizes[new_labels] >= 2,
+                                                 np.min(dists, axis=1),
+                                                 -np.inf)))
                     centroids[c] = X[far]
                     new_labels[far] = c
             if np.array_equal(new_labels, labels):
@@ -171,6 +175,11 @@ def hierarchical_reduce(scenario_set: ScenarioSet, k: int) -> ReductionResult:
         from scipy.cluster.hierarchy import fcluster, linkage
         Z = linkage(X, method="average", metric="euclidean")
         labels = fcluster(Z, t=k, criterion="maxclust") - 1
+        found = len(set(labels))
+        if found != k:
+            # tied distances can make the cut give fewer clusters
+            raise ValueError(f"average-linkage cut found {found} clusters, "
+                             f"not {k}")
     D = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
     assignment = {}
     for c in sorted(set(labels)):

@@ -3,7 +3,9 @@
 Ex-ante indices (within-cluster distance sum, cluster-validity index) judge
 a reduction before any re-optimization; ex-post indices (optimality gap,
 per-representative effectiveness) measure the loss actually incurred by
-dispatching on the reduced set and verifying against the full one.
+dispatching on the reduced set and verifying against the full one.  A
+command solves all its decisions first, then verifies them together in one
+scenario-by-scenario pass (:func:`verification_costs`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .clustering import PddMatrix, ReductionResult
 from .errors import PdsrError
-from .milp import DEFAULT_GAP_TOL, GAP_LIMIT, MixedBinaryModel
+from .milp import DEFAULT_GAP_TOL, GAP_LIMIT
 from .parallel import pmap
 from .projection import ProblemSpaceMatrix, solve_benchmark
 from .scenarios import ScenarioSet
@@ -74,43 +76,62 @@ class GapOutcome:
     mean_components: dict         # objective slices, probability-weighted
 
 
-@dataclass
-class VerificationStore:
-    """What one command keeps between verifications on its scenario set:
-    each scenario's program, compiled on first use so that later decisions
-    re-solve warm on its HiGHS instance in the command's order (whatever
-    the worker count), and each verified decision's result by its bytes."""
-
-    models: dict[int, MixedBinaryModel] = field(default_factory=dict)
-    verified: dict[bytes, tuple] = field(default_factory=dict)
-
-
-def verification_costs(problem: TssoProblem, decision: FirstStageDecision,
+def verification_costs(problem: TssoProblem, decisions,
                        scenario_set: ScenarioSet,
-                       gap_tol: float = DEFAULT_GAP_TOL, workers: int = 1,
-                       store: VerificationStore | None = None):
-    """Per-scenario objective of a fixed decision, and each objective
-    group's cost averaged over the scenarios with their probabilities (so
-    the groups sum to the full-set objective).  Scenario programs come from
-    ``store`` (compiled into it on first use); without one they are
-    compiled for this call."""
-    models = {} if store is None else store.models
+                       bench_obj: float | None = None,
+                       gap_tol: float = DEFAULT_GAP_TOL,
+                       workers: int = 1) -> list:
+    """Per decision, its :class:`GapOutcome` on the full set against
+    ``bench_obj`` (None: not computed), or the :class:`PdsrError` it met on
+    its lowest-index failing scenario; a decision repeated by value is
+    solved once and shares its first appearance's outcome.  One task per
+    scenario compiles its program, solves the decisions on it in list order
+    (warm from the last basis) and drops it: ``workers`` programs are held
+    at once, and each sees the same sequence whatever the worker count."""
+    distinct = {}
+    for d in decisions:
+        distinct.setdefault(d.values.tobytes(), d)
     scenarios = scenario_set.scenarios
 
-    def evaluate(j: int):
-        model = models.get(j)
-        if model is None:
-            model = models[j] = problem.build_model([scenarios[j]], [1.0])
-        return evaluate_with_fixed_first_stage(
-            problem, decision, scenarios[j], gap_tol=gap_tol,
-            with_components=True, model=model)
+    def verify(j: int) -> list:
+        model = problem.build_model([scenarios[j]], [1.0])
+        out = []
+        for d in distinct.values():
+            try:
+                out.append(evaluate_with_fixed_first_stage(
+                    problem, d, scenarios[j], gap_tol=gap_tol,
+                    with_components=True, model=model))
+            except PdsrError as exc:   # no traceback, which would hold the program
+                out.append(exc.with_traceback(None))
+        return out
 
-    pairs = pmap(evaluate, range(len(scenarios)), workers)
-    values = [float(v) for v, _ in pairs]
-    groups = sorted(pairs[0][1]) if pairs else []
-    means = {g: float(np.dot(scenario_set.probabilities,
-                             [comp[g] for _, comp in pairs])) for g in groups}
-    return values, means
+    columns = pmap(verify, range(len(scenarios)), workers)
+    gamma = scenario_set.probabilities
+    verified = {}
+    for i, (key, d) in enumerate(distinct.items()):
+        pairs = [col[i] for col in columns]
+        failed = [p for p in pairs if isinstance(p, PdsrError)]
+        if failed:
+            verified[key] = failed[0]
+            continue
+        values = [float(v) for v, _ in pairs]
+        means = {g: float(np.dot(gamma, [comp[g] for _, comp in pairs]))
+                 for g in sorted(pairs[0][1])}
+        on_full = float(np.dot(gamma, values))
+        og_abs = None if bench_obj is None else on_full - bench_obj
+        og_pct = (None if og_abs is None or abs(bench_obj) < 1e-6
+                  else 100.0 * og_abs / bench_obj)
+        verified[key] = GapOutcome(og_abs, og_pct, on_full, bench_obj, d,
+                                   values, means)
+    return [verified[d.values.tobytes()] for d in decisions]
+
+
+def _raised(outcomes: list) -> list:
+    """:func:`verification_costs` outcomes, the first failure raised."""
+    for out in outcomes:
+        if isinstance(out, PdsrError):
+            raise out
+    return outcomes
 
 
 def _benchmark(problem: TssoProblem, scenario_set: ScenarioSet, gap_tol: float,
@@ -122,85 +143,64 @@ def _benchmark(problem: TssoProblem, scenario_set: ScenarioSet, gap_tol: float,
     return None if sol.status == GAP_LIMIT else (zb, bench_obj)
 
 
-def _verified(problem: TssoProblem, decision: FirstStageDecision,
-              scenario_set: ScenarioSet, gap_tol: float, workers: int,
-              store: VerificationStore):
-    """:func:`verification_costs` of ``decision`` on the programs of
-    ``store``, computed once per distinct decision value."""
-    key = decision.values.tobytes()
-    if key not in store.verified:
-        store.verified[key] = verification_costs(
-            problem, decision, scenario_set, gap_tol=gap_tol, workers=workers,
-            store=store)
-    return store.verified[key]
+def _reduced_decision(problem: TssoProblem, scenario_set: ScenarioSet,
+                      result: ReductionResult, gap_tol: float,
+                      drop: int | None = None) -> FirstStageDecision:
+    """Decision of the program on the representatives of ``result`` with
+    their weights; with ``drop``, on the others, weights renormalized."""
+    keep = [r for r in result.representatives if r != drop]
+    weights = [result.weights[r] for r in keep]
+    if drop is not None:
+        mass = sum(weights)
+        weights = [w / mass for w in weights]
+    return solve_stochastic(problem, [scenario_set.scenarios[r] for r in keep],
+                            weights, gap_tol=gap_tol)[0]
 
 
-def _reduced_gap(problem: TssoProblem, scenario_set: ScenarioSet, reps,
-                 weights, bench_obj: float | None, gap_tol: float,
-                 workers: int, store: VerificationStore) -> GapOutcome:
-    """Solve the program on scenarios ``reps`` with ``weights``, then verify
-    its decision on every scenario of the full set (see :func:`_verified`)."""
-    z_red, _, _ = solve_stochastic(
-        problem, [scenario_set.scenarios[r] for r in reps], weights,
-        gap_tol=gap_tol)
-    vals, means = _verified(problem, z_red, scenario_set, gap_tol, workers,
-                            store)
-    reduced_on_full = float(np.dot(scenario_set.probabilities, vals))
-    og_abs = og_pct = None
-    if bench_obj is not None:
-        og_abs = reduced_on_full - bench_obj
-        og_pct = None if abs(bench_obj) < 1e-6 else 100.0 * og_abs / bench_obj
-    return GapOutcome(og_abs, og_pct, reduced_on_full, bench_obj, z_red, vals,
-                      means)
+def _drop_one_decisions(problem: TssoProblem, scenario_set: ScenarioSet,
+                        result: ReductionResult, bench_obj: float | None,
+                        gap_tol: float) -> list:
+    """:func:`_reduced_decision` without each representative in turn, if
+    the effectiveness is measurable against ``bench_obj``."""
+    if result.k < 2:
+        raise ValueError("scenario effectiveness requires at least 2 representatives")
+    if bench_obj is None or abs(bench_obj) < 1e-6:
+        raise PdsrError("scenario effectiveness needs a percent gap (no "
+                        "benchmark, or its objective is too close to zero)")
+    return [_reduced_decision(problem, scenario_set, result, gap_tol, drop)
+            for drop in result.representatives]
 
 
 def optimality_gap(problem: TssoProblem, scenario_set: ScenarioSet,
                    result: ReductionResult, gap_tol: float = DEFAULT_GAP_TOL,
-                   workers: int = 1, benchmark=None,
-                   store: VerificationStore | None = None) -> GapOutcome:
+                   workers: int = 1, benchmark=None) -> GapOutcome:
     """Loss from dispatching on the reduced set, verified on the full set.
 
     ``benchmark`` is the full-set (decision, objective) pair the loss is
     measured against.  When it is falsy (None or False, e.g. the benchmark
     solve hit its time limit) the gap is reported as not-computed (None)
     and only the full-set cost of the reduced decision is available.
-    ``store``, shared across calls on one scenario set, compiles each
-    scenario's program once and lets a decision verified before be reused
-    instead of verified again.
     """
-    reps = result.representatives
-    return _reduced_gap(problem, scenario_set, reps,
-                        [result.weights[r] for r in reps],
-                        float(benchmark[1]) if benchmark else None,
-                        gap_tol, workers,
-                        VerificationStore() if store is None else store)
+    z = _reduced_decision(problem, scenario_set, result, gap_tol)
+    return _raised(verification_costs(
+        problem, [z], scenario_set,
+        float(benchmark[1]) if benchmark else None, gap_tol, workers))[0]
 
 
 def scenario_effectiveness(problem: TssoProblem, scenario_set: ScenarioSet,
                            result: ReductionResult, base: GapOutcome,
                            gap_tol: float = DEFAULT_GAP_TOL,
-                           workers: int = 1,
-                           store: VerificationStore | None = None
-                           ) -> dict[int, float]:
+                           workers: int = 1) -> dict[int, float]:
     """Increase in percent optimality gap when one representative is
     removed (remaining weights renormalized to sum to one), measured
-    against ``base``, the gap outcome of ``result`` itself.  The drops
-    share ``store`` (see :func:`optimality_gap`), or one of their own."""
-    if result.k < 2:
-        raise ValueError("scenario effectiveness requires at least 2 representatives")
-    if base.og_pct is None:
-        raise PdsrError("scenario effectiveness needs a percent gap (no "
-                        "benchmark, or its objective is too close to zero)")
-    store = VerificationStore() if store is None else store
-    se = {}
-    for drop in result.representatives:
-        keep = [r for r in result.representatives if r != drop]
-        mass = sum(result.weights[r] for r in keep)
-        out = _reduced_gap(problem, scenario_set, keep,
-                           [result.weights[r] / mass for r in keep],
-                           base.benchmark_objective, gap_tol, workers, store)
-        se[drop] = out.og_pct - base.og_pct
-    return se
+    against ``base``, the gap outcome of ``result`` itself."""
+    bench_obj = base.benchmark_objective
+    drops = _raised(verification_costs(
+        problem, _drop_one_decisions(problem, scenario_set, result, bench_obj,
+                                     gap_tol),
+        scenario_set, bench_obj, gap_tol, workers))
+    return {r: out.og_pct - base.og_pct
+            for r, out in zip(result.representatives, drops)}
 
 
 @dataclass
@@ -295,45 +295,46 @@ def evaluate_reduction(problem: TssoProblem, scenario_set: ScenarioSet,
                        workers: int = 1, with_se: bool = True,
                        worst_case_bound: float = 2.0,
                        benchmark_time_limit: float | None = None) -> EvaluationReport:
-    """Assemble the full evaluation report for one reduction; its gap and
-    every drop of its scenario effectiveness share one
-    :class:`VerificationStore`."""
+    """Assemble the full evaluation report for one reduction."""
     timings = {}
     t0 = time.monotonic()
     bench = _benchmark(problem, scenario_set, gap_tol, benchmark_time_limit)
     timings["benchmark_seconds"] = time.monotonic() - t0
+    bench_obj = float(bench[1]) if bench else None
 
     t0 = time.monotonic()
-    store = VerificationStore()
-    gap = optimality_gap(problem, scenario_set, result, gap_tol=gap_tol,
-                         workers=workers, benchmark=bench, store=store)
-    timings["gap_seconds"] = time.monotonic() - t0
+    reps = result.representatives
+    decisions = [_reduced_decision(problem, scenario_set, result, gap_tol)]
+    with_se = with_se and result.k >= 2 and bench is not None
+    if with_se:
+        decisions += _drop_one_decisions(problem, scenario_set, result,
+                                         bench_obj, gap_tol)
+    timings["reduction_seconds"] = time.monotonic() - t0
+
+    t0 = time.monotonic()
+    gap, *drops = _raised(verification_costs(problem, decisions, scenario_set,
+                                             bench_obj, gap_tol, workers))
+    timings["verification_seconds"] = time.monotonic() - t0
+    se = ({r: out.og_pct - gap.og_pct for r, out in zip(reps, drops)}
+          if with_se else None)
 
     try:
         validity = pddbi(pdd, scenario_set.probabilities, result)
     except ValueError:
         validity = None
 
-    se = None
-    if with_se and result.k >= 2 and bench is not None:
-        t0 = time.monotonic()
-        se = scenario_effectiveness(problem, scenario_set, result, gap,
-                                    gap_tol, workers, store=store)
-        timings["se_seconds"] = time.monotonic() - t0
-
     wc = detect_worst_case(matrix, bound=worst_case_bound)
-    captured = sum(1 for r in result.representatives if wc.flags[r])
-    ver = {"per_scenario_value": gap.per_scenario,
-           "mean_components": gap.mean_components}
-
     return EvaluationReport(
         spdd=spdd(pdd, scenario_set.probabilities, result),
         pddbi=validity,
         og_abs=gap.og_abs, og_pct=gap.og_pct,
         reduced_on_full=gap.reduced_on_full,
         benchmark_objective=gap.benchmark_objective,
-        se=se, worst_case=wc, captured_worst_case=captured,
-        verification_costs=ver, timings=timings)
+        se=se, worst_case=wc,
+        captured_worst_case=sum(1 for r in reps if wc.flags[r]),
+        verification_costs={"per_scenario_value": gap.per_scenario,
+                            "mean_components": gap.mean_components},
+        timings=timings)
 
 
 def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
@@ -348,44 +349,34 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
     of every row and the pdsr distances come from it.  Returns (rows,
     timings): ``rows`` hold only deterministic fields (one per method plus
     a benchmark row); wall-clock timings are keyed by method in the second
-    mapping.  A failing method yields a row marked failed instead of
-    aborting the comparison.
+    mapping.  A method whose reduction, solve or verification fails yields
+    a row marked failed instead of aborting the comparison.
     """
     from .baselines import run_baseline
     from .clustering import compute_pdd, solve_clustering
 
-    timings: dict[str, dict] = {}
-    rows: list[dict] = []
     gamma = scenario_set.probabilities
-
     wc = detect_worst_case(matrix, bound=worst_case_bound)
-    flagged = wc.flagged_indices()
 
     t0 = time.monotonic()
     bench = _benchmark(problem, scenario_set, gap_tol, benchmark_time_limit)
-    bench_seconds = time.monotonic() - t0
+    timings = {"benchmark": {"solve_seconds": time.monotonic() - t0}}
 
     bench_row = {"method": "benchmark", "status": "ok", "k": len(scenario_set),
-                 "kappa": len(flagged), "og_pct": 0.0 if bench else None,
+                 "kappa": len(wc.flagged_indices()),
+                 "og_pct": 0.0 if bench else None,
                  "og_abs": 0.0 if bench else None,
                  "objective_on_full": bench[1] if bench else None,
                  "representatives": list(range(len(scenario_set)))}
-    # each scenario is compiled once, and a decision two reductions (or a
-    # reduction and the benchmark) share is verified once
-    store = VerificationStore()
-    if bench:
-        _, means = _verified(problem, bench[0], scenario_set, gap_tol, workers,
-                             store)
-        bench_row["mean_components"] = means
-        bench_row["first_stage"] = problem.first_stage_summary(bench[0])
-    rows.append(bench_row)
-    timings["benchmark"] = {"solve_seconds": bench_seconds}
+    rows = [bench_row]
 
-    # methods that pick the same reduction share one solve and verification
-    gaps: dict[tuple, GapOutcome] = {}
+    # methods that pick the same reduction share one solve
+    solved: dict[tuple, FirstStageDecision] = {}
+    reduced = []      # (row, representatives, decision) awaiting verification
     for name in methods:
-        row = {"method": name, "k": k}
-        tm: dict[str, float] = {}
+        row, tm = {"method": name, "k": k}, {}
+        rows.append(row)
+        timings[name] = tm
         try:
             t0 = time.monotonic()
             if name == "pdsr":
@@ -394,28 +385,37 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
             else:
                 result = run_baseline(name, scenario_set, k, seed=seed)
             tm["clustering_seconds"] = time.monotonic() - t0
-
             t0 = time.monotonic()
-            key = (tuple(result.representatives),
-                   tuple(result.weights[r] for r in result.representatives))
-            if key not in gaps:
-                gaps[key] = optimality_gap(problem, scenario_set, result,
-                                           gap_tol=gap_tol, workers=workers,
-                                           benchmark=bench, store=store)
-            gap = gaps[key]
-            tm["evaluation_seconds"] = time.monotonic() - t0
-            row.update({
-                "status": "ok",
-                "representatives": result.representatives,
-                "kappa": sum(1 for r in result.representatives if wc.flags[r]),
-                "og_pct": gap.og_pct, "og_abs": gap.og_abs,
-                "objective_on_full": gap.reduced_on_full,
-                "mean_components": gap.mean_components,
-                "first_stage": problem.first_stage_summary(gap.decision),
-            })
+            reps = result.representatives
+            key = (tuple(reps), tuple(result.weights[r] for r in reps))
+            if key not in solved:
+                solved[key] = _reduced_decision(problem, scenario_set, result,
+                                                gap_tol)
+            tm["reduction_seconds"] = time.monotonic() - t0
+            reduced.append((row, reps, solved[key]))
         except Exception as exc:  # per-method isolation, row marked failed
-            row.update({"status": f"failed: {exc}"})
-        rows.append(row)
-        timings[name] = tm
-    return rows, timings
+            row["status"] = f"failed: {exc}"
 
+    t0 = time.monotonic()
+    checked = [bench[0]] if bench else []
+    outcomes = verification_costs(
+        problem, checked + [z for _, _, z in reduced], scenario_set,
+        float(bench[1]) if bench else None, gap_tol, workers)
+    if bench:   # a benchmark that cannot be verified fails the comparison
+        bench_row["mean_components"] = _raised(outcomes[:1])[0].mean_components
+        bench_row["first_stage"] = problem.first_stage_summary(bench[0])
+    for (row, reps, _), gap in zip(reduced, outcomes[len(checked):]):
+        if isinstance(gap, PdsrError):
+            row["status"] = f"failed: {gap}"
+            continue
+        row.update({
+            "status": "ok",
+            "representatives": reps,
+            "kappa": sum(1 for r in reps if wc.flags[r]),
+            "og_pct": gap.og_pct, "og_abs": gap.og_abs,
+            "objective_on_full": gap.reduced_on_full,
+            "mean_components": gap.mean_components,
+            "first_stage": problem.first_stage_summary(gap.decision),
+        })
+    timings["verification"] = {"seconds": time.monotonic() - t0}
+    return rows, timings

@@ -71,6 +71,18 @@ def test_kmeans_near_optimal_sse():
         assert result.extras["sse"] <= brute_force_sse(X, 2) * 1.05 + 1e-9
 
 
+@pytest.mark.filterwarnings("error")
+def test_kmeans_reseeds_each_empty_cluster_from_its_own_point():
+    # two groups of three identical scenarios at K=4: a Lloyd step leaves
+    # two clusters empty, and each must be reseeded from a different point
+    # (not both from one, which leaves a centroid the mean of nothing)
+    ss = make_set([np.array([[1.0, 2.0, 3.0]])] * 3
+                  + [np.array([[9.0, 7.0, 5.0]])] * 3)
+    result = kmeans_reduce(ss, 4, seed=0)
+    assert len(result.representatives) == 4
+    assert result.extras["sse"] == pytest.approx(0.0, abs=1e-12)
+
+
 def test_kmedoids_vs_exhaustive():
     # single-swap PAM converges to a local optimum; it must stay near the
     # enumerated global one and usually hit it exactly
@@ -96,6 +108,14 @@ def test_hierarchical_merges_closest_pair_first():
     clusters = {frozenset(result.members(r)) for r in result.representatives}
     assert frozenset({0, 1}) in clusters
     assert frozenset({2}) in clusters
+
+
+def test_hierarchical_rejects_a_cut_with_fewer_clusters():
+    # four identical scenarios tie every distance, and the cut at K=3
+    # gives one cluster: scoring it as K=3 would hide that
+    ss = make_set([np.full((1, 3), 5.0)] * 4)
+    with pytest.raises(ValueError, match="found 1 clusters, not 3"):
+        hierarchical_reduce(ss, 3)
 
 
 def test_linkage_heights_monotone():

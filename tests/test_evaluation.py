@@ -241,24 +241,43 @@ def test_scenario_effectiveness_requires_percent_gap(desk):
 
 def test_evaluate_reduction_calls_module_scenario_effectiveness(desk,
                                                                  monkeypatch):
-    # the drop-one loop goes through the public module binding, which is
-    # the one an outside tracer or profiler replaces
+    # the reduced decision and then the drop-one decisions are verified in
+    # one pass through the public module binding ``verification_costs``,
+    # the one an outside tracer or profiler replaces, and the scenario
+    # effectiveness comes from its outcomes
+    import dataclasses
     import pdsr.evaluation
+    from pdsr.tsso import solve_stochastic
     problem, ss, matrix, _ = desk
     pdd = compute_pdd(matrix)
     red = solve_clustering(pdd, ss.probabilities, fixed_k=3)
+    reps = red.representatives
     calls = []
+    verify = pdsr.evaluation.verification_costs
 
-    def counted(problem, scenario_set, result, base, gap_tol, workers,
-                store=None):
-        calls.append(base)
-        return {r: 0.0 for r in result.representatives}
+    def counted(problem, decisions, scenario_set, bench_obj, gap_tol,
+                workers):
+        calls.append(decisions)
+        out = verify(problem, decisions, scenario_set, bench_obj, gap_tol,
+                     workers)
+        return [dataclasses.replace(o, og_pct=float(i))
+                for i, o in enumerate(out)]
 
-    monkeypatch.setattr(pdsr.evaluation, "scenario_effectiveness", counted)
+    monkeypatch.setattr(pdsr.evaluation, "verification_costs", counted)
     report = evaluate_reduction(problem, ss, red, matrix, pdd, workers=2)
     assert len(calls) == 1
-    assert calls[0].og_pct == report.og_pct
-    assert report.se == {r: 0.0 for r in red.representatives}
+    expected = [solve_stochastic(problem, [ss.scenarios[r] for r in reps],
+                                 [red.weights[r] for r in reps])[0]]
+    for drop in reps:
+        keep = [r for r in reps if r != drop]
+        mass = sum(red.weights[r] for r in keep)
+        expected.append(solve_stochastic(
+            problem, [ss.scenarios[r] for r in keep],
+            [red.weights[r] / mass for r in keep])[0])
+    assert [d.values.tobytes() for d in calls[0]] == \
+        [d.values.tobytes() for d in expected]
+    assert report.og_pct == 0.0
+    assert report.se == {r: float(i + 1) for i, r in enumerate(reps)}
 
 
 def test_mean_components_weighted_by_probability():
@@ -349,15 +368,16 @@ def test_failed_verification_names_its_scenario(desk, monkeypatch):
     monkeypatch.setattr(pdsr.tsso, "solve_milp", lambda *args, **kwargs:
                         Solution(INFEASIBLE, np.inf, None))
     decision = matrix.decisions[2]
-    with pytest.raises(RecourseError) as err:
-        verification_costs(problem, decision, ss)
-    assert "source scenario 2" in str(err.value)
-    assert f"on scenario {ss.scenarios[0].id!r}" in str(err.value)
+    [err] = verification_costs(problem, [decision], ss)
+    assert isinstance(err, RecourseError)
+    assert "source scenario 2" in str(err)
+    assert f"on scenario {ss.scenarios[0].id!r}" in str(err)
 
 
 def test_store_shared_by_more_worker_threads_than_cores(desk, monkeypatch):
-    # worker threads fill one store; with frequent thread switches each
-    # scenario is still compiled once and the report matches one worker's
+    # worker threads share one verification pass; with frequent thread
+    # switches each scenario is still compiled once and the report matches
+    # one worker's
     import sys
     problem, ss, matrix, _ = desk
     pdd = compute_pdd(matrix)
@@ -453,3 +473,81 @@ def test_compare_verifies_each_distinct_decision_once(monkeypatch):
     reductions = {tuple(r["representatives"]) for r in rows}
     assert len(decisions) < len(reductions)
     assert len(evaluated) == len(decisions) * len(ss)
+
+
+def test_verification_holds_at_most_workers_programs(desk, monkeypatch):
+    # each scenario's program is dropped once every decision is solved on
+    # it, so no more single-scenario programs are alive at once than there
+    # are workers
+    import threading
+    import weakref
+    problem, ss, matrix, _ = desk
+    pdd = compute_pdd(matrix)
+    red = solve_clustering(pdd, ss.probabilities, fixed_k=3)
+    lock = threading.Lock()
+    live, peak = [0], [0]
+    build = problem.build_model
+
+    def released():
+        with lock:
+            live[0] -= 1
+
+    def counted(scenarios, weights):
+        model = build(scenarios, weights)
+        if len(scenarios) == 1:
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+            weakref.finalize(model, released)
+        return model
+
+    monkeypatch.setattr(problem, "build_model", counted)
+    evaluate_reduction(problem, ss, red, matrix, pdd, workers=2)
+    assert 0 < peak[0] <= 2
+    peak[0] = 0
+    rows, _ = compare_methods(problem, ss, ["pdsr", "km_e", "kd_e", "hc", "ws"],
+                              3, matrix=matrix, workers=2)
+    assert [r["status"] for r in rows] == ["ok"] * 6
+    assert 0 < peak[0] <= 2
+    assert live[0] == 0
+
+
+def test_failed_verification_fails_only_rows_sharing_its_decision(monkeypatch):
+    # on this instance pdsr, kd_e and hc pick different representatives
+    # whose reduced programs reach one decision; when that decision cannot
+    # be verified, exactly their rows fail, with the error met on the
+    # lowest-index failing scenario, and every other row is unchanged
+    import pdsr.evaluation
+    from pdsr.tsso import solve_stochastic
+    cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
+    problem = UcProblem(cfg, ss.source_names)
+    matrix = build_problem_space_matrix(problem, ss)
+    methods = ["pdsr", "km_e", "kd_e", "hc", "ws"]
+    clean, _ = compare_methods(problem, ss, methods, 4, matrix=matrix)
+    assert [r["status"] for r in clean] == ["ok"] * (len(methods) + 1)
+
+    red = solve_clustering(compute_pdd(matrix), ss.probabilities, fixed_k=4)
+    reps = red.representatives
+    z, _, _ = solve_stochastic(problem, [ss.scenarios[r] for r in reps],
+                               [red.weights[r] for r in reps])
+    evaluate = pdsr.evaluation.evaluate_with_fixed_first_stage
+
+    def failing(problem, decision, scenario, **kwargs):
+        if (decision.values.tobytes() == z.values.tobytes()
+                and scenario.id != ss.scenarios[0].id
+                and scenario.id != ss.scenarios[1].id):
+            raise RecourseError(f"injected failure on scenario {scenario.id!r}")
+        return evaluate(problem, decision, scenario, **kwargs)
+
+    monkeypatch.setattr(pdsr.evaluation, "evaluate_with_fixed_first_stage",
+                        failing)
+    tables = [compare_methods(problem, ss, methods, 4, matrix=matrix,
+                              workers=w)[0] for w in (1, 2)]
+    assert tables[0] == tables[1]
+    shared = {"pdsr", "kd_e", "hc"}
+    status = f"failed: injected failure on scenario {ss.scenarios[2].id!r}"
+    for got, want in zip(tables[0], clean):
+        if got["method"] in shared:
+            assert got == {"method": got["method"], "k": 4, "status": status}
+        else:
+            assert got == want
