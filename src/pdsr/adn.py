@@ -8,6 +8,11 @@ LinDistFlow network model (squared voltage magnitudes, lossless lines).
 The objective is day-ahead trading plus procurement cost, expected intraday
 balancing cost, and expected penalty cost of shedding/curtailment; time-step
 length is folded into the cost coefficients at compile time.
+
+The compiler builds the program's structure (:func:`_adn_structure`) and
+writes the scenario data into it: the bus loads and renewable output as
+slack bounds and balance right-hand sides, and the price as trading and
+balancing costs (``tsso._Structure``).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from .errors import ConfigError
 from .milp import GE, LE, EQ, MixedBinaryModel
 from .scenarios import Scenario, ScenarioSet, _pick_bad, _smooth_noise
 from .tsso import (NetworkConfig, NetworkProblem, _penalized_recourse,
-                   _source_rows)
+                   _Structure)
 
 
 @dataclass
@@ -116,15 +121,23 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
 
     First-stage variables are the trading schedule ``PT[t]`` and procured
     capacities ``E[n]``, always model columns; a fixed decision is imposed
-    by their bounds (``tsso.evaluate_with_fixed_first_stage``).
+    by their bounds (``tsso.evaluate_with_fixed_first_stage``).  The
+    program is :func:`_adn_structure` with the scenarios' data written in
+    (``tsso._Structure.write``).
     """
-    cfg = config
+    return AdnProblem(config, source_names)._compiled(scenarios, weights)
+
+
+def _adn_structure(cfg: AdnConfig, weights) -> _Structure:
+    """The dispatch program over one scenario per weight, without its
+    scenario data: the slack bounds, the balance right-hand sides and the
+    price-dependent trading and balancing costs."""
     T, dt = cfg.t_steps, cfg.dt_hours
-    src = _source_rows(cfg, source_names, scenarios, extra=(cfg.price_source,))
     parent = cfg.parents()
     children = cfg.children()
 
-    m = MixedBinaryModel()
+    st = _Structure(cfg, price_source=cfg.price_source)
+    m = st.model
 
     # -- first stage -------------------------------------------------------
     pt = [m.add_var(f"PT[{t}]", -cfg.p_trade_max, cfg.p_trade_max)
@@ -135,10 +148,7 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
         m.add_objective(ecap[k], e.price, group="da_storage")
 
     # -- second stage ------------------------------------------------------
-    for s, (scen, w) in enumerate(zip(scenarios, weights)):
-        w = float(w)
-        price = scen.values[src[cfg.price_source]]
-
+    for s, w in enumerate(weights):
         tp = [m.add_var(f"Tp[{s},{t}]", 0.0, cfg.p_trade_max) for t in range(T)]
         tm = [m.add_var(f"Tm[{s},{t}]", 0.0, cfg.p_trade_max) for t in range(T)]
         dts = [m.add_var(f"DT[{s},{t}]", 0.0, 1.0, binary=True) for t in range(T)]
@@ -150,8 +160,7 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
                 volt[b, t] = m.add_var(f"V[{b},{s},{t}]", cfg.v_min_sq, cfg.v_max_sq)
                 fp[b, t] = m.add_var(f"Fp[{b},{s},{t}]", -math.inf, math.inf)
                 fq[b, t] = m.add_var(f"Fq[{b},{s},{t}]", -math.inf, math.inf)
-        load_mw, shed, res_mw, curt = _penalized_recourse(m, cfg, scen, src,
-                                                          w, s)
+        shed, curt = _penalized_recourse(st, w, s)
         ch = {}
         dis = {}
         stored = {}
@@ -169,9 +178,9 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
         # objective: day-ahead trading (scenario-weighted price), intraday
         # balancing (penalty costs are priced with the slacks)
         for t in range(T):
-            m.add_objective(pt[t], w * price[t] * dt, group="da_trade")
-            m.add_objective(tp[t], w * cfg.buy_mult * price[t] * dt, group="in_balance")
-            m.add_objective(tm[t], w * cfg.sell_mult * price[t] * dt, group="in_balance")
+            st.add_price_cost(s, pt[t], w, t, "da_trade")
+            st.add_price_cost(s, tp[t], w * cfg.buy_mult, t, "in_balance")
+            st.add_price_cost(s, tm[t], w * cfg.sell_mult, t, "in_balance")
 
         # voltage drop along each line; the root is the reference at 1 pu
         for b in range(1, cfg.n_buses):
@@ -185,21 +194,21 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
                     m.add_row(cols + [volt[pi, t]], vals + [-1.0], EQ, 0.0)
 
         # active balance: inflow - child outflows = net withdrawal (storage
-        # + load - renewables), the bus data summed into the right-hand side
+        # + load - renewables), the bus data (the slack bounds) folded into
+        # the right-hand side
         for b in range(cfg.n_buses):
             for t in range(T):
-                cols, vals = [], []
+                cols, vals, terms = [], [], []
                 for k, e in enumerate(cfg.es_units):
                     if e.node == b:
                         cols += (ch[k, t], dis[k, t])
                         vals += (1.0, -1.0)
-                data = 0.0
                 if (b, t) in shed:
-                    data += load_mw[b, t]
+                    terms.append((1.0, shed[b, t]))
                     cols.append(shed[b, t])
                     vals.append(-1.0)
                 if (b, t) in curt:
-                    data += -res_mw[b, t]
+                    terms.append((-1.0, curt[b, t]))
                     cols.append(curt[b, t])
                     vals.append(1.0)
                 for c in children[b]:
@@ -212,15 +221,14 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
                 else:
                     cols.append(fp[b, t])
                     vals.append(-1.0)
-                m.add_row(cols, vals, EQ, 0.0 - data)
+                st.add_data_row(cols, vals, EQ, terms)
 
         # reactive balance at non-root buses (the root imports freely)
         for b in range(1, cfg.n_buses):
             for t in range(T):
-                cols, vals = [], []
-                data = 0.0
+                cols, vals, terms = [], [], []
                 if (b, t) in shed:
-                    data += cfg.reactive_ratio * load_mw[b, t]
+                    terms.append((cfg.reactive_ratio, shed[b, t]))
                     cols.append(shed[b, t])
                     vals.append(-cfg.reactive_ratio)
                 for c in children[b]:
@@ -228,7 +236,7 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
                     vals.append(1.0)
                 cols.append(fq[b, t])
                 vals.append(-1.0)
-                m.add_row(cols, vals, EQ, 0.0 - data)
+                st.add_data_row(cols, vals, EQ, terms)
 
         # storage: gating, stored-energy dynamics, SoC window in MWh,
         # terminal energy equal to initial
@@ -256,7 +264,7 @@ def build_adn_model(config: AdnConfig, scenarios, weights,
             m.add_row(net, [1.0, 1.0, -1.0], LE, cfg.p_trade_max)
             m.add_row(net, [1.0, 1.0, -1.0], GE, -cfg.p_trade_max)
 
-    return m
+    return st
 
 
 class AdnProblem(NetworkProblem):
@@ -266,8 +274,10 @@ class AdnProblem(NetworkProblem):
 
     # stays in the class body: perfbench wraps ``__dict__["build_model"]``
     def build_model(self, scenarios, weights):
-        return build_adn_model(self.config, scenarios, weights,
-                               self.source_names)
+        return self._compiled(scenarios, weights)
+
+    def _structure(self, weights):
+        return _adn_structure(self.config, weights)
 
     def first_stage_names(self):
         return ([f"PT[{t}]" for t in range(self.config.t_steps)]

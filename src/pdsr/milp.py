@@ -6,7 +6,10 @@ objective to minimize, and sparse linear rows, which the compilers emit
 one call per row into flat buffers (:meth:`MixedBinaryModel.add_row`).
 Its costs, integrality and rows are assembled and checked once into one
 snapshot of solver arrays, whose range-constrained matrix both the HiGHS
-calls and the feasibility re-check read.  :func:`solve_milp` solves the
+calls and the feasibility re-check read.  A copy of a model
+(:meth:`MixedBinaryModel.copy`) shares the matrix part of that snapshot,
+so a program stamped from a compiled structure assembles only its costs
+and row bounds.  :func:`solve_milp` solves the
 LP relaxation with HiGHS, repairs the binaries of its point with the
 model's gating triples and returns that point when it is feasible and
 within the relative gap of the LP bound.  When the repaired point breaks
@@ -122,6 +125,20 @@ class _Arrays(NamedTuple):
     entry_col: np.ndarray
 
 
+class _Matrix(NamedTuple):
+    """The part of a model's solver arrays that its columns and rows fix,
+    whatever their costs and right-hand sides: the CSC matrix, the column
+    of each stored entry, integrality and the rows open below (``<=``) or
+    above (``>=``).  Built and checked once; read-only, so the copies of a
+    model (:meth:`MixedBinaryModel.copy`) share it."""
+
+    A: CscMatrix
+    entry_col: np.ndarray
+    integrality: np.ndarray
+    le: np.ndarray
+    ge: np.ndarray
+
+
 class MixedBinaryModel:
     """A minimize-sense mixed-binary linear program.
 
@@ -139,11 +156,19 @@ class MixedBinaryModel:
 
     A model holds one snapshot of its solver arrays, assembled by the first
     solve, and one HiGHS instance with its LP relaxation, created by the
-    first root-step LP; both are dropped whenever a column, row or
-    objective term is added.  Later root-step LPs re-solve warm on that
-    instance, so never solve one model from two threads at once; solves on
-    distinct models may run concurrently.  A model with the same matrix
-    may take the instance over (:meth:`take_highs`, :func:`lp_relay`).
+    first root-step LP; both are dropped whenever a column, row, objective
+    term or right-hand side is added or changed.  Later root-step LPs
+    re-solve warm on that instance, so never solve one model from two
+    threads at once; solves on distinct models may run concurrently.  A
+    model with the same matrix may take the instance over
+    (:meth:`take_highs`, :func:`lp_relay`).
+
+    A problem compiler builds a program's structure once and stamps
+    scenario programs from it: :meth:`copy` gives a model that owns its
+    own lists and dicts but shares the structure's assembled, read-only
+    matrix, and :meth:`set_bounds`, :meth:`set_rhs` and
+    :meth:`add_objective` write the scenario's data into it.  Such a
+    model assembles only its costs and row bounds.
     """
 
     def __init__(self):
@@ -162,6 +187,7 @@ class MixedBinaryModel:
         # (binary, active-when-0 var, active-when-1 var) triples used by the
         # root step's binary repair; populated by the problem compilers.
         self.gating: list[tuple[int, int, int]] = []
+        self._matrix = None  # _Matrix, set by _assembled, shared by copies
         self._arrays = None  # _Arrays snapshot, set by _assembled
         self._highs = None  # HiGHS instance of the LP relaxation (highs_milp)
 
@@ -169,16 +195,48 @@ class MixedBinaryModel:
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = math.inf,
                 binary: bool = False) -> int:
-        if binary and (lb < 0.0 or ub > 1.0):
-            raise ModelError(f"binary variable {name!r} must have bounds within [0, 1]")
-        if lb > ub:
-            raise ModelError(f"variable {name!r} has lb > ub")
+        lb, ub = _checked_bounds(name, lb, ub, binary)
         self.var_names.append(name)
-        self.lb.append(float(lb))
-        self.ub.append(float(ub))
+        self.lb.append(lb)
+        self.ub.append(ub)
         self.is_binary.append(bool(binary))
-        self._arrays = self._highs = None
+        self._matrix = self._arrays = self._highs = None
         return len(self.var_names) - 1
+
+    def set_bounds(self, j: int, lb: float, ub: float):
+        """Set the bounds of column ``j``, checked as :meth:`add_var`
+        checks them."""
+        self.lb[j], self.ub[j] = _checked_bounds(self.var_names[j], lb, ub,
+                                                 self.is_binary[j])
+
+    def set_rhs(self, row: int, rhs: float):
+        """Set the right-hand side of ``row``; it is checked with the
+        assembled arrays."""
+        self.row_rhs[row] = rhs
+        self._arrays = self._highs = None
+
+    def copy(self) -> "MixedBinaryModel":
+        """A model with this one's columns, bounds, rows, objective and
+        gating, owning every list and dict of its own and keeping no HiGHS
+        instance; it shares this model's assembled matrix (assembled here
+        if it is not yet), which nothing writes to."""
+        new = MixedBinaryModel.__new__(MixedBinaryModel)
+        new.var_names = self.var_names.copy()
+        new.lb = self.lb.copy()
+        new.ub = self.ub.copy()
+        new.is_binary = self.is_binary.copy()
+        new.obj = self.obj.copy()
+        new.obj_groups = {g: terms.copy()
+                          for g, terms in self.obj_groups.items()}
+        new.row_cols = self.row_cols.copy()
+        new.row_vals = self.row_vals.copy()
+        new.row_len = self.row_len.copy()
+        new.row_rel = self.row_rel.copy()
+        new.row_rhs = self.row_rhs.copy()
+        new.gating = self.gating.copy()
+        new._matrix = self._assembled_matrix()
+        new._arrays = new._highs = None
+        return new
 
     def add_constraint(self, coeffs: dict[int, float], relation: str, rhs: float):
         """Add ``sum(a * x[j] for j, a in coeffs.items()) <relation> rhs``,
@@ -225,7 +283,7 @@ class MixedBinaryModel:
         self.row_len.append(len(vals))
         self.row_rel.append(relation)
         self.row_rhs.append(rhs)
-        self._arrays = self._highs = None
+        self._matrix = self._arrays = self._highs = None
 
     def add_objective(self, var: int, coef: float, group: str | None = None):
         """Accumulate ``coef * x[var]`` into the objective (and a group)."""
@@ -260,16 +318,19 @@ class MixedBinaryModel:
     def validate(self, bounds=None):
         """Reject bad bounds (the model's, or the ``(lb, ub)`` override) and
         non-finite objective or row data.  The bounds are checked on every
-        call.  :meth:`add_row` skips :meth:`add_constraint`'s eager check,
-        so all rows are checked on the assembled arrays, together with the
+        call: a lower bound of NaN or +inf, an upper bound of NaN or -inf, a
+        binary outside [0, 1] and ``lb > ub`` raise, naming the column.
+        :meth:`add_row` skips :meth:`add_constraint`'s eager check, so all
+        rows are checked on the assembled arrays, together with the
         objective, once per assembly (see :meth:`_assembled`)."""
         lb, ub = self._bounds(bounds)
         if lb.shape != (self.num_vars,) or ub.shape != (self.num_vars,):
             raise ModelError(f"bounds must hold {self.num_vars} values each")
         bad_lb = np.isnan(lb) | (lb == math.inf)
-        bad_ub = np.isnan(ub)
+        bad_ub = np.isnan(ub) | (ub == -math.inf)
         bad_bin = np.array(self.is_binary, dtype=bool) & ((lb < 0.0) | (ub > 1.0))
-        bad = np.flatnonzero(bad_lb | bad_ub | bad_bin)
+        crossed = lb > ub
+        bad = np.flatnonzero(bad_lb | bad_ub | bad_bin | crossed)
         if bad.size:
             j = bad[0]
             name = self.var_names[j]
@@ -277,7 +338,10 @@ class MixedBinaryModel:
                 raise ModelError(f"bad lower bound on {name!r}")
             if bad_ub[j]:
                 raise ModelError(f"bad upper bound on {name!r}")
-            raise ModelError(f"binary {name!r} out of [0, 1]")
+            if bad_bin[j]:
+                raise ModelError(f"binary {name!r} out of [0, 1]")
+            raise ModelError(f"variable {name!r} has lb > ub "
+                             f"({float(lb[j])!r} > {float(ub[j])!r})")
         self._assembled()
 
     def max_violation(self, x: np.ndarray, bounds=None) -> float:
@@ -311,16 +375,19 @@ class MixedBinaryModel:
         are reloaded, and the row bounds that differ one row at a time (the
         bindings have no call for several); the next root-step LP changes
         every column bound as usual and starts from the donor's last basis.
-        The donor loses the instance, so an instance has one owner."""
+        Copies of one model share their matrix, so they skip the
+        comparison.  The donor loses the instance, so an instance has one
+        owner."""
         highs, theirs = donor._highs, donor._arrays
         if highs is None or self._highs is not None:
             return False
         ours = self._assembled()
         (A, lower, upper), (B, old_lower, old_upper) = (ours.constraints,
                                                         theirs.constraints)
-        if not (A.shape == B.shape
-                and np.array_equal(ours.integrality, theirs.integrality)
-                and all(map(np.array_equal, A[:3], B[:3]))):
+        if not (self._matrix is donor._matrix
+                or (A.shape == B.shape
+                    and np.array_equal(ours.integrality, theirs.integrality)
+                    and all(map(np.array_equal, A[:3], B[:3])))):
             return False
         donor._highs = None
         n = A.shape[1]
@@ -336,18 +403,38 @@ class MixedBinaryModel:
 
     def _assembled(self) -> _Arrays:
         """The model's :class:`_Arrays`, built and checked on the first call
-        after the model last grew; every HiGHS call and the re-check of a
-        model read them.  Raises on non-finite objective or row data, on a
-        row over an undeclared variable and on a row that lists one
-        variable twice, so a duplicate entry never reaches HiGHS."""
+        after the model last changed; every HiGHS call and the re-check of a
+        model read them.  The matrix part comes from
+        :meth:`_assembled_matrix`; the costs and row bounds are the model's
+        own.  Raises on non-finite objective or right-hand side data."""
         if self._arrays is not None:
             return self._arrays
-        m, n = len(self.row_len), self.num_vars
-        c = np.zeros(n)
+        matrix = self._assembled_matrix()
+        c = np.zeros(self.num_vars)
         for j, a in self.obj.items():
             c[j] = a
         if not np.isfinite(c).all():
             raise ModelError("non-finite objective coefficient")
+        rhs = np.array(self.row_rhs, dtype=float)
+        lower = np.where(matrix.le, -math.inf, rhs)
+        upper = np.where(matrix.ge, math.inf, rhs)
+        # a row's right-hand side is on each side that is not an outward
+        # infinity, so it is finite exactly when one side is
+        if not (np.isfinite(lower) | np.isfinite(upper)).all():
+            raise ModelError("non-finite right-hand side")
+        self._arrays = _Arrays(c, matrix.integrality,
+                               (matrix.A, lower, upper), matrix.entry_col)
+        return self._arrays
+
+    def _assembled_matrix(self) -> _Matrix:
+        """The model's :class:`_Matrix`, built and checked on the first call
+        after a column or row was added, then frozen.  Raises on a
+        non-finite coefficient, on a row over an undeclared variable and on
+        a row that lists one variable twice, so a duplicate entry never
+        reaches HiGHS."""
+        if self._matrix is not None:
+            return self._matrix
+        m, n = len(self.row_len), self.num_vars
         cols = np.array(self.row_cols, dtype=np.intp)
         vals = np.array(self.row_vals, dtype=float)
         if cols.size and not (cols.min() >= 0 and cols.max() < n):
@@ -372,17 +459,24 @@ class MixedBinaryModel:
         if bad.size:
             raise ModelError("non-finite constraint coefficient on "
                              f"{self.var_names[entry_col[bad[0]]]!r}")
-        rhs = np.array(self.row_rhs, dtype=float)
         rels = np.array(self.row_rel, dtype="U2")
-        lower = np.where(rels == LE, -math.inf, rhs)
-        upper = np.where(rels == GE, math.inf, rhs)
-        # a row's right-hand side is on each side that is not an outward
-        # infinity, so it is finite exactly when one side is
-        if not (np.isfinite(lower) | np.isfinite(upper)).all():
-            raise ModelError("non-finite right-hand side")
-        self._arrays = _Arrays(c, np.array(self.is_binary, dtype=np.int32),
-                               (A, lower, upper), entry_col)
-        return self._arrays
+        matrix = _Matrix(A, entry_col, np.array(self.is_binary, dtype=np.int32),
+                         rels == LE, rels == GE)
+        for a in (*A[:3], *matrix[1:]):
+            a.flags.writeable = False
+        self._matrix = matrix
+        return matrix
+
+
+def _checked_bounds(name: str, lb: float, ub: float,
+                    binary: bool) -> tuple[float, float]:
+    """``(lb, ub)`` of column ``name`` as floats; raises on a binary outside
+    [0, 1] and on ``lb > ub``."""
+    if binary and (lb < 0.0 or ub > 1.0):
+        raise ModelError(f"binary variable {name!r} must have bounds within [0, 1]")
+    if lb > ub:
+        raise ModelError(f"variable {name!r} has lb > ub")
+    return float(lb), float(ub)
 
 
 @dataclass

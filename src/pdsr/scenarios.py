@@ -92,6 +92,8 @@ class ScenarioSet:
         probs = np.asarray(self.probabilities, dtype=float)
         if probs.shape != (len(scens),):
             raise ScenarioFormatError("probability vector has wrong length")
+        if not np.isfinite(probs).all():
+            raise ScenarioFormatError("scenario probabilities must be finite")
         if np.any(probs <= 0.0):
             raise ScenarioFormatError("scenario probabilities must be > 0")
         if abs(probs.sum() - 1.0) > 1e-9:
@@ -160,8 +162,8 @@ def load_scenarios(values_path, probabilities_path=None) -> ScenarioSet:
 
     Scenario index order is the order of first appearance in the values
     file.  When no probabilities file is given, uniform 1/N weights are
-    assigned.  Probabilities must sum to 1 within 1e-6 and are then
-    renormalized exactly.
+    assigned.  Probabilities must be finite, positive and sum to 1 within
+    1e-6; they are then renormalized exactly.
     """
     with open(values_path, newline="") as fh:
         scen_order, src_order, cells = _parse_values(fh)
@@ -217,6 +219,9 @@ def load_scenarios(values_path, probabilities_path=None) -> ScenarioSet:
                 except ValueError:
                     raise ScenarioFormatError(
                         f"probabilities file line {lineno}: bad float") from None
+                if not math.isfinite(p):
+                    raise ScenarioFormatError(
+                        f"probabilities file line {lineno}: non-finite probability")
                 if sid in given:
                     raise ScenarioFormatError(
                         f"probabilities file line {lineno}: duplicate id {sid!r}")

@@ -10,6 +10,12 @@ this with penalized shedding/curtailment slacks).
 The two network problems (``adn``, ``uc``) share their config handling
 (:class:`NetworkConfig`), their problem shell (:class:`NetworkProblem`) and
 the compile steps that map scenario sources to buses and add those slacks.
+Their compilers build a program's structure, which depends only on the
+config and the scenario weights, and a data writer then writes each
+scenario's data into it (:class:`_Structure`).  A problem keeps the
+structure of its one-scenario, unit-weight program, so every later compile
+of such a program, the projection's cells and diagonals and the
+verification's programs, is a copy of it plus a data write.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ class TssoProblem(ABC):
 
         The first-stage variables are model columns named by
         :meth:`first_stage_names`; evaluating a given decision fixes them
-        by bounds (see :func:`evaluate_with_fixed_first_stage`)."""
+        by bounds (see :func:`evaluate_with_fixed_first_stage`).  The
+        returned model is the caller's own to change."""
 
     @abstractmethod
     def first_stage_names(self) -> list[str]:
@@ -87,17 +94,44 @@ class NetworkConfig:
 
 
 class NetworkProblem(TssoProblem):
-    """A network problem bound to its config and a fixed source ordering."""
+    """A network problem bound to its config and a fixed source ordering.
+
+    It keeps the structure of its one-scenario, unit-weight program after
+    the first compile of one (:meth:`_compiled`); the config must not
+    change after that."""
 
     kind = ""  # problem tag of the cache fingerprint
 
     def __init__(self, config: NetworkConfig, source_names):
         self.config = config
         self.source_names = tuple(source_names)
+        self._single = None  # _Structure of the one-scenario, unit-weight program
 
     def fingerprint_payload(self):
         return {"problem": self.kind, "config": self.config.to_dict(),
                 "sources": list(self.source_names)}
+
+    @abstractmethod
+    def _structure(self, weights: list[float]) -> "_Structure":
+        """The structure of the program over ``len(weights)`` scenarios."""
+
+    def _compiled(self, scenarios, weights) -> MixedBinaryModel:
+        """The program over ``scenarios`` (paired with ``weights``, the
+        shorter one setting the count), its structure built here and the
+        scenarios' data written into it.  A one-scenario, unit-weight
+        program is a copy of the kept structure instead: built on the first
+        such compile, and never written to.  Threads making the first such
+        compile at once may each build one, and any of them is kept."""
+        weights = [float(w) for _, w in zip(scenarios, weights)]
+        if weights != [1.0]:
+            structure = self._structure(weights)
+            return structure.write(structure.model, scenarios,
+                                   self.source_names)
+        if self._single is None:
+            self._single = self._structure(weights)
+        structure = self._single
+        return structure.write(structure.model.copy(), scenarios,
+                               self.source_names)
 
 
 def _source_rows(cfg: NetworkConfig, source_names, scenarios,
@@ -119,42 +153,123 @@ def _source_rows(cfg: NetworkConfig, source_names, scenarios,
     return {name: names.index(name) for name in names}
 
 
-def _penalized_recourse(m: MixedBinaryModel, cfg: NetworkConfig, scen, src,
-                        w: float, s: int):
-    """Add scenario ``s``'s shedding ``Ls[b,s,t]`` at every load bus, then
-    its curtailment ``Rc[b,s,t]`` at every renewable bus, each bounded by
-    what the bus holds and priced (weight ``w``) into group ``in_penalty``.
+class _Structure:
+    """A network program without its scenario data, and the writer of
+    that data (:meth:`write`).
 
-    Returns (load_mw, shed, res_mw, curt), each keyed by (bus, t): the bus
-    load and renewable infeed in MW and the slack columns.
+    The data are the upper bounds of the shedding and curtailment slacks,
+    the right-hand sides of the balance rows that fold those bounds, and
+    the price-dependent costs; the rest depends only on the config and the
+    scenario weights.  A compiler builds ``model`` with zero placeholders
+    for the data through :func:`_penalized_recourse`,
+    :meth:`add_data_row` and :meth:`add_price_cost`, which record where
+    each datum goes."""
+
+    def __init__(self, cfg: NetworkConfig, price_source: str | None = None):
+        self.cfg = cfg
+        self.price_source = price_source
+        self.model = MixedBinaryModel()
+        loads: dict[int, list[str]] = {}
+        for name, bus in cfg.load_sources.items():
+            loads.setdefault(bus, []).append(name)
+        res: dict[int, list[str]] = {}
+        for name, bus in cfg.res_sources.items():
+            res.setdefault(bus, []).append(name)
+        # each bus with a load (a load source or a fixed load), then each
+        # bus with a renewable, with the names of its sources
+        self.load_buses = [(b, loads.get(b, ())) for b in
+                           sorted(set(loads) | set(cfg.fixed_loads))]
+        self.res_buses = sorted(res.items())
+        # per scenario, the slack columns in _slack_bounds order
+        self.slacks: list[list[int]] = []
+        # (scenario, column, group, factor, t): cost factor * price[t] * dt
+        self.costs: list[tuple[int, int, str, float, int]] = []
+        # (row, ((coef, slack column), ...)): rhs 0.0 - sum of coef * bound
+        self.data_rows: list[tuple[int, tuple]] = []
+
+    def add_data_row(self, cols, vals, relation: str, terms):
+        """Add a row whose data terms are ``coef * bound`` of each
+        ``(coef, slack column)`` in ``terms``, summed from ``0.0`` in term
+        order and folded into the right-hand side as ``0.0 - data``."""
+        if terms:
+            self.data_rows.append((len(self.model.row_len), tuple(terms)))
+        self.model.add_row(cols, vals, relation, 0.0)
+
+    def add_price_cost(self, s: int, col: int, factor: float, t: int,
+                       group: str):
+        """Price ``col`` at ``factor * price[t] * dt`` in ``group``, with
+        the price of scenario ``s``."""
+        self.costs.append((s, col, group, factor, t))
+        self.model.add_objective(col, 0.0, group=group)
+
+    def write(self, model: MixedBinaryModel, scenarios,
+              source_names) -> MixedBinaryModel:
+        """Write the data of ``scenarios``, one per scenario of the
+        structure, into ``model`` (``self.model`` or a copy of it) and
+        return it.  The slack bounds are checked as
+        :meth:`MixedBinaryModel.add_var` checks bounds, and the costs
+        accumulate onto the placeholders in scenario order."""
+        cfg = self.cfg
+        extra = () if self.price_source is None else (self.price_source,)
+        src = _source_rows(cfg, source_names, scenarios, extra)
+        for scen, slacks in zip(scenarios, self.slacks):
+            for j, bound in zip(slacks, self._slack_bounds(scen, src)):
+                model.set_bounds(j, 0.0, bound)
+        prices = [scen.values[src[self.price_source]]
+                  for scen in scenarios] if self.costs else []
+        for s, j, group, factor, t in self.costs:
+            model.add_objective(j, factor * prices[s][t] * cfg.dt_hours,
+                                group=group)
+        ub = model.ub
+        for row, terms in self.data_rows:
+            data = 0.0
+            for coef, j in terms:
+                data += coef * ub[j]
+            model.set_rhs(row, 0.0 - data)
+        return model
+
+    def _slack_bounds(self, scen, src) -> list[float]:
+        """Each load bus's load in MW, then each renewable bus's infeed,
+        per step: the upper bounds of the slacks of one scenario."""
+        T = self.cfg.t_steps
+        bounds = []
+        for b, names in self.load_buses:
+            rows = [scen.values[src[n]].tolist() for n in names]
+            fixed = self.cfg.fixed_loads.get(b, [0.0] * T)
+            for t in range(T):
+                total = float(sum(row[t] for row in rows))
+                total += float(fixed[t])
+                bounds.append(total)
+        for b, names in self.res_buses:
+            rows = [scen.values[src[n]].tolist() for n in names]
+            for t in range(T):
+                bounds.append(float(sum(row[t] for row in rows)))
+        return bounds
+
+
+def _penalized_recourse(st: _Structure, w: float, s: int):
+    """Add scenario ``s``'s shedding ``Ls[b,s,t]`` at every load bus, then
+    its curtailment ``Rc[b,s,t]`` at every renewable bus, priced (weight
+    ``w``) into group ``in_penalty``; their upper bounds, what the bus
+    holds, are scenario data.
+
+    Returns (shed, curt), the slack columns keyed by (bus, t).
     """
+    m, cfg = st.model, st.cfg
     T, dt = cfg.t_steps, cfg.dt_hours
-    loads_by_bus: dict[int, list[str]] = {}
-    for name, bus in cfg.load_sources.items():
-        loads_by_bus.setdefault(bus, []).append(name)
-    res_by_bus: dict[int, list[str]] = {}
-    for name, bus in cfg.res_sources.items():
-        res_by_bus.setdefault(bus, []).append(name)
-    load_mw, shed, res_mw, curt = {}, {}, {}, {}
+    shed, curt = {}, {}
     shed_cost = w * cfg.penalty_shed * dt
     curtail_cost = w * cfg.penalty_curtail * dt
-    for b in sorted(set(loads_by_bus) | set(cfg.fixed_loads)):
-        rows = [scen.values[src[n]].tolist() for n in loads_by_bus.get(b, ())]
-        fixed = cfg.fixed_loads.get(b, [0.0] * T)
+    for b, _ in st.load_buses:
         for t in range(T):
-            total = float(sum(row[t] for row in rows))
-            total += float(fixed[t])
-            load_mw[b, t] = total
-            shed[b, t] = m.add_var(f"Ls[{b},{s},{t}]", 0.0, total)
+            shed[b, t] = m.add_var(f"Ls[{b},{s},{t}]", 0.0, 0.0)
             m.add_objective(shed[b, t], shed_cost, group="in_penalty")
-    for b, names in sorted(res_by_bus.items()):
-        rows = [scen.values[src[n]].tolist() for n in names]
+    for b, _ in st.res_buses:
         for t in range(T):
-            avail = float(sum(row[t] for row in rows))
-            res_mw[b, t] = avail
-            curt[b, t] = m.add_var(f"Rc[{b},{s},{t}]", 0.0, avail)
+            curt[b, t] = m.add_var(f"Rc[{b},{s},{t}]", 0.0, 0.0)
             m.add_objective(curt[b, t], curtail_cost, group="in_penalty")
-    return load_mw, shed, res_mw, curt
+    st.slacks.append([*shed.values(), *curt.values()])
+    return shed, curt
 
 
 @dataclass

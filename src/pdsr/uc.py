@@ -4,6 +4,10 @@ Day-ahead stage: on/off commitment and scheduled output per generator and
 hour.  Intraday stage, per scenario: up/down regulation within commitment
 and ramp limits, DC power flow with curtailment and load shedding as
 penalized recourse (any commitment admits a feasible second stage).
+
+The compiler builds the program's structure (:func:`_uc_structure`) and
+writes the scenario data into it: the bus loads and renewable output as
+slack bounds and balance right-hand sides (``tsso._Structure``).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from .errors import ConfigError
 from .milp import GE, LE, EQ, MixedBinaryModel
 from .scenarios import Scenario, ScenarioSet, _pick_bad, _smooth_noise
 from .tsso import (NetworkConfig, NetworkProblem, _penalized_recourse,
-                   _source_rows)
+                   _Structure)
 
 
 @dataclass
@@ -83,14 +87,20 @@ def build_uc_model(config: UcConfig, scenarios, weights,
     ``U[g,t]``, always model columns; a fixed decision is imposed by their
     bounds (``tsso.evaluate_with_fixed_first_stage``).  Start/shut
     indicators stay continuous in [-1, 1] (integral automatically once
-    commitments are binary).
+    commitments are binary).  The program is :func:`_uc_structure` with the
+    scenarios' data written in (``tsso._Structure.write``).
     """
-    cfg = config
+    return UcProblem(config, source_names)._compiled(scenarios, weights)
+
+
+def _uc_structure(cfg: UcConfig, weights) -> _Structure:
+    """The commitment program over one scenario per weight, without its
+    scenario data: the slack bounds and the balance right-hand sides."""
     T = cfg.t_steps
-    src = _source_rows(cfg, source_names, scenarios)
     gens = cfg.generators
     ng = len(gens)
-    m = MixedBinaryModel()
+    st = _Structure(cfg)
+    m = st.model
 
     # -- first stage: schedule, commitment, start/shut logic ---------------
     p_fs = [[m.add_var(f"P[{g},{t}]", 0.0, gens[g].p_max) for t in range(T)]
@@ -142,8 +152,7 @@ def build_uc_model(config: UcConfig, scenarios, weights,
 
     # -- second stage: regulation, DC flow, recourse ------------------------
     ref = cfg.reference_bus
-    for s, (scen, w) in enumerate(zip(scenarios, weights)):
-        w = float(w)
+    for s, w in enumerate(weights):
         # the reference bus angle is the constant 0, not a variable
         theta = {(b, t): m.add_var(f"Th[{b},{s},{t}]", -cfg.angle_bound,
                                    cfg.angle_bound)
@@ -163,8 +172,7 @@ def build_uc_model(config: UcConfig, scenarios, weights,
                 m.gating.append((dreg[g, t], dn[g, t], up[g, t]))
                 m.add_objective(up[g, t], w * gen.cost_reg_up, group="in_reg")
                 m.add_objective(dn[g, t], w * gen.cost_reg_down, group="in_reg")
-        load_mw, shed, res_mw, curt = _penalized_recourse(m, cfg, scen, src,
-                                                          w, s)
+        shed, curt = _penalized_recourse(st, w, s)
 
         for g, gen in enumerate(gens):
             p, u = p_fs[g], u_fs[g]
@@ -199,17 +207,19 @@ def build_uc_model(config: UcConfig, scenarios, weights,
                     vals.append(bsus)
                 m.add_row(cols, vals, EQ, 0.0)
 
+        # bus balance, the bus data (the slack bounds) folded into the
+        # right-hand side
         for b in range(cfg.n_buses):
             for t in range(T):
                 cols = [pg[g, t] for g, gen in enumerate(gens) if gen.bus == b]
                 vals = [1.0] * len(cols)
-                data = 0.0
+                terms = []
                 if (b, t) in curt:
-                    data += res_mw[b, t]
+                    terms.append((1.0, curt[b, t]))
                     cols.append(curt[b, t])
                     vals.append(-1.0)
                 if (b, t) in shed:
-                    data += -load_mw[b, t]
+                    terms.append((-1.0, shed[b, t]))
                     cols.append(shed[b, t])
                     vals.append(1.0)
                 for li, (i, j, _) in enumerate(cfg.lines):
@@ -219,9 +229,9 @@ def build_uc_model(config: UcConfig, scenarios, weights,
                     elif j == b:
                         cols.append(flow[li, t])
                         vals.append(1.0)
-                m.add_row(cols, vals, EQ, 0.0 - data)
+                st.add_data_row(cols, vals, EQ, terms)
 
-    return m
+    return st
 
 
 class UcProblem(NetworkProblem):
@@ -231,8 +241,10 @@ class UcProblem(NetworkProblem):
 
     # stays in the class body: perfbench wraps ``__dict__["build_model"]``
     def build_model(self, scenarios, weights):
-        return build_uc_model(self.config, scenarios, weights,
-                              self.source_names)
+        return self._compiled(scenarios, weights)
+
+    def _structure(self, weights):
+        return _uc_structure(self.config, weights)
 
     def first_stage_names(self):
         ng = len(self.config.generators)

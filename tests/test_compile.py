@@ -3,15 +3,22 @@ the bounds, the names, the gating triples and the objective groups of the
 ADN and UC desk programs hash to fixed digests.  A change to how a
 compiler emits its rows must reproduce each of them bit for bit; the
 zero-handling case pins that compiler rows drop zero coefficients while
-``add_constraint`` rows keep theirs."""
+``add_constraint`` rows keep theirs.  A one-scenario program stamped from a
+problem's kept structure must hash like the same program compiled on a
+fresh problem, and stay independent of the programs stamped before it."""
 
 import dataclasses
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from pdsr.adn import AdnProblem, make_desk_instance
+from pdsr.errors import ModelError
+from pdsr.milp import LE
+from pdsr.scenarios import Scenario
 from pdsr.uc import UcProblem, make_uc_desk_instance
 
 
@@ -203,6 +210,124 @@ EXPECTED = {
 @pytest.mark.parametrize("problem, selection", sorted(EXPECTED))
 def test_compiled_arrays_match_their_digests(problem, selection):
     assert _digests(_model(problem, selection)) == EXPECTED[problem, selection]
+
+
+def _desk(problem, seed):
+    """(problem class, config, scenario set) of a ``_PROBLEMS`` desk made
+    from ``seed``."""
+    make = {"adn": make_desk_instance, "uc": make_uc_desk_instance,
+            "uc_zero": _uc_zero_costs}[problem]
+    return (_PROBLEMS[problem][1], *make(seed, 5))
+
+
+def _edited(ss, scenario, source, value):
+    """``scenario`` with row ``source`` scaled by ``value`` (a number) or
+    replaced by zeros (``value`` None)."""
+    values = scenario.values.copy()
+    u = ss.source_names.index(source)
+    values[u] = 0.0 if value is None else values[u] * value
+    return Scenario(f"{scenario.id}-{source}", values)
+
+
+def _variants(problem, ss):
+    """Scenarios to stamp one after another: plain ones, a zero renewable,
+    and on ADN a zero and a negative price."""
+    a, b = ss.scenarios[1], ss.scenarios[3]
+    out = [a, b, _edited(ss, b, "wt1", None)]
+    if problem == "adn":
+        out += [_edited(ss, a, "price", 0.0), _edited(ss, b, "price", -1.0),
+                _edited(ss, a, "pv1", None)]
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("problem", sorted(_PROBLEMS))
+def test_stamped_program_matches_a_fresh_compile(problem, seed):
+    cls, cfg, ss = _desk(problem, seed)
+    kept = cls(cfg, ss.source_names)
+    variants = _variants(problem, ss)
+    for prev, scen in zip([None, *variants], variants):
+        if prev is not None:
+            kept.build_model([prev], [1.0])
+        stamped = kept.build_model([scen], [1.0])
+        fresh = cls(cfg, ss.source_names).build_model([scen], [1.0])
+        assert _digests(stamped) == _digests(fresh), scen.id
+    assert kept._single.model._matrix is stamped._matrix
+
+
+@pytest.mark.parametrize("problem", sorted(_PROBLEMS))
+def test_first_compiles_on_two_threads_agree(problem):
+    cls, cfg, ss = _desk(problem, 0)
+    shared = cls(cfg, ss.source_names)
+    scen = ss.scenarios[2]
+    start = threading.Barrier(2)
+    models = [None, None]
+
+    def compile_one(k):
+        start.wait()
+        models[k] = shared.build_model([scen], [1.0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=compile_one, args=(k,))
+                   for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    fresh = _digests(cls(cfg, ss.source_names).build_model([scen], [1.0]))
+    assert _digests(models[0]) == _digests(models[1]) == fresh
+    assert EXPECTED[problem, "one"] == fresh
+
+
+@pytest.mark.parametrize("problem", sorted(_PROBLEMS))
+def test_changing_a_stamped_program_leaves_the_next_one(problem):
+    cls, cfg, ss = _desk(problem, 0)
+    kept = cls(cfg, ss.source_names)
+    scen = ss.scenarios[2]
+    first = kept.build_model([scen], [1.0])
+    expected = _digests(first)
+    x = 0  # the first first-stage column
+    first.set_bounds(x, 0.0, 0.0)
+    first.ub[1] = -1.0
+    first.add_objective(x, 5.0, group="extra")
+    first.obj_groups["in_penalty"].clear()
+    first.gating.append((x, x, x))
+    first.var_names[2] = "renamed"
+    first.set_rhs(0, 7.0)
+    first.add_row([x], [1.0], LE, 3.0)
+    first.add_var("new", 0.0, 1.0, binary=True)
+    changed = _digests(first)
+    assert changed != expected
+    second = kept.build_model([scen], [1.0])
+    assert _digests(second) == expected
+    assert second._matrix is not first._matrix
+    assert EXPECTED[problem, "one"] == expected
+    # the shared matrix is read-only
+    A = second._assembled().constraints[0]
+    with pytest.raises(ValueError):
+        A.data[0] = 1.0
+
+
+@pytest.mark.parametrize("source, scale, message", [
+    ("load1", -1.0, "has lb > ub"),
+    ("price", 5e306, "non-finite objective coefficient"),
+], ids=["negative_load", "overflowing_price"])
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_stamped_data_is_checked(source, scale, message):
+    # the checks a compile makes on scenario data run on every stamped
+    # program, not only on the one that built the structure; a price near
+    # the float limit is finite, but its balancing cost overflows
+    cls, cfg, ss = _desk("adn", 0)
+    kept = cls(cfg, ss.source_names)
+    kept.build_model([ss.scenarios[0]], [1.0])._assembled()
+    bad = _edited(ss, ss.scenarios[1], source, scale)
+    for problem in (kept, cls(cfg, ss.source_names)):
+        with pytest.raises(ModelError, match=message):
+            problem.build_model([bad], [1.0])._assembled()
 
 
 if __name__ == "__main__":  # prints EXPECTED for the compilers as they are

@@ -199,6 +199,33 @@ def test_bad_bounds_name_their_variable(spoil, message):
         m.validate()
 
 
+@pytest.mark.parametrize("spoil, message", [
+    (lambda lb, ub: (lb.__setitem__(1, 0.75), ub.__setitem__(1, 0.25)),
+     r"variable 'y' has lb > ub \(0.75 > 0.25\)"),
+    (lambda lb, ub: ub.__setitem__(1, -math.inf), "bad upper bound on 'y'"),
+], ids=["crossed", "minus_inf_upper"])
+def test_bad_bound_override_rejected_before_solving(monkeypatch, spoil,
+                                                    message):
+    # a crossed override used to solve as infeasible, and an upper bound of
+    # -inf reached HiGHS as a model error
+    m = MixedBinaryModel()
+    x = m.add_var("x", 0.0, 1.0)
+    y = m.add_var("y", 0.0, 1.0)
+    m.add_constraint({x: 1.0, y: 1.0}, LE, 1.5)
+    lb, ub = np.array(m.lb), np.array(m.ub)
+    spoil(lb, ub)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solver was called")
+
+    monkeypatch.setattr(pdsr.milp, "highs_milp", no_solve)
+    with pytest.raises(ModelError, match=message):
+        solve_milp(m, bounds=(lb, ub))
+    m.lb[1], m.ub[1] = lb[1], ub[1]
+    with pytest.raises(ModelError, match=message):
+        m.validate()
+
+
 def test_lp_vs_vertex_enumeration():
     rng = np.random.default_rng(7)
     checked = 0
@@ -612,12 +639,15 @@ def test_bound_override_of_wrong_length_rejected():
         solve_milp(m, bounds=(np.zeros(1), np.ones(1)))
 
 
-@pytest.mark.parametrize("change", ["row", "column", "objective"])
+@pytest.mark.parametrize("change", ["row", "column", "objective", "rhs"])
 def test_model_grown_after_a_solve_reaches_the_next_lp(monkeypatch, change):
     m, x, b = _gated_model()
     assert solve_milp(m).objective == pytest.approx(-9.5)
     if change == "row":        # x <= 4: LP point x = 4, b = 0.4
         m.add_constraint({x: 1.0}, LE, 4.0)
+        expected, seen = -3.5, lambda p: p[x] <= 4.0 + 1e-9
+    elif change == "rhs":      # x <= 10 b - 6: LP point x = 4, b = 1
+        m.set_rhs(0, -6.0)
         expected, seen = -3.5, lambda p: p[x] <= 4.0 + 1e-9
     elif change == "column":   # a free bonus y in [0, 1]
         y = m.add_var("y", 0.0, 1.0)

@@ -43,6 +43,27 @@ def test_load_rejects_bad_probability_sum(tmp_path):
         load_scenarios(vals, probs)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_load_rejects_non_finite_probability(tmp_path, bad):
+    # a NaN passes both the > 0 and the sum checks, and renormalizing then
+    # makes every probability NaN
+    vals = tmp_path / "v.csv"
+    write_values(vals, [f"s{i},load1,0,1.0" for i in range(4)])
+    probs = tmp_path / "p.csv"
+    probs.write_text("scenario_id,probability\n"
+                     f"s0,0.25\ns1,0.25\ns2,{bad}\ns3,0.25\n")
+    with pytest.raises(ScenarioFormatError,
+                       match="probabilities file line 4: non-finite"):
+        load_scenarios(vals, probs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_scenario_set_rejects_non_finite_probability(bad):
+    scens = (Scenario("a", [[1.0]]), Scenario("b", [[2.0]]))
+    with pytest.raises(ScenarioFormatError, match="finite"):
+        ScenarioSet(scens, np.array([1.0, bad]), ("load1",))
+
+
 def test_load_reports_line_numbers(tmp_path):
     vals = tmp_path / "v.csv"
     write_values(vals, ["a,load1,0,1.0", "a,load1,x,2.0"])
