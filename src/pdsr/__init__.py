@@ -13,8 +13,8 @@ from .scenarios import Scenario, ScenarioSet, load_scenarios, save_scenarios
 from .tsso import (FirstStageDecision, TssoProblem,
                    evaluate_with_fixed_first_stage, solve_scenario_specific,
                    solve_stochastic)
-from .adn import AdnConfig, AdnProblem, EsUnit, build_adn_model, make_desk_instance
-from .uc import Generator, UcConfig, UcProblem, build_uc_model, make_uc_desk_instance
+from .adn import AdnConfig, AdnProblem, EsUnit, make_desk_instance
+from .uc import Generator, UcConfig, UcProblem, make_uc_desk_instance
 from .projection import (ProblemSpaceMatrix, build_problem_space_matrix,
                          fingerprint, load_matrix, save_matrix, solve_benchmark)
 from .clustering import (PddMatrix, ReductionResult, compute_pdd,
@@ -23,6 +23,6 @@ from .baselines import (hierarchical_reduce, kmeans_reduce, kmedoids_reduce,
                         run_baseline, worst_case_select)
 from .evaluation import (EvaluationReport, GapOutcome, WorstCaseReport,
                          compare_methods, detect_worst_case, evaluate_reduction,
-                         optimality_gap, pddbi, scenario_effectiveness, spdd)
+                         pddbi, spdd)
 
 __version__ = "0.1.0"

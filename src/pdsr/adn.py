@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .milp import GE, LE, EQ, MixedBinaryModel
+from .milp import GE, LE, EQ
 from .scenarios import Scenario, ScenarioSet, _pick_bad, _smooth_noise
 from .tsso import (NetworkConfig, NetworkProblem, _penalized_recourse,
                    _Structure)
@@ -113,19 +113,6 @@ class AdnConfig(NetworkConfig):
         for j, (i, _, _) in self.parents().items():
             ch[i].append(j)
         return ch
-
-
-def build_adn_model(config: AdnConfig, scenarios, weights,
-                    source_names) -> MixedBinaryModel:
-    """Compile the weighted dispatch program to a mixed-binary model.
-
-    First-stage variables are the trading schedule ``PT[t]`` and procured
-    capacities ``E[n]``, always model columns; a fixed decision is imposed
-    by their bounds (``tsso.evaluate_with_fixed_first_stage``).  The
-    program is :func:`_adn_structure` with the scenarios' data written in
-    (``tsso._Structure.write``).
-    """
-    return AdnProblem(config, source_names)._compiled(scenarios, weights)
 
 
 def _adn_structure(cfg: AdnConfig, weights) -> _Structure:

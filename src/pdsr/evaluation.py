@@ -157,52 +157,6 @@ def _reduced_decision(problem: TssoProblem, scenario_set: ScenarioSet,
                             weights, gap_tol=gap_tol)[0]
 
 
-def _drop_one_decisions(problem: TssoProblem, scenario_set: ScenarioSet,
-                        result: ReductionResult, bench_obj: float | None,
-                        gap_tol: float) -> list:
-    """:func:`_reduced_decision` without each representative in turn, if
-    the effectiveness is measurable against ``bench_obj``."""
-    if result.k < 2:
-        raise ValueError("scenario effectiveness requires at least 2 representatives")
-    if bench_obj is None or abs(bench_obj) < 1e-6:
-        raise PdsrError("scenario effectiveness needs a percent gap (no "
-                        "benchmark, or its objective is too close to zero)")
-    return [_reduced_decision(problem, scenario_set, result, gap_tol, drop)
-            for drop in result.representatives]
-
-
-def optimality_gap(problem: TssoProblem, scenario_set: ScenarioSet,
-                   result: ReductionResult, gap_tol: float = DEFAULT_GAP_TOL,
-                   workers: int = 1, benchmark=None) -> GapOutcome:
-    """Loss from dispatching on the reduced set, verified on the full set.
-
-    ``benchmark`` is the full-set (decision, objective) pair the loss is
-    measured against.  When it is falsy (None or False, e.g. the benchmark
-    solve hit its time limit) the gap is reported as not-computed (None)
-    and only the full-set cost of the reduced decision is available.
-    """
-    z = _reduced_decision(problem, scenario_set, result, gap_tol)
-    return _raised(verification_costs(
-        problem, [z], scenario_set,
-        float(benchmark[1]) if benchmark else None, gap_tol, workers))[0]
-
-
-def scenario_effectiveness(problem: TssoProblem, scenario_set: ScenarioSet,
-                           result: ReductionResult, base: GapOutcome,
-                           gap_tol: float = DEFAULT_GAP_TOL,
-                           workers: int = 1) -> dict[int, float]:
-    """Increase in percent optimality gap when one representative is
-    removed (remaining weights renormalized to sum to one), measured
-    against ``base``, the gap outcome of ``result`` itself."""
-    bench_obj = base.benchmark_objective
-    drops = _raised(verification_costs(
-        problem, _drop_one_decisions(problem, scenario_set, result, bench_obj,
-                                     gap_tol),
-        scenario_set, bench_obj, gap_tol, workers))
-    return {r: out.og_pct - base.og_pct
-            for r, out in zip(result.representatives, drops)}
-
-
 @dataclass
 class WorstCaseReport:
     """Outlier scan of the problem-space column sums."""
@@ -295,7 +249,11 @@ def evaluate_reduction(problem: TssoProblem, scenario_set: ScenarioSet,
                        workers: int = 1, with_se: bool = True,
                        worst_case_bound: float = 2.0,
                        benchmark_time_limit: float | None = None) -> EvaluationReport:
-    """Assemble the full evaluation report for one reduction."""
+    """Assemble the full evaluation report for one reduction.
+
+    The scenario effectiveness (``se``) is None without ``with_se``, with
+    one representative, or when the benchmark is not computed or its
+    objective is too close to zero for a percent gap."""
     timings = {}
     t0 = time.monotonic()
     bench = _benchmark(problem, scenario_set, gap_tol, benchmark_time_limit)
@@ -304,11 +262,10 @@ def evaluate_reduction(problem: TssoProblem, scenario_set: ScenarioSet,
 
     t0 = time.monotonic()
     reps = result.representatives
-    decisions = [_reduced_decision(problem, scenario_set, result, gap_tol)]
-    with_se = with_se and result.k >= 2 and bench is not None
-    if with_se:
-        decisions += _drop_one_decisions(problem, scenario_set, result,
-                                         bench_obj, gap_tol)
+    with_se = (with_se and result.k >= 2 and bench_obj is not None
+               and abs(bench_obj) >= 1e-6)
+    decisions = [_reduced_decision(problem, scenario_set, result, gap_tol, drop)
+                 for drop in [None, *(reps if with_se else [])]]
     timings["reduction_seconds"] = time.monotonic() - t0
 
     t0 = time.monotonic()

@@ -376,8 +376,12 @@ class MixedBinaryModel:
         bindings have no call for several); the next root-step LP changes
         every column bound as usual and starts from the donor's last basis.
         Copies of one model share their matrix, so they skip the
-        comparison.  The donor loses the instance, so an instance has one
-        owner."""
+        comparison.  It stays for equal matrices that are distinct objects:
+        threads making a problem's first one-scenario compile at once may
+        each build its structure, and without the comparison whether an
+        instance is handed on, and so the projection, would depend on
+        thread timing.  The donor loses the instance, so an instance has
+        one owner."""
         highs, theirs = donor._highs, donor._arrays
         if highs is None or self._highs is not None:
             return False

@@ -116,13 +116,17 @@ class NetworkProblem(TssoProblem):
         """The structure of the program over ``len(weights)`` scenarios."""
 
     def _compiled(self, scenarios, weights) -> MixedBinaryModel:
-        """The program over ``scenarios`` (paired with ``weights``, the
-        shorter one setting the count), its structure built here and the
-        scenarios' data written into it.  A one-scenario, unit-weight
-        program is a copy of the kept structure instead: built on the first
-        such compile, and never written to.  Threads making the first such
-        compile at once may each build one, and any of them is kept."""
-        weights = [float(w) for _, w in zip(scenarios, weights)]
+        """The program over ``scenarios``, each with its weight, its
+        structure built here and the scenarios' data written into it; a
+        weight count other than the scenario count raises ValueError.  A
+        one-scenario, unit-weight program is a copy of the kept structure
+        instead: built on the first such compile, and never written to.
+        Threads making the first such compile at once may each build one,
+        and any of them is kept."""
+        weights = [float(w) for w in weights]
+        if len(weights) != len(scenarios):
+            raise ValueError(f"{len(scenarios)} scenarios but {len(weights)} "
+                             "weights")
         if weights != [1.0]:
             structure = self._structure(weights)
             return structure.write(structure.model, scenarios,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .milp import GE, LE, EQ, MixedBinaryModel
+from .milp import GE, LE, EQ
 from .scenarios import Scenario, ScenarioSet, _pick_bad, _smooth_noise
 from .tsso import (NetworkConfig, NetworkProblem, _penalized_recourse,
                    _Structure)
@@ -79,23 +79,11 @@ class UcConfig(NetworkConfig):
         super().validate()
 
 
-def build_uc_model(config: UcConfig, scenarios, weights,
-                   source_names) -> MixedBinaryModel:
-    """Compile the weighted commitment program to a mixed-binary model.
-
-    First-stage variables are scheduled outputs ``P[g,t]`` and commitments
-    ``U[g,t]``, always model columns; a fixed decision is imposed by their
-    bounds (``tsso.evaluate_with_fixed_first_stage``).  Start/shut
-    indicators stay continuous in [-1, 1] (integral automatically once
-    commitments are binary).  The program is :func:`_uc_structure` with the
-    scenarios' data written in (``tsso._Structure.write``).
-    """
-    return UcProblem(config, source_names)._compiled(scenarios, weights)
-
-
 def _uc_structure(cfg: UcConfig, weights) -> _Structure:
     """The commitment program over one scenario per weight, without its
-    scenario data: the slack bounds and the balance right-hand sides."""
+    scenario data: the slack bounds and the balance right-hand sides.
+    Start/shut indicators stay continuous in [-1, 1]; they are integral
+    once the commitments are."""
     T = cfg.t_steps
     gens = cfg.generators
     ng = len(gens)

@@ -6,8 +6,8 @@ Everything here recomputes expected values from first principles
 (:func:`model_rows`), and a
 best-first branch-and-bound over those LPs.  None of it calls
 ``solve_milp``, the routine it checks.  The last sections hold a
-fixed-decision model and small scenario-set helpers the tests share and
-no pipeline command uses.
+fixed-decision model, the gap of one reduction and small scenario-set
+helpers the tests share and no pipeline command uses.
 """
 
 import itertools
@@ -21,12 +21,13 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from pdsr.clustering import ReductionResult
-from pdsr.errors import ModelError, SolverError
+from pdsr.errors import ModelError, PdsrError, SolverError
+from pdsr.evaluation import GapOutcome, verification_costs
 from pdsr.milp import (DEFAULT_GAP_TOL, EQ, GAP_LIMIT, GE, INFEASIBLE, LE,
                        OPTIMAL, UNBOUNDED, MixedBinaryModel, Solution,
                        _gating_repair)
 from pdsr.scenarios import ScenarioSet
-from pdsr.tsso import _fixed_bounds
+from pdsr.tsso import _fixed_bounds, solve_stochastic
 
 # |x - round(x)| below this counts as integral.
 _INT_TOL = 1e-6
@@ -386,6 +387,26 @@ def fixed_model(problem, decision, scenario) -> MixedBinaryModel:
     model.lb, model.ub = (b.tolist() for b in _fixed_bounds(problem, decision,
                                                              model))
     return model
+
+
+# -- reduction gaps ----------------------------------------------------------
+
+
+def reduced_gap(problem, scenario_set: ScenarioSet, result: ReductionResult,
+                gap_tol=DEFAULT_GAP_TOL, workers=1, benchmark=None) -> GapOutcome:
+    """Gap of the program on ``result``'s representatives with their
+    weights, verified on the full set by ``verification_costs`` as
+    ``evaluate`` verifies it; ``benchmark`` is the full-set (decision,
+    objective) pair, or None for a gap not computed."""
+    reps = result.representatives
+    z = solve_stochastic(problem, [scenario_set.scenarios[r] for r in reps],
+                         [result.weights[r] for r in reps], gap_tol=gap_tol)[0]
+    [out] = verification_costs(problem, [z], scenario_set,
+                               None if benchmark is None else float(benchmark[1]),
+                               gap_tol, workers)
+    if isinstance(out, PdsrError):
+        raise out
+    return out
 
 
 # -- scenario-set helpers ----------------------------------------------------

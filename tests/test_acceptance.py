@@ -13,11 +13,11 @@ import pytest
 
 from oracles import (bad_scenario_ids, brute_force_milp, enumerate_clustering,
                      enumerate_vertices_optimum, identity_reduction, random_lp,
-                     random_milp, solve_lp, source_index)
+                     random_milp, reduced_gap, solve_lp, source_index)
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.baselines import run_baseline
 from pdsr.clustering import PddMatrix, compute_pdd, solve_clustering, sweep_beta
-from pdsr.evaluation import detect_worst_case, optimality_gap
+from pdsr.evaluation import detect_worst_case
 from pdsr.milp import solve_milp
 from pdsr.projection import build_problem_space_matrix, solve_benchmark
 from pdsr.scenarios import Scenario, ScenarioSet
@@ -67,8 +67,8 @@ def adn40():
         for k in (2, 4, 6, 8):
             red = solve_clustering(pdd, ss.probabilities, fixed_k=k, gap_tol=GAP)
             reductions[k] = red
-            gaps[k] = optimality_gap(problem, ss, red, gap_tol=GAP,
-                                     workers=WORKERS, benchmark=(zb, ob))
+            gaps[k] = reduced_gap(problem, ss, red, gap_tol=GAP,
+                                  workers=WORKERS, benchmark=(zb, ob))
         out.append({"seed": seed, "problem": problem, "set": ss,
                     "matrix": matrix, "flags": flags, "benchmark": (zb, ob),
                     "pdd": pdd, "reductions": reductions, "gaps": gaps})
@@ -191,8 +191,8 @@ def test_criterion_4_og_identity_and_bound():
         bench = (zb, ob)
 
         identity = identity_reduction(ss.probabilities)
-        out = optimality_gap(problem, ss, identity, gap_tol=GAP,
-                             workers=WORKERS, benchmark=bench)
+        out = reduced_gap(problem, ss, identity, gap_tol=GAP,
+                          workers=WORKERS, benchmark=bench)
         assert abs(out.og_pct) <= 0.02
 
         vb = [evaluate_with_fixed_first_stage(problem, zb, s, gap_tol=GAP)
@@ -206,8 +206,8 @@ def test_criterion_4_og_identity_and_bound():
                                            gap_tol=GAP)
                 else:
                     red = run_baseline(method, ss, k, seed=4)
-                got = optimality_gap(problem, ss, red, gap_tol=GAP,
-                                     workers=WORKERS, benchmark=bench)
+                got = reduced_gap(problem, ss, red, gap_tol=GAP,
+                                  workers=WORKERS, benchmark=bench)
                 vz = got.per_scenario
                 bound = sum(
                     ss.probabilities[i] * (abs(vz[i] - vz[r]) + abs(vb[i] - vb[r]))
@@ -234,9 +234,9 @@ def test_criterion_5_directional_comparison(adn40):
             pdsr_captured.append(sum(1 for r in red.representatives if flags[r]))
             for m in methods:
                 base = run_baseline(m, ss, 4, seed=inst["seed"])
-                out = optimality_gap(problem, ss, base, gap_tol=GAP,
-                                     workers=WORKERS,
-                                     benchmark=inst["benchmark"])
+                out = reduced_gap(problem, ss, base, gap_tol=GAP,
+                                  workers=WORKERS,
+                                  benchmark=inst["benchmark"])
                 og[m].append(out.og_pct)
                 captured[m].append(sum(1 for r in base.representatives
                                        if flags[r]))
@@ -283,12 +283,12 @@ def test_criterion_7_uc_end_to_end():
             zb, ob, _ = solve_benchmark(problem, ss, gap_tol=GAP)
             pdd = compute_pdd(matrix)
             red = solve_clustering(pdd, ss.probabilities, fixed_k=3, gap_tol=GAP)
-            out = optimality_gap(problem, ss, red, gap_tol=GAP, workers=WORKERS,
-                                 benchmark=(zb, ob))
+            out = reduced_gap(problem, ss, red, gap_tol=GAP, workers=WORKERS,
+                              benchmark=(zb, ob))
             pdsr_og.append(out.og_pct)
             base = run_baseline("km_e", ss, 3, seed=seed)
-            out_b = optimality_gap(problem, ss, base, gap_tol=GAP,
-                                   workers=WORKERS, benchmark=(zb, ob))
+            out_b = reduced_gap(problem, ss, base, gap_tol=GAP,
+                                workers=WORKERS, benchmark=(zb, ob))
             kme_og.append(out_b.og_pct)
         print(f"    uc og%: pdsr {np.round(pdsr_og, 3)} km_e {np.round(kme_og, 3)}")
         assert all(v < 2.0 for v in pdsr_og), pdsr_og

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import bad_scenario_ids
-from pdsr.adn import AdnConfig, AdnProblem, EsUnit, build_adn_model, make_desk_instance
+from pdsr.adn import AdnConfig, AdnProblem, EsUnit, make_desk_instance
 from pdsr.errors import ConfigError
 from pdsr.milp import solve_milp
 from pdsr.scenarios import Scenario, ScenarioSet, dump_values_csv
@@ -48,8 +48,8 @@ def test_binary_count_formula():
                   EsUnit(node=2, p_max=0.2, e_max=0.4, price=12.0)]
         cfg = small_config(t_steps=t_count, es_units=es)
         ss = small_set(n=s_count, t=t_count)
-        model = build_adn_model(cfg, ss.scenarios, ss.probabilities,
-                                ss.source_names)
+        model = AdnProblem(cfg, ss.source_names).build_model(
+            ss.scenarios, ss.probabilities)
         assert len(model.binary_indices) == s_count * t_count * (n_es + 1)
 
 
@@ -65,8 +65,8 @@ def test_source_mismatch_rejected():
     cfg = small_config()
     ss = small_set()
     with pytest.raises(ConfigError, match="sources"):
-        build_adn_model(cfg, ss.scenarios, ss.probabilities,
-                        ["wt1", "load9", "price"])
+        AdnProblem(cfg, ["wt1", "load9", "price"]).build_model(
+            ss.scenarios, ss.probabilities)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -156,7 +156,8 @@ def test_curtail_and_shed_within_availability():
 def test_voltage_reference_is_constant():
     cfg = small_config()
     ss = small_set()
-    model = build_adn_model(cfg, ss.scenarios, ss.probabilities, ss.source_names)
+    model = AdnProblem(cfg, ss.source_names).build_model(ss.scenarios,
+                                                         ss.probabilities)
     assert not any(n.startswith("V[0,") for n in model.var_names)
 
 

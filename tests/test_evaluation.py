@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from oracles import bad_scenario_ids, identity_reduction, scenario_index
+from oracles import (bad_scenario_ids, identity_reduction, reduced_gap,
+                     scenario_index)
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.clustering import PddMatrix, ReductionResult, compute_pdd, solve_clustering
-from pdsr.errors import PdsrError, RecourseError
-from pdsr.evaluation import (GapOutcome, compare_methods, detect_worst_case,
-                             evaluate_reduction, optimality_gap, pddbi,
-                             scenario_effectiveness, spdd, verification_costs)
+from pdsr.errors import RecourseError
+from pdsr.evaluation import (compare_methods, detect_worst_case,
+                             evaluate_reduction, pddbi, spdd,
+                             verification_costs)
 from pdsr.milp import INFEASIBLE, Solution
 from pdsr.projection import ProblemSpaceMatrix, build_problem_space_matrix, solve_benchmark
 from pdsr.scenarios import ScenarioSet
@@ -141,7 +142,7 @@ def desk():
 def test_og_identity_reduction_near_zero(desk):
     problem, ss, matrix, bench = desk
     red = identity_reduction(ss.probabilities)
-    out = optimality_gap(problem, ss, red, workers=2, benchmark=bench)
+    out = reduced_gap(problem, ss, red, workers=2, benchmark=bench)
     assert abs(out.og_pct) <= 2 * GAP * 100.0
 
 
@@ -149,7 +150,7 @@ def test_og_nonnegative_up_to_gap(desk):
     problem, ss, matrix, bench = desk
     pdd = compute_pdd(matrix)
     red = solve_clustering(pdd, ss.probabilities, fixed_k=3)
-    out = optimality_gap(problem, ss, red, workers=2, benchmark=bench)
+    out = reduced_gap(problem, ss, red, workers=2, benchmark=bench)
     assert out.og_abs >= -2 * GAP * abs(bench[1])
     assert out.reduced_on_full == pytest.approx(
         float(np.dot(ss.probabilities, out.per_scenario)), abs=1e-9)
@@ -158,7 +159,7 @@ def test_og_nonnegative_up_to_gap(desk):
 def test_og_without_benchmark_marks_not_computed(desk):
     problem, ss, matrix, _ = desk
     red = identity_reduction(ss.probabilities)
-    out = optimality_gap(problem, ss, red, workers=2, benchmark=False)
+    out = reduced_gap(problem, ss, red, workers=2, benchmark=None)
     assert out.og_pct is None and out.og_abs is None
     assert np.isfinite(out.reduced_on_full)
 
@@ -167,8 +168,8 @@ def test_scenario_effectiveness_values(desk):
     problem, ss, matrix, bench = desk
     pdd = compute_pdd(matrix)
     red = solve_clustering(pdd, ss.probabilities, fixed_k=3)
-    base = optimality_gap(problem, ss, red, workers=2, benchmark=bench)
-    se = scenario_effectiveness(problem, ss, red, base, workers=2)
+    base = evaluate_reduction(problem, ss, red, matrix, pdd, workers=2)
+    se = base.se
     assert set(se) == set(red.representatives)
     drop = red.representatives[0]
     keep = [r for r in red.representatives if r != drop]
@@ -216,27 +217,38 @@ def test_bad_scenario_representative_has_largest_effectiveness():
     pdd = compute_pdd(matrix)
     red = solve_clustering(pdd, ss.probabilities, fixed_k=3)
     assert 9 in red.representatives          # the excursion is isolated
-    zb, ob, _ = solve_benchmark(problem, ss)
-    base = optimality_gap(problem, ss, red, workers=2, benchmark=(zb, ob))
-    se = scenario_effectiveness(problem, ss, red, base, workers=2)
+    se = evaluate_reduction(problem, ss, red, matrix, pdd, workers=2).se
     assert max(se, key=se.get) == 9, se
 
 
 def test_scenario_effectiveness_requires_k2(desk):
-    problem, ss, matrix, bench = desk
+    problem, ss, matrix, _ = desk
     red = reduction([0], {i: 0 for i in range(len(ss))}, ss.probabilities)
-    base = optimality_gap(problem, ss, red, workers=2, benchmark=bench)
-    with pytest.raises(ValueError):
-        scenario_effectiveness(problem, ss, red, base)
+    report = evaluate_reduction(problem, ss, red, matrix, compute_pdd(matrix),
+                                workers=2)
+    assert report.se is None
+    assert report.og_pct is not None
 
 
-def test_scenario_effectiveness_requires_percent_gap(desk):
-    # a gap outcome without a benchmark has no percent gap to compare with
+def test_scenario_effectiveness_requires_percent_gap(desk, monkeypatch):
+    # a benchmark objective of zero leaves no percent gap to compare with:
+    # the report says so, as it does for a benchmark cut short by its time
+    # limit, instead of failing
+    import pdsr.evaluation
     problem, ss, matrix, _ = desk
     red = reduction([0, 1], {i: i % 2 for i in range(len(ss))}, ss.probabilities)
-    base = GapOutcome(None, None, 0.0, None, None, [], {})
-    with pytest.raises(PdsrError, match="percent gap"):
-        scenario_effectiveness(problem, ss, red, base)
+    solve = pdsr.evaluation.solve_benchmark
+
+    def zero_objective(*args, **kwargs):
+        zb, _, sol = solve(*args, **kwargs)
+        return zb, 0.0, sol
+
+    monkeypatch.setattr(pdsr.evaluation, "solve_benchmark", zero_objective)
+    report = evaluate_reduction(problem, ss, red, matrix, compute_pdd(matrix),
+                                workers=2)
+    assert report.benchmark_objective == 0.0
+    assert report.og_pct is None and report.se is None
+    assert report.og_abs == report.reduced_on_full
 
 
 def test_evaluate_reduction_calls_module_scenario_effectiveness(desk,
@@ -288,7 +300,7 @@ def test_mean_components_weighted_by_probability():
     ss = ScenarioSet(base.scenarios, p, base.source_names, base.source_roles)
     problem = UcProblem(config, ss.source_names)
     red = reduction([0, 3], {0: 0, 1: 0, 2: 0, 3: 3, 4: 3, 5: 3}, p)
-    out = optimality_gap(problem, ss, red)
+    out = reduced_gap(problem, ss, red)
     total = sum(out.mean_components.values())
     assert abs(total - out.reduced_on_full) <= 1e-9 * abs(out.reduced_on_full)
 
@@ -309,9 +321,9 @@ def test_duplicate_representative_has_negligible_effectiveness(desk):
     assignment[n - 1] = n - 1
     assignment[1] = n - 1
     red = reduction([0, n - 1], assignment, gamma)
-    zb, ob, _ = solve_benchmark(problem2, bigger)
-    base = optimality_gap(problem2, bigger, red, workers=2, benchmark=(zb, ob))
-    se = scenario_effectiveness(problem2, bigger, red, base, workers=2)
+    matrix2 = build_problem_space_matrix(problem2, bigger, workers=2)
+    se = evaluate_reduction(problem2, bigger, red, matrix2,
+                            compute_pdd(matrix2), workers=2).se
     # scenario 0 and its twin are interchangeable representatives
     assert abs(se[0]) <= 0.3 and abs(se[n - 1]) <= 0.3
 
@@ -322,7 +334,7 @@ def test_eq8_style_upper_bound(desk):
     from pdsr.tsso import evaluate_with_fixed_first_stage
     pdd = compute_pdd(matrix)
     red = solve_clustering(pdd, ss.probabilities, fixed_k=3)
-    out = optimality_gap(problem, ss, red, workers=2, benchmark=bench)
+    out = reduced_gap(problem, ss, red, workers=2, benchmark=bench)
     zb = bench[0]
     gamma = ss.probabilities
     vz = out.per_scenario
@@ -349,7 +361,7 @@ def test_verification_costs_match_independent_loop(desk):
     red = solve_clustering(pdd, ss.probabilities, fixed_k=3)
     report = evaluate_reduction(problem, ss, red, matrix, pdd, workers=2,
                                 with_se=False)
-    gap = optimality_gap(problem, ss, red, workers=2, benchmark=bench)
+    gap = reduced_gap(problem, ss, red, workers=2, benchmark=bench)
     pairs = [evaluate_with_fixed_first_stage(problem, gap.decision, s,
                                              with_components=True)
              for s in ss.scenarios]

@@ -34,6 +34,22 @@ def test_weights_off_one_named_as_a_plain_number(desk):
         solve_stochastic(problem, ss.scenarios[:2], weights)
 
 
+@pytest.mark.parametrize("n_scenarios, weights", [
+    (2, [0.5, 0.3, 0.2]), (3, [0.5, 0.5]), (2, [1.0])],
+    ids=["more_weights", "fewer_weights", "one_weight"])
+def test_scenario_and_weight_counts_must_match(n_scenarios, weights):
+    # the weights sum to one in every case, so only the count check can
+    # stop a program over the shorter list
+    config, ss = make_uc_desk_instance(seed=0, n_scenarios=4, t_steps=6)
+    problem = UcProblem(config, ss.source_names)
+    scenarios = ss.scenarios[:n_scenarios]
+    match = rf"^{n_scenarios} scenarios but {len(weights)} weights$"
+    with pytest.raises(ValueError, match=match):
+        problem.build_model(scenarios, weights)
+    with pytest.raises(ValueError, match=match):
+        solve_stochastic(problem, scenarios, weights)
+
+
 def test_identity_reduction_matches_benchmark(desk):
     problem, ss = desk
     _, obj1, _ = solve_stochastic(problem, ss.scenarios, ss.probabilities)

@@ -7,8 +7,7 @@ from oracles import bad_scenario_ids
 from pdsr.milp import solve_milp
 from pdsr.scenarios import Scenario, ScenarioSet, dump_values_csv
 from pdsr.tsso import solve_scenario_specific, solve_stochastic
-from pdsr.uc import (Generator, UcConfig, UcProblem, build_uc_model,
-                     make_uc_desk_instance)
+from pdsr.uc import Generator, UcConfig, UcProblem, make_uc_desk_instance
 
 
 def one_bus_config(t=4, **gen_overrides):
@@ -30,7 +29,8 @@ def flat_load_set(t=4, level=5.0):
 
 def test_binary_count_formula():
     cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=3, t_steps=6)
-    model = build_uc_model(cfg, ss.scenarios, ss.probabilities, ss.source_names)
+    model = UcProblem(cfg, ss.source_names).build_model(ss.scenarios,
+                                                        ss.probabilities)
     ng, T, S = len(cfg.generators), cfg.t_steps, len(ss)
     assert len(model.binary_indices) == ng * T + ng * T * S
 
@@ -81,7 +81,8 @@ def test_regulation_exclusive_in_optimum():
 
 def test_angles_bounded_reference_absent():
     cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=2, t_steps=6)
-    model = build_uc_model(cfg, ss.scenarios, ss.probabilities, ss.source_names)
+    model = UcProblem(cfg, ss.source_names).build_model(ss.scenarios,
+                                                        ss.probabilities)
     assert not any(n.startswith("Th[0,") for n in model.var_names)
     sol = solve_milp(model)
     for j, n in enumerate(model.var_names):
