@@ -197,9 +197,11 @@ def cmd_compare(args) -> int:
     if not methods:
         raise PdsrError(f"--methods {args.methods!r} names no method; "
                         f"choose from {METHODS}")
-    for m in methods:
+    for k, m in enumerate(methods):
         if m not in METHODS:
             raise PdsrError(f"unknown method {m!r}; choose from {METHODS}")
+        if m in methods[:k]:
+            raise PdsrError(f"--methods names {m!r} twice")
     matrix, tau_p, _ = _ensure_matrix(args, problem, scenario_set)
     rows, timings = compare_methods(problem, scenario_set, methods, args.K,
                                     matrix, seed=args.seed,

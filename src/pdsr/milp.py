@@ -26,9 +26,10 @@ cached CSC arrays, bounds and costs straight to a HiGHS instance through
 the HiGHS bindings bundled with scipy, sets only the options the call
 names and reads HiGHS's model status into a :class:`Solution`.  The
 root-step LPs re-solve warm on one instance the model keeps (see
-:class:`MixedBinaryModel`), which :func:`lp_relay` can hand on to the
-next model with the same matrix; branch-and-cut runs on a fresh one.  Those
-bindings are one extension module, ``scipy.optimize._highspy._core``;
+:class:`MixedBinaryModel`), which a caller can hand on to the next model
+that shares its matrix (:meth:`MixedBinaryModel.take_highs`);
+branch-and-cut runs on a fresh one.  Those bindings are one extension
+module, ``scipy.optimize._highspy._core``;
 it is loaded from its file and registered under that name, so importing
 this module runs none of ``scipy.optimize``, ``scipy.sparse`` or their
 array-API layer, which took most of a CLI command's start-up, and a
@@ -37,8 +38,8 @@ way; scipy bundles it from 1.15 on.
 
 Determinism contract: the same sequence of solves on the same model
 produces identical variable values; the first solve of a model depends on
-nothing before it, except inside an :func:`lp_relay` block, where the same
-sequence of solves in the block gives identical values.
+nothing before it, unless the model took over another's instance, when
+it depends on the solves of the models the instance passed through.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ import importlib.util
 import math
 import os
 import sys
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -160,8 +159,7 @@ class MixedBinaryModel:
     term or right-hand side is added or changed.  Later root-step LPs
     re-solve warm on that instance, so never solve one model from two
     threads at once; solves on distinct models may run concurrently.  A
-    model with the same matrix may take the instance over
-    (:meth:`take_highs`, :func:`lp_relay`).
+    copy sharing the matrix may take the instance over (:meth:`take_highs`).
 
     A problem compiler builds a program's structure once and stamps
     scenario programs from it: :meth:`copy` gives a model that owns its
@@ -370,29 +368,20 @@ class MixedBinaryModel:
 
     def take_highs(self, donor: "MixedBinaryModel") -> bool:
         """Take over the HiGHS instance ``donor`` keeps; returns whether it
-        did.  Only a model that keeps no instance takes one, and only when
-        both models have the same CSC matrix and integrality.  The costs
-        are reloaded, and the row bounds that differ one row at a time (the
-        bindings have no call for several); the next root-step LP changes
-        every column bound as usual and starts from the donor's last basis.
-        Copies of one model share their matrix, so they skip the
-        comparison.  It stays for equal matrices that are distinct objects:
-        threads making a problem's first one-scenario compile at once may
-        each build its structure, and without the comparison whether an
-        instance is handed on, and so the projection, would depend on
-        thread timing.  The donor loses the instance, so an instance has
-        one owner."""
-        highs, theirs = donor._highs, donor._arrays
-        if highs is None or self._highs is not None:
+        did.  Only a model that keeps no instance takes one, and only from
+        a donor that shares its matrix object (both copies of one model).
+        The costs are reloaded, and the row bounds that differ one row at a
+        time (the bindings have no call for several); the next root-step LP
+        changes every column bound as usual and starts from the donor's
+        last basis.  The donor loses the instance, so an instance has one
+        owner."""
+        highs = donor._highs
+        if highs is None or self._highs is not None \
+                or self._matrix is not donor._matrix:
             return False
         ours = self._assembled()
-        (A, lower, upper), (B, old_lower, old_upper) = (ours.constraints,
-                                                        theirs.constraints)
-        if not (self._matrix is donor._matrix
-                or (A.shape == B.shape
-                    and np.array_equal(ours.integrality, theirs.integrality)
-                    and all(map(np.array_equal, A[:3], B[:3])))):
-            return False
+        (A, lower, upper), (_, old_lower, old_upper) = (
+            ours.constraints, donor._arrays.constraints)
         donor._highs = None
         n = A.shape[1]
         status = [highs.changeColsCost(n, np.arange(n, dtype=np.int32), ours.c)]
@@ -569,35 +558,6 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
     return sol
 
 
-class _Relay(threading.local):
-    """Per thread: whether an :func:`lp_relay` block is open, and the model
-    whose root step ran last in it."""
-
-    active = False
-    last = None
-
-
-_relay = _Relay()
-
-
-@contextmanager
-def lp_relay():
-    """Hand one HiGHS LP instance from model to model on this thread:
-    inside the block, the root step of a model that keeps no instance
-    first takes over the instance of the model whose root step ran before
-    it in the block (:meth:`MixedBinaryModel.take_highs`), so programs
-    that share a matrix re-solve warm one after another.  A model's result
-    then depends on the solves before it in the block; solving the same
-    sequence gives identical values.  Branch-and-cut keeps its fresh
-    instance, and the instance never leaves the block or the thread."""
-    outer = _relay.active, _relay.last
-    _relay.active, _relay.last = True, None
-    try:
-        yield
-    finally:
-        _relay.active, _relay.last = outer
-
-
 def _root_step(model: MixedBinaryModel, arrays: _Arrays, bounds,
                gap_tol: float):
     """The LP relaxation's point with its binaries repaired, as
@@ -611,12 +571,8 @@ def _root_step(model: MixedBinaryModel, arrays: _Arrays, bounds,
     cannot carry the load) gets one more LP with every binary fixed at its
     repaired value; that point is held to the same gap test against the
     first LP's bound.  Both LPs run on the model's kept HiGHS instance, so
-    the second starts warm from the first's basis; inside :func:`lp_relay`
-    a model without one first takes over the last model's."""
-    if _relay.active:
-        if _relay.last is not None:
-            model.take_highs(_relay.last)
-        _relay.last = model
+    the second starts warm from the first's basis, and the first starts
+    warm when the model took an instance over before the solve."""
     c, constraints = arrays.c, arrays.constraints
     relaxed = np.zeros_like(arrays.integrality)
     res = highs_milp(c, constraints=constraints, integrality=relaxed,

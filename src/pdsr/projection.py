@@ -4,9 +4,9 @@ The projection cross-evaluates scenario-specific optima: entry (i, j) of
 the matrix is the objective of scenario j dispatched with the first-stage
 decision that is optimal for scenario i.  Each row is one task: its
 diagonal solve gives decision i, which its off-diagonal entries then
-need, and its programs re-solve warm on one HiGHS instance handed from
-program to program.  The result is independent of worker count and
-scheduling.
+need, and each of its programs takes over the HiGHS instance of the one
+before, so they re-solve warm one after another.  The result is
+independent of worker count and scheduling.
 
 The matrix is cached as a CSV with scenario-id headers plus a JSON sidecar
 carrying the fingerprint, decisions, and timings; a cache is only reusable
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CacheError, InconsistencyError, RecourseError
-from .milp import DEFAULT_GAP_TOL, lp_relay
+from .milp import DEFAULT_GAP_TOL
 from .parallel import pmap
 from .scenarios import ScenarioSet, dump_values_csv, dump_probabilities_csv
 from .tsso import (FirstStageDecision, TssoProblem,
@@ -84,10 +84,11 @@ def build_problem_space_matrix(problem: TssoProblem, scenario_set: ScenarioSet,
     program for decision i, then evaluates that decision on every other
     scenario j in increasing order: cell (i, j) compiles scenario j's
     program and fixes its first stage at decision i by column bounds
-    (:func:`evaluate_with_fixed_first_stage`).  The row's programs share
-    one matrix, so the row hands one HiGHS LP instance from program to
-    program (:func:`~pdsr.milp.lp_relay`) and each program's first LP
-    starts from the last one's basis.  A row is a fixed sequence of solves,
+    (:func:`evaluate_with_fixed_first_stage`).  The row's programs are
+    copies of one compiled structure and share its matrix, so each takes
+    over the HiGHS LP instance of the program before it, the diagonal's
+    first (:meth:`~pdsr.milp.MixedBinaryModel.take_highs`), and its first
+    LP starts from that one's basis.  A row is a fixed sequence of solves,
     so the matrix does not depend on the worker count.  The timings are
     the busy seconds of the diagonal and the cross solves, summed over
     rows.
@@ -99,25 +100,29 @@ def build_problem_space_matrix(problem: TssoProblem, scenario_set: ScenarioSet,
 
     def row(i: int):
         values = np.empty(n)
-        with lp_relay():
-            t0 = time.monotonic()
+        t0 = time.monotonic()
+        last = problem.build_model([scenarios[i]], [1.0])
+        try:
+            z, values[i] = solve_scenario_specific(
+                problem, scenarios[i], gap_tol=gap_tol, source_index=i,
+                model=last)
+        except RecourseError as exc:
+            raise RecourseError(
+                f"scenario-specific solve failed at i={i}: {exc}")
+        t1 = time.monotonic()
+        for j in range(n):
+            if j == i:
+                continue
+            model = problem.build_model([scenarios[j]], [1.0])
+            model.take_highs(last)
             try:
-                z, values[i] = solve_scenario_specific(
-                    problem, scenarios[i], gap_tol=gap_tol, source_index=i)
+                values[j] = evaluate_with_fixed_first_stage(
+                    problem, decision=z, scenario=scenarios[j],
+                    gap_tol=gap_tol, model=model)
             except RecourseError as exc:
                 raise RecourseError(
-                    f"scenario-specific solve failed at i={i}: {exc}")
-            t1 = time.monotonic()
-            for j in range(n):
-                if j == i:
-                    continue
-                try:
-                    values[j] = evaluate_with_fixed_first_stage(
-                        problem, decision=z, scenario=scenarios[j],
-                        gap_tol=gap_tol)
-                except RecourseError as exc:
-                    raise RecourseError(
-                        f"cross evaluation failed at (i={i}, j={j}): {exc}")
+                    f"cross evaluation failed at (i={i}, j={j}): {exc}")
+            last = model
         return z, values, t1 - t0, time.monotonic() - t1
 
     decisions, values, diag_seconds, cross_seconds = zip(
@@ -170,8 +175,8 @@ def save_matrix(matrix: ProblemSpaceMatrix, path):
 
 def load_matrix(path, expected_fingerprint: str) -> ProblemSpaceMatrix:
     """Load a cached matrix; refuses a fingerprint mismatch and a cache
-    that is truncated, reordered, holds a non-finite value or not one
-    decision per scenario."""
+    that is truncated, reordered, of the wrong shape, holds a non-finite
+    value or not one decision per scenario."""
     p = Path(path)
     try:
         with open(_meta_path(p)) as fh:
@@ -195,11 +200,14 @@ def load_matrix(path, expected_fingerprint: str) -> ProblemSpaceMatrix:
                                         float(d["objective_at_source"]),
                                         d["source_scenario"])
                      for d in meta["decisions"]]
+        fp, gap_tol, extra = (meta["fingerprint"], float(meta["gap_tol"]),
+                              meta.get("meta", {}))
     except CacheError:
         raise
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        # a JSONDecodeError is a ValueError
         raise CacheError(f"cannot read cached matrix {p}: {exc}") from exc
-    if meta["fingerprint"] != expected_fingerprint:
+    if fp != expected_fingerprint:
         raise CacheError(
             "cached matrix fingerprint does not match the requested problem "
             "configuration/scenario data (stale cache)")
@@ -210,9 +218,8 @@ def load_matrix(path, expected_fingerprint: str) -> ProblemSpaceMatrix:
     if len(decisions) != len(ids):
         raise CacheError(f"cache {p} holds {len(decisions)} decisions for "
                          f"{len(ids)} scenarios")
-    return ProblemSpaceMatrix(values, decisions, list(ids),
-                              meta["fingerprint"], float(meta["gap_tol"]),
-                              meta.get("meta", {}))
+    return ProblemSpaceMatrix(values, decisions, list(ids), fp, gap_tol,
+                              extra)
 
 
 def solve_benchmark(problem: TssoProblem, scenario_set: ScenarioSet,

@@ -20,6 +20,7 @@ verification's programs, is a copy of it plus a data write.
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
 
@@ -93,6 +94,11 @@ class NetworkConfig:
         return cls(**d)
 
 
+# guards the first build of a problem's kept structure; module-level, as
+# problems are deep-copied and a lock is not
+_SINGLE_LOCK = threading.Lock()
+
+
 class NetworkProblem(TssoProblem):
     """A network problem bound to its config and a fixed source ordering.
 
@@ -120,9 +126,10 @@ class NetworkProblem(TssoProblem):
         structure built here and the scenarios' data written into it; a
         weight count other than the scenario count raises ValueError.  A
         one-scenario, unit-weight program is a copy of the kept structure
-        instead: built on the first such compile, and never written to.
-        Threads making the first such compile at once may each build one,
-        and any of them is kept."""
+        instead, which is never written to.  The first such compile builds
+        it and assembles its matrix under a lock, so threads compiling at
+        once build one and every copy shares one matrix object, as
+        :meth:`~pdsr.milp.MixedBinaryModel.take_highs` needs."""
         weights = [float(w) for w in weights]
         if len(weights) != len(scenarios):
             raise ValueError(f"{len(scenarios)} scenarios but {len(weights)} "
@@ -132,7 +139,11 @@ class NetworkProblem(TssoProblem):
             return structure.write(structure.model, scenarios,
                                    self.source_names)
         if self._single is None:
-            self._single = self._structure(weights)
+            with _SINGLE_LOCK:
+                if self._single is None:
+                    structure = self._structure(weights)
+                    structure.model._assembled_matrix()
+                    self._single = structure
         structure = self._single
         return structure.write(structure.model.copy(), scenarios,
                                self.source_names)
@@ -294,19 +305,23 @@ def _extract_first_stage(problem: TssoProblem, model: MixedBinaryModel,
 def solve_stochastic(problem: TssoProblem, scenarios, weights,
                      gap_tol: float = DEFAULT_GAP_TOL,
                      time_limit: float | None = None,
-                     source_scenario: int | None = None):
+                     source_scenario: int | None = None,
+                     model: MixedBinaryModel | None = None):
     """Solve the weighted two-stage program in one monolithic MILP.
 
-    Used both for the full-set benchmark and for reduced sets.  Returns
-    (FirstStageDecision, objective, Solution); when ``time_limit`` ends the
-    solve before any incumbent the decision is None (status gap_limit).
+    Used both for the full-set benchmark and for reduced sets.  ``model``
+    is that program compiled before; without it the program is compiled
+    here.  Returns (FirstStageDecision, objective, Solution); when
+    ``time_limit`` ends the solve before any incumbent the decision is
+    None (status gap_limit).
     """
     weights = np.asarray(weights, dtype=float)
     if len(scenarios) == 0:
         raise ValueError("empty scenario set")
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"weights sum to {float(weights.sum())!r}, expected 1")
-    model = problem.build_model(scenarios, weights)
+    if model is None:
+        model = problem.build_model(scenarios, weights)
     sol = solve_milp(model, gap_tol=gap_tol, time_limit=time_limit)
     if sol.status == GAP_LIMIT and sol.x is None:
         return None, sol.objective, sol
@@ -321,14 +336,16 @@ def solve_stochastic(problem: TssoProblem, scenarios, weights,
 
 def solve_scenario_specific(problem: TssoProblem, scenario,
                             gap_tol: float = DEFAULT_GAP_TOL,
-                            source_index: int | None = None):
+                            source_index: int | None = None,
+                            model: MixedBinaryModel | None = None):
     """Solve the deterministic single-scenario program F(z, xi).
 
-    Returns (FirstStageDecision, optimal value).  Tie handling among
-    multiple optima is the solver's deterministic choice.
+    ``model`` is that program compiled before; without it the program is
+    compiled here.  Returns (FirstStageDecision, optimal value).  Tie
+    handling among multiple optima is the solver's deterministic choice.
     """
     z, obj, _ = solve_stochastic(problem, [scenario], [1.0], gap_tol=gap_tol,
-                                 source_scenario=source_index)
+                                 source_scenario=source_index, model=model)
     return z, obj
 
 

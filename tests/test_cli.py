@@ -10,6 +10,8 @@ import pytest
 
 import pdsr
 from pdsr.cli import main
+from pdsr.errors import CacheError
+from pdsr.projection import load_matrix
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,42 @@ def test_corrupt_cache_is_rebuilt(instance, tmp_path, capsys, corrupt):
     run_ok(["cluster", *common(instance, out), "--K", "2"])
     assert (out / "F.csv").read_text() == good
     assert len(json.loads((out / "F.meta.json").read_text())["decisions"]) == 4
+
+
+def _meta_empty_list(meta):
+    return []
+
+
+def _meta_ids_int(meta):
+    meta["scenario_ids"] = 5
+    return meta
+
+
+def _meta_values_int(meta):
+    meta["decisions"][0]["values"] = 3
+    return meta
+
+
+@pytest.mark.parametrize("malform", [_meta_empty_list, _meta_ids_int,
+                                     _meta_values_int],
+                         ids=["empty_list", "ids_int", "values_int"])
+def test_malformed_meta_is_rebuilt(instance, tmp_path, capsys, malform):
+    """A sidecar that is valid JSON of the wrong shape is a CacheError, so
+    project rebuilds the cache instead of failing."""
+    out = tmp_path / "run"
+    out.mkdir()
+    run_ok(["project", *common(instance, out)])
+    good = (out / "F.csv").read_text()
+    meta_path = out / "F.meta.json"
+    fp = json.loads(meta_path.read_text())["fingerprint"]
+    meta_path.write_text(json.dumps(malform(json.loads(meta_path.read_text()))))
+    with pytest.raises(CacheError, match="cannot read"):
+        load_matrix(out / "F.csv", expected_fingerprint=fp)
+    capsys.readouterr()
+    run_ok(["project", *common(instance, out)])
+    assert "built" in capsys.readouterr().out
+    assert (out / "F.csv").read_text() == good
+    assert load_matrix(out / "F.csv", expected_fingerprint=fp).n == 4
 
 
 def test_cluster_beta_zero_keeps_all(instance, tmp_path):
@@ -228,6 +266,7 @@ def test_fewer_than_three_scenarios_rejected_before_solving(
     (["compare", "--K", "2", "--benchmark-time-limit", "-1"],
      "--benchmark-time-limit", 2),
     (["compare", "--K", "2", "--methods", ","], "--methods", 1),
+    (["compare", "--K", "2", "--methods", "pdsr,pdsr,km_e"], "--methods", 1),
     (["compare", "--K", "2", "--methods", "km_e", "--seed", "-1"], "--seed", 2),
     (["project", "--seed", "1"], "--seed", 2),
     (["project", "--mu", "1"], "--mu", 2),
@@ -239,6 +278,7 @@ def test_fewer_than_three_scenarios_rejected_before_solving(
 ], ids=["workers_0", "cluster_k_0", "cluster_k_above_n", "beta_negative",
         "beta_range_two_fields", "compare_k_above_n",
         "benchmark_time_limit_negative", "compare_no_methods",
+        "compare_method_twice",
         "compare_seed_negative", "project_seed", "project_mu", "cluster_seed",
         "gap_tol_nan", "gap_tol_negative", "worst_case_bound_nan"])
 def test_bad_arguments_rejected_before_solving(instance, tmp_path, capsys,

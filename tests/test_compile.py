@@ -280,6 +280,9 @@ def test_first_compiles_on_two_threads_agree(problem):
         sys.setswitchinterval(interval)
     fresh = _digests(cls(cfg, ss.source_names).build_model([scen], [1.0]))
     assert _digests(models[0]) == _digests(models[1]) == fresh
+    # one kept structure, so the copies share one matrix and can hand a
+    # HiGHS instance on (MixedBinaryModel.take_highs)
+    assert models[0]._matrix is models[1]._matrix
     assert EXPECTED[problem, "one"] == fresh
 
 

@@ -16,7 +16,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 import pdsr.milp
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.errors import ModelError
-from pdsr.milp import GE, LE, EQ, MixedBinaryModel, lp_relay, solve_milp
+from pdsr.milp import GE, LE, EQ, MixedBinaryModel, solve_milp
 from pdsr.tsso import _fixed_bounds, solve_scenario_specific
 from pdsr.uc import UcProblem, make_uc_desk_instance
 from oracles import (brute_force_milp, enumerate_vertices_optimum,
@@ -738,37 +738,25 @@ def test_handed_over_instance_solves_like_a_fresh_one(monkeypatch, kind):
     assert cell.max_violation(warm.x, bounds) <= 1e-5
 
 
-@pytest.mark.parametrize("other", ["two_scenarios", "other_t"])
+@pytest.mark.parametrize("other", ["two_scenarios", "other_t",
+                                   "equal_matrix"])
 def test_other_matrix_refuses_the_instance(other):
+    # only a copy sharing the donor's matrix object takes its instance;
+    # the same matrix built by another problem is refused too
     problem, ss = _desk_problem("adn")
     donor = problem.build_model([ss.scenarios[0]], [1.0])
     solve_milp(donor)
     kept = donor._highs
-
-    def build():
-        if other == "two_scenarios":
-            return problem.build_model(ss.scenarios[:2], [0.5, 0.5])
+    if other == "two_scenarios":
+        model = problem.build_model(ss.scenarios[:2], [0.5, 0.5])
+    elif other == "other_t":
         short, ss10 = _desk_problem("adn", t_steps=10)
-        return short.build_model([ss10.scenarios[0]], [1.0])
-
-    model = build()
+        model = short.build_model([ss10.scenarios[0]], [1.0])
+    else:
+        twin = type(problem)(problem.config, problem.source_names)
+        model = twin.build_model([ss.scenarios[0]], [1.0])
+        (A, _, _), (B, _, _) = (model._assembled().constraints,
+                                donor._assembled().constraints)
+        assert all(map(np.array_equal, A[:3], B[:3]))
     assert not model.take_highs(donor)
     assert donor._highs is kept and model._highs is None
-    with lp_relay():
-        solve_milp(donor)
-        sol = solve_milp(model)
-    assert donor._highs is kept
-    assert np.array_equal(sol.x, solve_milp(build()).x)
-
-
-def test_relay_hands_the_instance_on_within_its_block(monkeypatch):
-    problem, ss = _desk_problem("uc")
-    models = [problem.build_model([s], [1.0]) for s in ss.scenarios[:3]]
-    seen = _record_lps(monkeypatch)
-    with lp_relay():
-        solve_milp(models[0])
-        solve_milp(models[1])
-    solve_milp(models[2])
-    assert [_first_lp(seen, m)[0] for m in models] == [False, True, False]
-    assert models[0]._highs is None and models[1]._highs is not None
-    assert not pdsr.milp._relay.active and pdsr.milp._relay.last is None

@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import pdsr.milp
 from oracles import scenario_subset
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.errors import CacheError
+from pdsr.milp import MixedBinaryModel
 from pdsr.projection import (build_problem_space_matrix, fingerprint,
                              load_matrix, save_matrix)
 from pdsr.scenarios import Scenario, ScenarioSet
@@ -76,6 +78,35 @@ def test_rows_match_cold_cells(desk, matrix):
             if i != j:
                 cold = evaluate_with_fixed_first_stage(problem, z, scen)
                 assert matrix.values[i, j] == pytest.approx(cold, rel=1e-9)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_cell_takes_over_the_instance(desk, monkeypatch, workers):
+    """Each of the N(N-1) cells takes over the HiGHS instance of the program
+    before it in its row, and its first LP re-solves warm; only the N
+    diagonals start cold."""
+    problem, ss = desk
+    n = len(ss)
+    taken, first_lp = [], {}
+    take, highs = MixedBinaryModel.take_highs, pdsr.milp.highs_milp
+
+    def recorded_take(self, donor):
+        ok = take(self, donor)
+        taken.append(ok)
+        return ok
+
+    def recorded_highs(c, **kwargs):
+        model = kwargs.get("model")
+        if model is not None and id(model) not in first_lp:
+            first_lp[id(model)] = (model, model._highs is not None)
+        return highs(c, **kwargs)
+
+    monkeypatch.setattr(MixedBinaryModel, "take_highs", recorded_take)
+    monkeypatch.setattr(pdsr.milp, "highs_milp", recorded_highs)
+    build_problem_space_matrix(problem, ss, workers=workers)
+    assert taken == [True] * (n * (n - 1))
+    warm = [was_warm for _, was_warm in first_lp.values()]
+    assert sorted(warm) == [False] * n + [True] * (n * (n - 1))
 
 
 def test_save_load_round_trip(tmp_path, matrix):
