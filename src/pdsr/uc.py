@@ -5,6 +5,13 @@ hour.  Intraday stage, per scenario: up/down regulation within commitment
 and ramp limits, DC power flow with curtailment and load shedding as
 penalized recourse (any commitment admits a feasible second stage).
 
+Regulation has no direction binary.  Realized output is ``P + Rp - Rm``,
+so cutting ``Rp`` and ``Rm`` both by their minimum keeps every row and
+lowers the cost by that minimum times ``cost_reg_up + cost_reg_down``;
+:meth:`UcConfig.validate` demands that sum be >= 0, so some optimum never
+regulates both ways and a binary forbidding it would not change the
+optimal value.  A program carries only the commitments as binaries.
+
 The compiler builds the program's structure (:func:`_uc_structure`) and
 writes the scenario data into it: the bus loads and renewable output as
 slack bounds and balance right-hand sides (``tsso._Structure``).
@@ -13,7 +20,7 @@ slack bounds and balance right-hand sides (``tsso._Structure``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,8 +42,8 @@ class Generator:
     cost_no_load: float     # $ per committed step
     cost_start: float
     cost_stop: float
-    cost_reg_up: float      # $/MWh regulation premium
-    cost_reg_down: float
+    cost_reg_up: float      # $/MWh regulation premium, either sign, but
+    cost_reg_down: float    # cost_reg_up + cost_reg_down >= 0 (module doc)
     min_up: int = 1
     min_down: int = 1
     u0: int = 0             # committed before the horizon
@@ -69,13 +76,23 @@ class UcConfig(NetworkConfig):
         for (i, j, b) in self.lines:
             if not (0 <= i < self.n_buses and 0 <= j < self.n_buses) or i == j:
                 raise ConfigError(f"bad line ({i},{j})")
-        for g in self.generators:
+        for k, g in enumerate(self.generators):
+            for f in fields(g):
+                if not math.isfinite(getattr(g, f.name)):
+                    raise ConfigError(f"generator {k}: {f.name} must be finite")
             if g.p_min < 0 or g.p_max < g.p_min:
-                raise ConfigError("generator limits must satisfy 0 <= min <= max")
+                raise ConfigError(f"generator {k}: limits must satisfy "
+                                  "0 <= min <= max")
+            if g.ramp_up < 0 or g.ramp_down < 0:
+                raise ConfigError(f"generator {k}: ramp limits must be >= 0")
+            if g.cost_reg_up + g.cost_reg_down < 0:
+                raise ConfigError(f"generator {k}: cost_reg_up + cost_reg_down "
+                                  "must be >= 0")
             if g.min_up < 1 or g.min_down < 1:
-                raise ConfigError("minimum up/down times must be >= 1 step")
+                raise ConfigError(f"generator {k}: minimum up/down times must "
+                                  "be >= 1 step")
             if not 0 <= g.bus < self.n_buses:
-                raise ConfigError("generator bus out of range")
+                raise ConfigError(f"generator {k}: bus out of range")
         super().validate()
 
 
@@ -83,7 +100,10 @@ def _uc_structure(cfg: UcConfig, weights) -> _Structure:
     """The commitment program over one scenario per weight, without its
     scenario data: the slack bounds and the balance right-hand sides.
     Start/shut indicators stay continuous in [-1, 1]; they are integral
-    once the commitments are."""
+    once the commitments are.  Up and down regulation get no direction
+    binary, as regulating both ways never pays once ``cost_reg_up +
+    cost_reg_down >= 0`` (module docstring), so the commitments are the
+    only binaries, ng·T of them."""
     T = cfg.t_steps
     gens = cfg.generators
     ng = len(gens)
@@ -150,14 +170,11 @@ def _uc_structure(cfg: UcConfig, weights) -> _Structure:
         pg = {}
         up = {}
         dn = {}
-        dreg = {}
         for g, gen in enumerate(gens):
             for t in range(T):
                 pg[g, t] = m.add_var(f"Pg[{g},{s},{t}]", 0.0, gen.p_max)
                 up[g, t] = m.add_var(f"Rp[{g},{s},{t}]", 0.0, gen.p_max)
                 dn[g, t] = m.add_var(f"Rm[{g},{s},{t}]", 0.0, gen.p_max)
-                dreg[g, t] = m.add_var(f"DG[{g},{s},{t}]", 0.0, 1.0, binary=True)
-                m.gating.append((dreg[g, t], dn[g, t], up[g, t]))
                 m.add_objective(up[g, t], w * gen.cost_reg_up, group="in_reg")
                 m.add_objective(dn[g, t], w * gen.cost_reg_down, group="in_reg")
         shed, curt = _penalized_recourse(st, w, s)
@@ -170,9 +187,6 @@ def _uc_structure(cfg: UcConfig, weights) -> _Structure:
                           [1.0, -1.0, -1.0, 1.0], EQ, 0.0)
                 for reg in (up[g, t], dn[g, t]):
                     m.add_row([reg, u[t]], [1.0, -gen.p_max], LE, 0.0)
-                m.add_constraint({up[g, t]: 1.0, dreg[g, t]: -gen.p_max}, LE, 0.0)
-                m.add_constraint({dn[g, t]: 1.0, dreg[g, t]: gen.p_max}, LE,
-                                 gen.p_max)
                 m.add_row([pg[g, t], u[t]], [1.0, -gen.p_max], LE, 0.0)
                 m.add_row([pg[g, t], u[t]], [1.0, -gen.p_min], GE, 0.0)
                 for rel, limit in ((LE, gen.ramp_up), (GE, -gen.ramp_down)):

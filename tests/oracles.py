@@ -6,8 +6,9 @@ Everything here recomputes expected values from first principles
 (:func:`model_rows`), and a
 best-first branch-and-bound over those LPs.  None of it calls
 ``solve_milp``, the routine it checks.  The last sections hold a
-fixed-decision model, the gap of one reduction and small scenario-set
-helpers the tests share and no pipeline command uses.
+fixed-decision model, the regulation-direction binaries the UC compiler
+leaves out, the gap of one reduction and small scenario-set helpers the
+tests share and no pipeline command uses.
 """
 
 import itertools
@@ -386,6 +387,30 @@ def fixed_model(problem, decision, scenario) -> MixedBinaryModel:
     model = problem.build_model([scenario], [1.0])
     model.lb, model.ub = (b.tolist() for b in _fixed_bounds(problem, decision,
                                                              model))
+    return model
+
+
+# -- UC regulation direction -------------------------------------------------
+
+
+def with_direction_binaries(model) -> MixedBinaryModel:
+    """``model``, a compiled UC program, with a regulation-direction binary
+    ``DG`` per up/down pair, found by the ``Rp[``/``Rm[`` names: ``Rp <=
+    cap·DG`` and ``Rm + cap·DG <= cap``, ``cap`` the pair's ``Rp`` upper
+    bound (the generator's ``p_max``), and its gating triple: the
+    formulation that forbids regulating both ways, which ``pdsr.uc``
+    shows redundant.  ``model`` is changed in place and returned."""
+    names = model.var_names
+    down = {name[3:]: j for j, name in enumerate(names)
+            if name.startswith("Rm[")}
+    for up, name in [(j, name) for j, name in enumerate(names)
+                     if name.startswith("Rp[")]:
+        dn = down[name[3:]]
+        cap = model.ub[up]
+        d = model.add_var("DG[" + name[3:], 0.0, 1.0, binary=True)
+        model.add_constraint({up: 1.0, d: -cap}, LE, 0.0)
+        model.add_constraint({dn: 1.0, d: cap}, LE, cap)
+        model.gating.append((d, dn, up))
     return model
 
 

@@ -1,11 +1,12 @@
 """The problem compilers pin their output: every assembled solver array,
-the bounds, the names, the gating triples and the objective groups of the
-ADN and UC desk programs hash to fixed digests.  A change to how a
-compiler emits its rows must reproduce each of them bit for bit; the
-zero-handling case pins that compiler rows drop zero coefficients while
-``add_constraint`` rows keep theirs.  A one-scenario program stamped from a
-problem's kept structure must hash like the same program compiled on a
-fresh problem, and stay independent of the programs stamped before it."""
+the bounds, the names, the gating triples (ADN only: a UC program has
+none) and the objective groups of the ADN and UC desk programs hash to
+fixed digests.  A change to how a compiler emits its rows must reproduce
+each of them bit for bit; the zero-handling case pins that compiler rows
+drop zero coefficients while ``add_constraint`` rows keep theirs.  A
+one-scenario program stamped from a problem's kept structure must hash
+like the same program compiled on a fresh problem, and stay independent
+of the programs stamped before it."""
 
 import dataclasses
 import hashlib
@@ -115,94 +116,94 @@ EXPECTED = {
         'obj_groups': '82dc552347d5c64f',
     },
     ('uc', 'one'): {
-        'c': 'ceb1edbdb9fbafde',
-        'integrality': 'ec553e3f618e04d5',
-        'indptr': '5576d204d73212db',
-        'indices': 'fd9519c9cf38b29a',
-        'data': 'bfaf2b39d7f426f8',
-        'lower': '849e34e7ed1ce78d',
-        'upper': '87d946145e551c73',
-        'entry_col': '3cea2e2c12aa706a',
-        'lb': '9b40113a70d06445',
-        'ub': '1f2b9d34c2a52c04',
-        'var_names': 'fb088d8f4ce7eb9e',
-        'gating': 'ba0a4bada1ed72f7',
-        'obj_groups': '62b25fb7df1c1b5f',
+        'c': '5d8e1fe29800cd70',
+        'integrality': '0c190217a6b8beda',
+        'indptr': '064781446db9889c',
+        'indices': 'ddef1246f448a20f',
+        'data': '7c1712c13f1babd1',
+        'lower': '353e8bf366cc1ba4',
+        'upper': '1f950ab2d734185f',
+        'entry_col': '8f59a3b6e77bf712',
+        'lb': '49c87821400c7630',
+        'ub': '2dd4dba7104e22c2',
+        'var_names': '0b07605cbd583d69',
+        'gating': '4f53cda18c2baa0c',
+        'obj_groups': '35bc2a8101d5d62f',
     },
     ('uc', 'full'): {
-        'c': '2456d5d2956389a5',
-        'integrality': '7237c89b20c38d82',
-        'indptr': '36efe30f65c16929',
-        'indices': '809a53b47880a404',
-        'data': '6670179b87a2160f',
-        'lower': 'b8391b4c15852c3a',
-        'upper': '3384ba19db194047',
-        'entry_col': 'bed5e18a4934db8b',
-        'lb': '2823c30c38493712',
-        'ub': '9134df616c03f3cb',
-        'var_names': '5a5758b2f224a30a',
-        'gating': '11731145b843c97e',
-        'obj_groups': '1693144a100ebab1',
+        'c': '89679122c37742c7',
+        'integrality': '10a7cb39a7357750',
+        'indptr': 'cabe102fe84cf0a2',
+        'indices': '835d307356911a98',
+        'data': '55f88dade6b7da08',
+        'lower': '1e3ea6f6e3323799',
+        'upper': 'b25b07c7862fc599',
+        'entry_col': '8a4f192b9058f226',
+        'lb': '3b5f0a70052c7825',
+        'ub': 'e1028d7a268cc9ea',
+        'var_names': 'cdb4fb842172bb42',
+        'gating': '4f53cda18c2baa0c',
+        'obj_groups': 'd01584895203efd3',
     },
     ('uc', 'subset'): {
-        'c': 'b6d783bf5cb2d908',
-        'integrality': '63299743537f3db0',
-        'indptr': '861d86889009ecac',
-        'indices': '9137aa27479e32b8',
-        'data': '1137edeab06d53f1',
-        'lower': 'a1ae5ea7f47fbe04',
-        'upper': 'f142a40c2e265ae6',
-        'entry_col': '9d7a74f4cbe4923d',
-        'lb': '3139ce7c01d3566a',
-        'ub': '847ad6b01ce4f259',
-        'var_names': 'e6340d00fc0afb87',
-        'gating': 'd209d49deba3897d',
-        'obj_groups': 'dccc69930b4438de',
+        'c': '2132cef070a7b093',
+        'integrality': 'da1bd68dd8ed176d',
+        'indptr': '5c36987ce9f85bc5',
+        'indices': 'a118b257ea06bd1e',
+        'data': 'e1a1975850a73b3b',
+        'lower': 'aaa4005f2f5176ef',
+        'upper': 'a434b07c95f9f9c6',
+        'entry_col': '57bbb67211ea3d9a',
+        'lb': '564b5c03e1e963d1',
+        'ub': 'c8e938fdb496740e',
+        'var_names': 'a7812198024ae137',
+        'gating': '4f53cda18c2baa0c',
+        'obj_groups': '03ca104c86ce869c',
     },
     ('uc_zero', 'one'): {
-        'c': 'ceb1edbdb9fbafde',
-        'integrality': 'ec553e3f618e04d5',
-        'indptr': 'c298946605589ad0',
-        'indices': '5bb627bd56c3dd15',
-        'data': '88a94ad20847bfc8',
-        'lower': '849e34e7ed1ce78d',
-        'upper': '87d946145e551c73',
-        'entry_col': 'c95bcba783678b07',
-        'lb': '9b40113a70d06445',
-        'ub': '1f2b9d34c2a52c04',
-        'var_names': 'fb088d8f4ce7eb9e',
-        'gating': 'ba0a4bada1ed72f7',
-        'obj_groups': '62b25fb7df1c1b5f',
+        'c': '5d8e1fe29800cd70',
+        'integrality': '0c190217a6b8beda',
+        'indptr': '7405f1146a04a023',
+        'indices': '3f40a4a2b0be2e0c',
+        'data': 'e17402960cc1aaba',
+        'lower': '353e8bf366cc1ba4',
+        'upper': '1f950ab2d734185f',
+        'entry_col': '708598289f50c54c',
+        'lb': '49c87821400c7630',
+        'ub': '2dd4dba7104e22c2',
+        'var_names': '0b07605cbd583d69',
+        'gating': '4f53cda18c2baa0c',
+        'obj_groups': '35bc2a8101d5d62f',
     },
     ('uc_zero', 'full'): {
-        'c': '2456d5d2956389a5',
-        'integrality': '7237c89b20c38d82',
-        'indptr': '0c3693c9e54154fd',
-        'indices': '1a17f3a6c9ac2ef9',
-        'data': '8e3725b3915d2624',
-        'lower': 'b8391b4c15852c3a',
-        'upper': '3384ba19db194047',
-        'entry_col': 'e9c5c3318ae12f03',
-        'lb': '2823c30c38493712',
-        'ub': '9134df616c03f3cb',
-        'var_names': '5a5758b2f224a30a',
-        'gating': '11731145b843c97e',
-        'obj_groups': '1693144a100ebab1',
+        'c': '89679122c37742c7',
+        'integrality': '10a7cb39a7357750',
+        'indptr': '5036dbec40666c6b',
+        'indices': '9d8d1b36ceccc059',
+        'data': '69a8b3e8259a5a08',
+        'lower': '1e3ea6f6e3323799',
+        'upper': 'b25b07c7862fc599',
+        'entry_col': '13e01c8c02d52ea3',
+        'lb': '3b5f0a70052c7825',
+        'ub': 'e1028d7a268cc9ea',
+        'var_names': 'cdb4fb842172bb42',
+        'gating': '4f53cda18c2baa0c',
+        'obj_groups': 'd01584895203efd3',
     },
     ('uc_zero', 'subset'): {
-        'c': 'b6d783bf5cb2d908',
-        'integrality': '63299743537f3db0',
-        'indptr': '97dd6055b3041794',
-        'indices': '50c7e0c801e25ba3',
-        'data': 'bebcecab2d0caecb',
-        'lower': 'a1ae5ea7f47fbe04',
-        'upper': 'f142a40c2e265ae6',
-        'entry_col': '33976c8dd028df2c',
-        'lb': '3139ce7c01d3566a',
-        'ub': '847ad6b01ce4f259',
-        'var_names': 'e6340d00fc0afb87',
-        'gating': 'd209d49deba3897d',
-        'obj_groups': 'dccc69930b4438de',
+        'c': '2132cef070a7b093',
+        'integrality': 'da1bd68dd8ed176d',
+        'indptr': '417c70bcecbd332f',
+        'indices': '6dc73c2711366406',
+        'data': '457cf53427186ac9',
+        'lower': 'aaa4005f2f5176ef',
+        'upper': 'a434b07c95f9f9c6',
+        'entry_col': '3743cd177598a07d',
+        'lb': '564b5c03e1e963d1',
+        'ub': 'c8e938fdb496740e',
+        'var_names': 'a7812198024ae137',
+        'gating': '4f53cda18c2baa0c',
+        'obj_groups': '03ca104c86ce869c',
     },
 }
 

@@ -525,27 +525,40 @@ def test_verification_holds_at_most_workers_programs(desk, monkeypatch):
 
 
 def test_failed_verification_fails_only_rows_sharing_its_decision(monkeypatch):
-    # on this instance pdsr, kd_e and hc pick different representatives
-    # whose reduced programs reach one decision; when that decision cannot
-    # be verified, exactly their rows fail, with the error met on the
-    # lowest-index failing scenario, and every other row is unchanged
+    # on this instance methods with different representatives reach one
+    # reduced decision; when that decision cannot be verified, exactly
+    # their rows fail, with the error met on the lowest-index failing
+    # scenario, and every other row is unchanged
     import pdsr.evaluation
-    from pdsr.tsso import solve_stochastic
     cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
     problem = UcProblem(cfg, ss.source_names)
     matrix = build_problem_space_matrix(problem, ss)
     methods = ["pdsr", "km_e", "kd_e", "hc", "ws"]
+    verify = pdsr.evaluation.verification_costs
+    verified = []
+
+    def recording(problem, decisions, *args):
+        verified[:] = decisions
+        return verify(problem, decisions, *args)
+
+    monkeypatch.setattr(pdsr.evaluation, "verification_costs", recording)
     clean, _ = compare_methods(problem, ss, methods, 4, matrix=matrix)
+    monkeypatch.undo()
     assert [r["status"] for r in clean] == ["ok"] * (len(methods) + 1)
 
-    red = solve_clustering(compute_pdd(matrix), ss.probabilities, fixed_k=4)
-    reps = red.representatives
-    z, _, _ = solve_stochastic(problem, [ss.scenarios[r] for r in reps],
-                               [red.weights[r] for r in reps])
+    # the benchmark's decision is verified first, then one per method
+    assert len(verified) == len(methods) + 1
+    reduced = {m: z.values.tobytes() for m, z in zip(methods, verified[1:])}
+    reps = {r["method"]: tuple(r["representatives"]) for r in clean[1:]}
+    # the decision most methods reach, the first method's on a tie
+    z = max(reduced.values(), key=list(reduced.values()).count)
+    shared = {m for m in methods if reduced[m] == z}
+    assert len({reps[m] for m in shared}) >= 2
+    assert verified[0].values.tobytes() != z
     evaluate = pdsr.evaluation.evaluate_with_fixed_first_stage
 
     def failing(problem, decision, scenario, **kwargs):
-        if (decision.values.tobytes() == z.values.tobytes()
+        if (decision.values.tobytes() == z
                 and scenario.id != ss.scenarios[0].id
                 and scenario.id != ss.scenarios[1].id):
             raise RecourseError(f"injected failure on scenario {scenario.id!r}")
@@ -556,7 +569,6 @@ def test_failed_verification_fails_only_rows_sharing_its_decision(monkeypatch):
     tables = [compare_methods(problem, ss, methods, 4, matrix=matrix,
                               workers=w)[0] for w in (1, 2)]
     assert tables[0] == tables[1]
-    shared = {"pdsr", "kd_e", "hc"}
     status = f"failed: injected failure on scenario {ss.scenarios[2].id!r}"
     for got, want in zip(tables[0], clean):
         if got["method"] in shared:

@@ -1,12 +1,15 @@
 """Unit-commitment compile: structure, commitment logic, recourse."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from oracles import bad_scenario_ids
-from pdsr.milp import solve_milp
+from oracles import bad_scenario_ids, fixed_model, with_direction_binaries
+from pdsr.milp import DEFAULT_GAP_TOL, solve_milp
 from pdsr.scenarios import Scenario, ScenarioSet, dump_values_csv
-from pdsr.tsso import solve_scenario_specific, solve_stochastic
+from pdsr.tsso import (evaluate_with_fixed_first_stage,
+                       solve_scenario_specific, solve_stochastic)
 from pdsr.uc import Generator, UcConfig, UcProblem, make_uc_desk_instance
 
 
@@ -31,8 +34,62 @@ def test_binary_count_formula():
     cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=3, t_steps=6)
     model = UcProblem(cfg, ss.source_names).build_model(ss.scenarios,
                                                         ss.probabilities)
-    ng, T, S = len(cfg.generators), cfg.t_steps, len(ss)
-    assert len(model.binary_indices) == ng * T + ng * T * S
+    # the commitments are the only binaries: regulation has no direction
+    # binary, whatever the number of scenarios
+    ng, T = len(cfg.generators), cfg.t_steps
+    assert len(model.binary_indices) == ng * T
+    assert all(model.var_names[j].startswith("U[")
+               for j in model.binary_indices)
+
+
+def _opposite_regulation_costs(cfg):
+    """``cfg`` with ``cost_reg_down = -cost_reg_up``: the sum 0 that the
+    sign rule still allows."""
+    cfg.generators = [dataclasses.replace(g, cost_reg_down=-g.cost_reg_up)
+                      for g in cfg.generators]
+    cfg.validate()
+    return cfg
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("costs", ["desk", "opposite"])
+def test_direction_binaries_leave_the_optimum(costs, seed):
+    # adding back a binary that forbids regulating up and down at once
+    # changes no optimal value: on the full set, a weighted subset, every
+    # diagonal and one decision fixed on every scenario
+    cfg, ss = make_uc_desk_instance(seed=seed, n_scenarios=8, t_steps=6)
+    if costs == "opposite":
+        cfg = _opposite_regulation_costs(cfg)
+    problem = UcProblem(cfg, ss.source_names)
+    sc = ss.scenarios
+    programs = [(sc, ss.probabilities), ([sc[5], sc[1], sc[6]], [0.5, 0.3, 0.2])]
+    programs += [([s], [1.0]) for s in sc]
+    for scenarios, weights in programs:
+        _, obj, _ = solve_stochastic(problem, scenarios, weights)
+        model = with_direction_binaries(problem.build_model(scenarios, weights))
+        assert len(model.binary_indices) == (
+            len(cfg.generators) * cfg.t_steps * (1 + len(scenarios)))
+        gated = solve_milp(model)
+        assert gated.objective == pytest.approx(obj, rel=DEFAULT_GAP_TOL)
+    z, _ = solve_scenario_specific(problem, sc[0])
+    for s in sc:
+        value = evaluate_with_fixed_first_stage(problem, z, s)
+        gated = solve_milp(with_direction_binaries(fixed_model(problem, z, s)))
+        assert gated.objective == pytest.approx(value, rel=DEFAULT_GAP_TOL)
+
+
+def test_direction_binaries_bind_below_the_sign_rule():
+    # the oracle has teeth: with cost_reg_up + cost_reg_down < 0 (which
+    # validation rejects) regulating both ways pays, and the binaries
+    # forbidding it raise the optimum
+    cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=2, t_steps=6)
+    cfg.generators = [dataclasses.replace(g, cost_reg_down=-g.cost_reg_up - 1)
+                      for g in cfg.generators]
+    problem = UcProblem(cfg, ss.source_names)
+    scen = [ss.scenarios[0]]
+    free = solve_milp(problem.build_model(scen, [1.0])).objective
+    gated = solve_milp(with_direction_binaries(problem.build_model(scen, [1.0])))
+    assert gated.objective > free * (1 + 100 * DEFAULT_GAP_TOL)
 
 
 def test_hand_solved_single_generator():
@@ -142,6 +199,38 @@ def test_bus_outside_network_rejected(field, value):
     d[field] = value
     with pytest.raises(ConfigError, match="bad bus"):
         UcConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("cost_reg_down", -60.5, "cost_reg_up \\+ cost_reg_down must be >= 0"),
+    ("ramp_up", -1.0, "ramp limits must be >= 0"),
+    ("ramp_down", -0.1, "ramp limits must be >= 0"),
+    ("cost_reg_up", float("nan"), "cost_reg_up must be finite"),
+    ("cost_reg_down", float("inf"), "cost_reg_down must be finite"),
+    ("ramp_down", float("nan"), "ramp_down must be finite"),
+    ("p_max", float("inf"), "p_max must be finite"),
+    ("cost_power", float("-inf"), "cost_power must be finite"),
+    ("p0", float("nan"), "p0 must be finite"),
+    ("min_up", float("nan"), "min_up must be finite"),
+], ids=["reg_sum_negative", "ramp_up_negative", "ramp_down_negative",
+        "reg_up_nan", "reg_down_inf", "ramp_down_nan", "p_max_inf",
+        "cost_power_neg_inf", "p0_nan", "min_up_nan"])
+def test_bad_generator_rejected_at_load(field, value, message):
+    # each of these used to pass validation and fail only at solve time
+    # (a recourse error, or a non-finite cost or right-hand side); the
+    # error names the generator
+    from pdsr.errors import ConfigError
+    cfg, _ = make_uc_desk_instance(seed=0, n_scenarios=2, t_steps=6)
+    d = cfg.to_dict()
+    d["generators"][1][field] = value
+    with pytest.raises(ConfigError, match=f"^generator 1: {message}"):
+        UcConfig.from_dict(d)
+
+
+def test_opposite_regulation_costs_accepted():
+    # a sum of exactly 0 is the boundary the sign rule allows
+    cfg = one_bus_config(cost_reg_up=3.0, cost_reg_down=-3.0)
+    assert cfg.generators[0].cost_reg_down == -3.0
 
 
 def test_fixed_mode_constant_commitment_costs():
