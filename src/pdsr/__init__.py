@@ -17,12 +17,11 @@ from .adn import AdnConfig, AdnProblem, EsUnit, make_desk_instance
 from .uc import Generator, UcConfig, UcProblem, make_uc_desk_instance
 from .projection import (ProblemSpaceMatrix, build_problem_space_matrix,
                          fingerprint, load_matrix, save_matrix, solve_benchmark)
-from .clustering import (PddMatrix, ReductionResult, compute_pdd,
-                         solve_clustering, sweep_beta)
+from .clustering import (PddMatrix, ReductionResult, compute_pdd, pddbi,
+                         solve_clustering, spdd, sweep_beta)
 from .baselines import (hierarchical_reduce, kmeans_reduce, kmedoids_reduce,
                         run_baseline, worst_case_select)
 from .evaluation import (EvaluationReport, GapOutcome, WorstCaseReport,
-                         compare_methods, detect_worst_case, evaluate_reduction,
-                         pddbi, spdd)
+                         compare_methods, detect_worst_case, evaluate_reduction)
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError
 from .milp import GE, LE, EQ
 from .scenarios import Scenario, ScenarioSet, _pick_bad, _smooth_noise
-from .tsso import (NetworkConfig, NetworkProblem, _penalized_recourse,
+from .tsso import (NetworkConfig, TssoProblem, _penalized_recourse,
                    _Structure)
 
 
@@ -74,8 +74,6 @@ class AdnConfig(NetworkConfig):
     def validate(self):
         if not (0 < self.sell_mult < 1.0 < self.buy_mult):
             raise ConfigError("price multipliers must satisfy buy > 1 > sell > 0")
-        if self.t_steps < 1 or self.dt_hours <= 0:
-            raise ConfigError("bad horizon")
         for e in self.es_units:
             if not (0 < e.eta_c <= 1 and 0 < e.eta_d <= 1):
                 raise ConfigError("ES efficiencies must be in (0, 1]")
@@ -130,6 +128,7 @@ def _adn_structure(cfg: AdnConfig, weights) -> _Structure:
     pt = [m.add_var(f"PT[{t}]", -cfg.p_trade_max, cfg.p_trade_max)
           for t in range(T)]
     ecap = [m.add_var(f"E[{e.node}]", 0.0, e.e_max) for e in cfg.es_units]
+    st.n_first = m.num_vars
 
     for k, e in enumerate(cfg.es_units):
         m.add_objective(ecap[k], e.price, group="da_storage")
@@ -254,7 +253,7 @@ def _adn_structure(cfg: AdnConfig, weights) -> _Structure:
     return st
 
 
-class AdnProblem(NetworkProblem):
+class AdnProblem(TssoProblem):
     """Dispatch problem bound to a fixed source ordering."""
 
     kind = "adn"
@@ -265,10 +264,6 @@ class AdnProblem(NetworkProblem):
 
     def _structure(self, weights):
         return _adn_structure(self.config, weights)
-
-    def first_stage_names(self):
-        return ([f"PT[{t}]" for t in range(self.config.t_steps)]
-                + [f"E[{e.node}]" for e in self.config.es_units])
 
     def first_stage_summary(self, decision):
         T = self.config.t_steps

@@ -6,7 +6,9 @@ scenario's own optimum.  Clustering picks representative members and an
 assignment minimizing the probability-weighted within-cluster distance sum,
 optionally traded off against the number of clusters; the formulation is a
 p-median-style MILP solved to a proven gap, so results are deterministic
-and free of seeding heuristics.
+and free of seeding heuristics.  The ex-ante indices of a reduction, its
+within-cluster distance sum (:func:`spdd`) and cluster-validity index
+(:func:`pddbi`), are read off the distance matrix here too.
 """
 
 from __future__ import annotations
@@ -141,6 +143,44 @@ def compute_pdd(matrix: ProblemSpaceMatrix, mu: float = 0.0,
     return PddMatrix(values=d, mu=mu)
 
 
+def spdd(pdd: PddMatrix, probabilities, result: ReductionResult) -> float:
+    """Probability-weighted distance of every scenario to its
+    representative, recomputed from the assignment."""
+    gamma = np.asarray(probabilities, dtype=float)
+    result.validate(gamma)
+    d = pdd.values
+    return float(sum(gamma[i] * d[r, i] for i, r in result.assignment.items()))
+
+
+def pddbi(pdd: PddMatrix, probabilities, result: ReductionResult) -> float:
+    """Davies-Bouldin-style validity index on the problem-driven distance.
+
+    Mean over clusters of the worst (compactness_m + compactness_n) /
+    separation(m, n) ratio; undefined for a single cluster.
+    """
+    gamma = np.asarray(probabilities, dtype=float)
+    result.validate(gamma)
+    reps = result.representatives
+    if len(reps) < 2:
+        raise ValueError("cluster-validity index requires at least 2 clusters")
+    d = pdd.values
+    compact = {}
+    for r in reps:
+        members = result.members(r)
+        omega = result.weights[r]
+        compact[r] = float(sum(gamma[i] / omega * d[r, i] for i in members))
+    total = 0.0
+    for m in reps:
+        worst = -np.inf
+        for nrep in reps:
+            if nrep == m:
+                continue
+            sep = max(d[m, nrep], 1e-12)   # guard coincident representatives
+            worst = max(worst, (compact[m] + compact[nrep]) / sep)
+        total += worst
+    return float(total / len(reps))
+
+
 def _clustering_model(d: np.ndarray, gamma: np.ndarray, beta: float | None,
                       fixed_k: int | None):
     """Compile the representative-selection MILP (a p-median model).
@@ -229,8 +269,6 @@ def sweep_beta(pdd: PddMatrix, probabilities, betas,
     across the sweep for plotting; the cluster-validity index is undefined
     for single-cluster rows and reported as None there.
     """
-    from .evaluation import pddbi as pddbi_index
-
     betas = [float(b) for b in betas]
     if not betas:
         raise ValueError("no beta values given")
@@ -238,7 +276,7 @@ def sweep_beta(pdd: PddMatrix, probabilities, betas,
     for b in betas:
         result = solve_clustering(pdd, probabilities, beta=b, gap_tol=gap_tol)
         try:
-            validity = pddbi_index(pdd, probabilities, result)
+            validity = pddbi(pdd, probabilities, result)
         except ValueError:
             validity = None
         rows.append({"beta": b, "k": result.k, "spdd": result.spdd,

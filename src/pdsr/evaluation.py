@@ -1,7 +1,8 @@
 """Reduction-quality indices and the method-comparison harness.
 
-Ex-ante indices (within-cluster distance sum, cluster-validity index) judge
-a reduction before any re-optimization; ex-post indices (optimality gap,
+Ex-ante indices (within-cluster distance sum, cluster-validity index; they
+live in :mod:`pdsr.clustering`, beside the clustering they score) judge a
+reduction before any re-optimization; ex-post indices (optimality gap,
 per-representative effectiveness) measure the loss actually incurred by
 dispatching on the reduced set and verifying against the full one.  A
 command solves all its decisions first, then verifies them together in one
@@ -15,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import PddMatrix, ReductionResult
+from .baselines import run_baseline
+from .clustering import (PddMatrix, ReductionResult, compute_pdd, pddbi,
+                         solve_clustering, spdd)
 from .errors import PdsrError
 from .milp import DEFAULT_GAP_TOL, GAP_LIMIT
 from .parallel import pmap
@@ -23,44 +26,6 @@ from .projection import ProblemSpaceMatrix, solve_benchmark
 from .scenarios import ScenarioSet
 from .tsso import (FirstStageDecision, TssoProblem,
                    evaluate_with_fixed_first_stage, solve_stochastic)
-
-
-def spdd(pdd: PddMatrix, probabilities, result: ReductionResult) -> float:
-    """Probability-weighted distance of every scenario to its
-    representative, recomputed from the assignment."""
-    gamma = np.asarray(probabilities, dtype=float)
-    result.validate(gamma)
-    d = pdd.values
-    return float(sum(gamma[i] * d[r, i] for i, r in result.assignment.items()))
-
-
-def pddbi(pdd: PddMatrix, probabilities, result: ReductionResult) -> float:
-    """Davies-Bouldin-style validity index on the problem-driven distance.
-
-    Mean over clusters of the worst (compactness_m + compactness_n) /
-    separation(m, n) ratio; undefined for a single cluster.
-    """
-    gamma = np.asarray(probabilities, dtype=float)
-    result.validate(gamma)
-    reps = result.representatives
-    if len(reps) < 2:
-        raise ValueError("cluster-validity index requires at least 2 clusters")
-    d = pdd.values
-    compact = {}
-    for r in reps:
-        members = result.members(r)
-        omega = result.weights[r]
-        compact[r] = float(sum(gamma[i] / omega * d[r, i] for i in members))
-    total = 0.0
-    for m in reps:
-        worst = -np.inf
-        for nrep in reps:
-            if nrep == m:
-                continue
-            sep = max(d[m, nrep], 1e-12)   # guard coincident representatives
-            worst = max(worst, (compact[m] + compact[nrep]) / sep)
-        total += worst
-    return float(total / len(reps))
 
 
 @dataclass
@@ -309,9 +274,6 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
     mapping.  A method whose reduction, solve or verification fails yields
     a row marked failed instead of aborting the comparison.
     """
-    from .baselines import run_baseline
-    from .clustering import compute_pdd, solve_clustering
-
     gamma = scenario_set.probabilities
     wc = detect_worst_case(matrix, bound=worst_case_bound)
 

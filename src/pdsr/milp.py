@@ -301,12 +301,6 @@ class MixedBinaryModel:
     def binary_indices(self) -> list[int]:
         return [j for j, b in enumerate(self.is_binary) if b]
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.var_names.index(name)
-        except ValueError:
-            raise ModelError(f"no variable named {name!r}") from None
-
     def group_value(self, group: str, x: np.ndarray) -> float:
         total = 0.0
         for j, a in self.obj_groups.get(group, {}).items():

@@ -1,14 +1,14 @@
 """Two-stage stochastic problem contract and its solve modes.
 
 A concrete problem compiles scenario sets into mixed-binary models.  The
-first stage ("here-and-now") is a fixed, named variable set shared by every
+first stage ("here-and-now") is the same leading columns in every
 compilation; the second stage ("wait-and-see") is scenario-indexed recourse.
 Problems must have relatively complete recourse: every first-stage decision
 admits a feasible second stage for every scenario (concrete problems ensure
 this with penalized shedding/curtailment slacks).
 
 The two network problems (``adn``, ``uc``) share their config handling
-(:class:`NetworkConfig`), their problem shell (:class:`NetworkProblem`) and
+(:class:`NetworkConfig`), their problem class (:class:`TssoProblem`) and
 the compile steps that map scenario sources to buses and add those slacks.
 Their compilers build a program's structure, which depends only on the
 config and the scenario weights, and a data writer then writes each
@@ -20,6 +20,7 @@ verification's programs, is a copy of it plus a data write.
 
 from __future__ import annotations
 
+import math
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
@@ -30,38 +31,15 @@ from .errors import ConfigError, RecourseError
 from .milp import DEFAULT_GAP_TOL, GAP_LIMIT, MixedBinaryModel, OPTIMAL, solve_milp
 
 
-class TssoProblem(ABC):
-    """Compiles two-stage stochastic programs over a scenario subset."""
-
-    @abstractmethod
-    def build_model(self, scenarios, weights) -> MixedBinaryModel:
-        """Compile the weighted program over ``scenarios``.
-
-        The first-stage variables are model columns named by
-        :meth:`first_stage_names`; evaluating a given decision fixes them
-        by bounds (see :func:`evaluate_with_fixed_first_stage`).  The
-        returned model is the caller's own to change."""
-
-    @abstractmethod
-    def first_stage_names(self) -> list[str]:
-        """Names of the first-stage variables, in decision-vector order."""
-
-    @abstractmethod
-    def first_stage_summary(self, decision) -> dict:
-        """Problem-specific scalar summary of a first-stage decision."""
-
-    @abstractmethod
-    def fingerprint_payload(self) -> dict:
-        """Canonical configuration dict used for cache fingerprints."""
-
-
 class NetworkConfig:
     """Mixin of the network problem configs (dataclasses).
 
     Shared fields: ``n_buses``, ``lines``, ``t_steps``, ``dt_hours``,
     ``res_sources`` and ``load_sources`` (source name -> bus),
     ``fixed_loads`` (bus -> T MW), ``penalty_shed`` and ``penalty_curtail``
-    ($/MWh).  Every bus named by a source or a fixed load must lie in
+    ($/MWh).  The horizon needs ``t_steps >= 1`` and a finite
+    ``dt_hours > 0``, the penalties must be finite and >= 0 and the fixed
+    loads finite.  Every bus named by a source or a fixed load must lie in
     ``[0, n_buses)``.  Subclasses normalize their own fields before calling
     ``super().__post_init__()`` and extend :meth:`validate`.
     """
@@ -74,11 +52,21 @@ class NetworkConfig:
         self.validate()
 
     def validate(self):
+        if self.t_steps < 1:
+            raise ConfigError("t_steps must be >= 1")
+        if not (math.isfinite(self.dt_hours) and self.dt_hours > 0):
+            raise ConfigError("dt_hours must be finite and > 0")
+        for name in ("penalty_shed", "penalty_curtail"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0")
         for bus, series in self.fixed_loads.items():
             if not 0 <= bus < self.n_buses:
                 raise ConfigError(f"fixed load at bad bus {bus}")
             if len(series) != self.t_steps:
                 raise ConfigError(f"fixed load at bus {bus} has wrong length")
+            if not all(map(math.isfinite, series)):
+                raise ConfigError(f"fixed_loads at bus {bus} must be finite")
         for name, bus in [*self.res_sources.items(),
                           *self.load_sources.items()]:
             if not 0 <= bus < self.n_buses:
@@ -99,12 +87,14 @@ class NetworkConfig:
 _SINGLE_LOCK = threading.Lock()
 
 
-class NetworkProblem(TssoProblem):
-    """A network problem bound to its config and a fixed source ordering.
+class TssoProblem(ABC):
+    """A two-stage network problem bound to its config and a fixed source
+    ordering; its first stage is the ``_Structure.n_first`` leading columns
+    of every program it compiles.
 
     It keeps the structure of its one-scenario, unit-weight program after
-    the first compile of one (:meth:`_compiled`); the config must not
-    change after that."""
+    its first use (:meth:`_single_structure`); the config must not change
+    after that."""
 
     kind = ""  # problem tag of the cache fingerprint
 
@@ -113,23 +103,53 @@ class NetworkProblem(TssoProblem):
         self.source_names = tuple(source_names)
         self._single = None  # _Structure of the one-scenario, unit-weight program
 
-    def fingerprint_payload(self):
-        return {"problem": self.kind, "config": self.config.to_dict(),
-                "sources": list(self.source_names)}
+    @abstractmethod
+    def build_model(self, scenarios, weights) -> MixedBinaryModel:
+        """Compile the weighted program over ``scenarios``.
+
+        The first-stage variables are the model's leading columns, named by
+        :meth:`first_stage_names`; evaluating a given decision fixes them
+        by bounds (see :func:`evaluate_with_fixed_first_stage`).  The
+        returned model is the caller's own to change."""
+
+    @abstractmethod
+    def first_stage_summary(self, decision) -> dict:
+        """Problem-specific scalar summary of a first-stage decision."""
 
     @abstractmethod
     def _structure(self, weights: list[float]) -> "_Structure":
         """The structure of the program over ``len(weights)`` scenarios."""
+
+    def fingerprint_payload(self) -> dict:
+        """Canonical configuration dict used for cache fingerprints."""
+        return {"problem": self.kind, "config": self.config.to_dict(),
+                "sources": list(self.source_names)}
+
+    def first_stage_names(self) -> list[str]:
+        """Names of the first-stage columns, in decision-vector order."""
+        structure = self._single_structure()
+        return structure.model.var_names[:structure.n_first]
+
+    def _single_structure(self) -> "_Structure":
+        """The kept structure of the one-scenario, unit-weight program.
+        The first call builds it and assembles its matrix under a lock, so
+        threads asking at once build one and every copy of it shares one
+        matrix object, as :meth:`~pdsr.milp.MixedBinaryModel.take_highs`
+        needs."""
+        if self._single is None:
+            with _SINGLE_LOCK:
+                if self._single is None:
+                    structure = self._structure([1.0])
+                    structure.model._assembled_matrix()
+                    self._single = structure
+        return self._single
 
     def _compiled(self, scenarios, weights) -> MixedBinaryModel:
         """The program over ``scenarios``, each with its weight, its
         structure built here and the scenarios' data written into it; a
         weight count other than the scenario count raises ValueError.  A
         one-scenario, unit-weight program is a copy of the kept structure
-        instead, which is never written to.  The first such compile builds
-        it and assembles its matrix under a lock, so threads compiling at
-        once build one and every copy shares one matrix object, as
-        :meth:`~pdsr.milp.MixedBinaryModel.take_highs` needs."""
+        instead, which is never written to."""
         weights = [float(w) for w in weights]
         if len(weights) != len(scenarios):
             raise ValueError(f"{len(scenarios)} scenarios but {len(weights)} "
@@ -138,13 +158,7 @@ class NetworkProblem(TssoProblem):
             structure = self._structure(weights)
             return structure.write(structure.model, scenarios,
                                    self.source_names)
-        if self._single is None:
-            with _SINGLE_LOCK:
-                if self._single is None:
-                    structure = self._structure(weights)
-                    structure.model._assembled_matrix()
-                    self._single = structure
-        structure = self._single
+        structure = self._single_structure()
         return structure.write(structure.model.copy(), scenarios,
                                self.source_names)
 
@@ -178,12 +192,14 @@ class _Structure:
     scenario weights.  A compiler builds ``model`` with zero placeholders
     for the data through :func:`_penalized_recourse`,
     :meth:`add_data_row` and :meth:`add_price_cost`, which record where
-    each datum goes."""
+    each datum goes.  It adds the first-stage columns first, the same for
+    every weight vector, and records their count in ``n_first``."""
 
     def __init__(self, cfg: NetworkConfig, price_source: str | None = None):
         self.cfg = cfg
         self.price_source = price_source
         self.model = MixedBinaryModel()
+        self.n_first = 0  # leading columns that form the first-stage decision
         loads: dict[int, list[str]] = {}
         for name, bus in cfg.load_sources.items():
             loads.setdefault(bus, []).append(name)
@@ -291,15 +307,9 @@ def _penalized_recourse(st: _Structure, w: float, s: int):
 class FirstStageDecision:
     """A first-stage decision vector with its provenance."""
 
-    values: np.ndarray  # aligned with TssoProblem.first_stage_names()
+    values: np.ndarray  # the program's leading columns, first_stage_names()
     objective_at_source: float
     source_scenario: int | None = None
-
-
-def _extract_first_stage(problem: TssoProblem, model: MixedBinaryModel,
-                         x: np.ndarray) -> np.ndarray:
-    idx = [model.index_of(name) for name in problem.first_stage_names()]
-    return np.array([x[j] for j in idx])
 
 
 def solve_stochastic(problem: TssoProblem, scenarios, weights,
@@ -311,9 +321,9 @@ def solve_stochastic(problem: TssoProblem, scenarios, weights,
 
     Used both for the full-set benchmark and for reduced sets.  ``model``
     is that program compiled before; without it the program is compiled
-    here.  Returns (FirstStageDecision, objective, Solution); when
-    ``time_limit`` ends the solve before any incumbent the decision is
-    None (status gap_limit).
+    here.  Returns (FirstStageDecision, objective, Solution), the decision
+    read from the solution's leading columns; when ``time_limit`` ends the
+    solve before any incumbent the decision is None (status gap_limit).
     """
     weights = np.asarray(weights, dtype=float)
     if len(scenarios) == 0:
@@ -329,8 +339,8 @@ def solve_stochastic(problem: TssoProblem, scenarios, weights,
         raise RecourseError(
             f"stochastic program ended {sol.status}; the problem violates "
             "relatively complete recourse or is misconfigured")
-    z = FirstStageDecision(_extract_first_stage(problem, model, sol.x),
-                           sol.objective, source_scenario)
+    n = len(problem.first_stage_names())
+    z = FirstStageDecision(sol.x[:n].copy(), sol.objective, source_scenario)
     return z, sol.objective, sol
 
 
@@ -352,22 +362,19 @@ def solve_scenario_specific(problem: TssoProblem, scenario,
 def _fixed_bounds(problem: TssoProblem, decision: FirstStageDecision,
                   model: MixedBinaryModel):
     """``(lb, ub)`` of ``model``, a program of the problem with a free first
-    stage, with every first-stage column fixed at the decision
+    stage, with its leading first-stage columns fixed at the decision
     (``lb = ub``); binary columns are rounded to exact 0/1 so the gating
     rows see clean commitments.  The model itself is left as it is."""
-    names = problem.first_stage_names()
+    n = len(problem.first_stage_names())
     values = np.asarray(decision.values, dtype=float)
-    if values.shape != (len(names),):
+    if values.shape != (n,):
         raise ConfigError(f"first-stage decision has {values.size} values, "
-                          f"the problem has {len(names)}")
+                          f"the problem has {n}")
     if not np.isfinite(values).all():
         raise ConfigError("first-stage decision has non-finite values")
     lb, ub = np.array(model.lb), np.array(model.ub)
-    for name, value in zip(names, values):
-        j = model.index_of(name)
-        if model.is_binary[j]:
-            value = round(value)
-        lb[j] = ub[j] = float(value)
+    lb[:n] = ub[:n] = [round(v) if binary else v
+                       for v, binary in zip(values, model.is_binary[:n])]
     return lb, ub
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError
 from .milp import GE, LE, EQ
 from .scenarios import Scenario, ScenarioSet, _pick_bad, _smooth_noise
-from .tsso import (NetworkConfig, NetworkProblem, _penalized_recourse,
+from .tsso import (NetworkConfig, TssoProblem, _penalized_recourse,
                    _Structure)
 
 
@@ -115,6 +115,7 @@ def _uc_structure(cfg: UcConfig, weights) -> _Structure:
             for g in range(ng)]
     u_fs = [[m.add_var(f"U[{g},{t}]", 0.0, 1.0, binary=True) for t in range(T)]
             for g in range(ng)]
+    st.n_first = m.num_vars  # the start/shut columns below stay out
 
     for g, gen in enumerate(gens):
         for t in range(T):
@@ -236,7 +237,7 @@ def _uc_structure(cfg: UcConfig, weights) -> _Structure:
     return st
 
 
-class UcProblem(NetworkProblem):
+class UcProblem(TssoProblem):
     """Commitment problem bound to a fixed source ordering."""
 
     kind = "uc"
@@ -247,12 +248,6 @@ class UcProblem(NetworkProblem):
 
     def _structure(self, weights):
         return _uc_structure(self.config, weights)
-
-    def first_stage_names(self):
-        ng = len(self.config.generators)
-        T = self.config.t_steps
-        return ([f"P[{g},{t}]" for g in range(ng) for t in range(T)]
-                + [f"U[{g},{t}]" for g in range(ng) for t in range(T)])
 
     def first_stage_summary(self, decision):
         ng = len(self.config.generators)

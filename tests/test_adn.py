@@ -1,14 +1,17 @@
 """Distribution-network compile: structure, physics, recourse behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oracles import bad_scenario_ids
 from pdsr.adn import AdnConfig, AdnProblem, EsUnit, make_desk_instance
 from pdsr.errors import ConfigError
-from pdsr.milp import solve_milp
+from pdsr.milp import DEFAULT_GAP_TOL, solve_milp
 from pdsr.scenarios import Scenario, ScenarioSet, dump_values_csv
-from pdsr.tsso import (FirstStageDecision, evaluate_with_fixed_first_stage,
+from pdsr.tsso import (FirstStageDecision, _fixed_bounds,
+                       evaluate_with_fixed_first_stage,
                        solve_scenario_specific, solve_stochastic)
 
 
@@ -133,14 +136,33 @@ def test_storage_energy_window_and_terminal():
     sol = solve_milp(model)
     x = sol.x
     es = cfg.es_units[0]
-    cap = x[model.index_of(f"E[{es.node}]")]
+    cap = x[model.var_names.index(f"E[{es.node}]")]
     for s in range(len(ss)):
         for t in range(cfg.t_steps):
-            w = x[model.index_of(f"W[{es.node},{s},{t}]")]
+            w = x[model.var_names.index(f"W[{es.node},{s},{t}]")]
             assert w >= es.soc_min * cap - 1e-6
             assert w <= es.soc_max * cap + 1e-6
-        terminal = x[model.index_of(f"W[{es.node},{s},{cfg.t_steps - 1}]")]
+        terminal = x[model.var_names.index(f"W[{es.node},{s},{cfg.t_steps - 1}]")]
         assert terminal == pytest.approx(es.soc0 * cap, abs=1e-6)
+
+
+def test_storage_units_sharing_a_bus_keep_their_own_columns():
+    # two units on one bus share the column name E[bus]; the decision is
+    # still each unit's own column, and fixing it fixes both
+    cfg, ss = make_desk_instance(seed=0, n_scenarios=10, bad_fraction=0.3)
+    second = dataclasses.replace(cfg.es_units[0], price=0.1, e_max=2.0)
+    cfg = dataclasses.replace(cfg, es_units=[cfg.es_units[0], second])
+    problem = AdnProblem(cfg, ss.source_names)
+    scenario = ss.scenarios[1]
+    model = problem.build_model([scenario], [1.0])
+    z, obj, sol = solve_stochastic(problem, [scenario], [1.0], model=model)
+    caps = [j for j, name in enumerate(model.var_names) if name.startswith("E[")]
+    assert len(caps) == 2 and sol.x[caps[0]] != sol.x[caps[1]]
+    assert list(z.values[cfg.t_steps:]) == [sol.x[j] for j in caps]
+    lb, ub = _fixed_bounds(problem, z, model)
+    assert [lb[j] for j in caps] == [ub[j] for j in caps] == list(z.values[-2:])
+    value = evaluate_with_fixed_first_stage(problem, z, scenario, model=model)
+    assert abs(value - obj) <= DEFAULT_GAP_TOL * abs(obj)
 
 
 def test_curtail_and_shed_within_availability():

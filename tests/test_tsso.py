@@ -1,9 +1,13 @@
 """Two-stage contract: solve modes, consistency identities, monotonicity."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from pdsr.adn import AdnConfig, AdnProblem, EsUnit, make_desk_instance
+from pdsr.errors import ConfigError
 from pdsr.scenarios import Scenario, ScenarioSet
 from pdsr.tsso import (evaluate_with_fixed_first_stage, solve_scenario_specific,
                        solve_stochastic)
@@ -195,3 +199,62 @@ def test_warm_resolves_on_one_model_match_cold_cells(kind):
     assert runs[0] == runs[1]
     for warm, value in zip(runs[0], cold):
         assert abs(warm - value) <= 2 * GAP * abs(value)
+
+
+@pytest.mark.parametrize("kind", ["adn", "uc"])
+def test_first_stage_is_the_leading_columns(kind):
+    # the decision is read and fixed by position, so every program the
+    # problem compiles must lead with the first-stage columns, in order
+    if kind == "adn":
+        config, ss = make_desk_instance(seed=0, n_scenarios=4, t_steps=12,
+                                        buses=6)
+        problem = AdnProblem(config, ss.source_names)
+        expected = ([f"PT[{t}]" for t in range(config.t_steps)]
+                    + [f"E[{e.node}]" for e in config.es_units])
+    else:
+        config, ss = make_uc_desk_instance(seed=0, n_scenarios=4, t_steps=6)
+        problem = UcProblem(config, ss.source_names)
+        ng, T = len(config.generators), config.t_steps
+        expected = ([f"P[{g},{t}]" for g in range(ng) for t in range(T)]
+                    + [f"U[{g},{t}]" for g in range(ng) for t in range(T)])
+    names = problem.first_stage_names()
+    assert names == expected
+    for scenarios, weights in (([ss.scenarios[0]], [1.0]),
+                               (ss.scenarios, ss.probabilities),
+                               (ss.scenarios[1:3], [0.25, 0.75])):
+        model = problem.build_model(scenarios, weights)
+        assert model.var_names[:len(names)] == names
+
+
+def desk_config(kind):
+    if kind == "adn":
+        return make_desk_instance(seed=0, n_scenarios=2)[0]
+    return make_uc_desk_instance(seed=0, n_scenarios=2)[0]
+
+
+@pytest.mark.parametrize("kind", ["adn", "uc"])
+@pytest.mark.parametrize("field, value", [
+    ("t_steps", 0), ("dt_hours", math.nan), ("dt_hours", math.inf),
+    ("dt_hours", -1.0), ("dt_hours", 0.0), ("penalty_shed", math.nan),
+    ("penalty_shed", -1.0), ("penalty_curtail", -5.0),
+    ("penalty_curtail", math.inf)])
+def test_bad_network_numbers_rejected_at_load(kind, field, value):
+    config = desk_config(kind)
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        dataclasses.replace(config, **{field: value})
+
+
+@pytest.mark.parametrize("kind", ["adn", "uc"])
+def test_non_finite_fixed_load_rejected_at_load(kind):
+    config = desk_config(kind)
+    loads = {bus: list(series) for bus, series in config.fixed_loads.items()}
+    loads[0][1] = math.nan
+    with pytest.raises(ConfigError, match="^fixed_loads at bus 0 must be finite"):
+        dataclasses.replace(config, fixed_loads=loads)
+
+
+@pytest.mark.parametrize("kind", ["adn", "uc"])
+def test_zero_penalties_load(kind):
+    config = dataclasses.replace(desk_config(kind), penalty_shed=0.0,
+                                 penalty_curtail=0.0)
+    assert (config.penalty_shed, config.penalty_curtail) == (0.0, 0.0)

@@ -112,7 +112,7 @@ def test_min_up_time_enforced():
     sol = solve_milp(model)
     x = sol.x
     for g, gen in enumerate(cfg.generators):
-        u = [round(x[model.index_of(f"U[{g},{t}]")]) for t in range(cfg.t_steps)]
+        u = [round(x[model.var_names.index(f"U[{g},{t}]")]) for t in range(cfg.t_steps)]
         prev = gen.u0
         for t, cur in enumerate(u):
             if cur > prev:  # a start
@@ -133,7 +133,7 @@ def test_regulation_exclusive_in_optimum():
     for j, n in enumerate(model.var_names):
         if n.startswith("Rp["):
             twin = "Rm[" + n[3:]
-            assert x[j] * x[model.index_of(twin)] <= 1e-6
+            assert x[j] * x[model.var_names.index(twin)] <= 1e-6
 
 
 def test_angles_bounded_reference_absent():
