@@ -18,7 +18,7 @@ balancing costs (``tsso._Structure``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -72,23 +72,42 @@ class AdnConfig(NetworkConfig):
         super().__post_init__()
 
     def validate(self):
+        # a negative x, reactive_ratio or capacity price stays allowed: series
+        # compensation, capacitive loads, capacity the operator is paid to hold
+        for name in ("v_min_sq", "v_max_sq", "buy_mult", "reactive_ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        if not (math.isfinite(self.p_trade_max) and self.p_trade_max >= 0):
+            raise ConfigError("p_trade_max must be finite and >= 0")
+        if not 0 <= self.v_min_sq <= self.v_max_sq:
+            raise ConfigError("v_min_sq must satisfy 0 <= v_min_sq <= v_max_sq")
         if not (0 < self.sell_mult < 1.0 < self.buy_mult):
             raise ConfigError("price multipliers must satisfy buy > 1 > sell > 0")
-        for e in self.es_units:
+        for k, e in enumerate(self.es_units):
+            for f in fields(e):
+                if not math.isfinite(getattr(e, f.name)):
+                    raise ConfigError(f"es unit {k}: {f.name} must be finite")
+            if e.p_max < 0 or e.e_max < 0:
+                raise ConfigError(f"es unit {k}: p_max and e_max must be >= 0")
             if not (0 < e.eta_c <= 1 and 0 < e.eta_d <= 1):
-                raise ConfigError("ES efficiencies must be in (0, 1]")
+                raise ConfigError(f"es unit {k}: efficiencies must be in (0, 1]")
             if not (0 <= e.soc_min <= e.soc0 <= e.soc_max <= 1):
-                raise ConfigError("ES SoC bounds must satisfy "
+                raise ConfigError(f"es unit {k}: SoC bounds must satisfy "
                                   "0 <= min <= initial <= max <= 1")
             if not 0 <= e.node < self.n_buses:
-                raise ConfigError("ES node out of range")
+                raise ConfigError(f"es unit {k}: node out of range")
         super().validate()
-        self.parents()  # raises on a non-radial network
+        self.parents()  # raises on a bad line and on a non-radial network
 
     def parents(self) -> dict[int, tuple[int, float, float]]:
-        """child bus -> (parent bus, r, x); validates the radial feeder."""
+        """child bus -> (parent bus, r, x); validates the lines and the radial
+        feeder."""
         parent: dict[int, tuple[int, float, float]] = {}
         for (i, j, r, x) in self.lines:
+            if not (math.isfinite(r) and r >= 0):
+                raise ConfigError(f"line ({i},{j}): r must be finite and >= 0")
+            if not math.isfinite(x):
+                raise ConfigError(f"line ({i},{j}): x must be finite")
             if not (0 <= i < self.n_buses and 0 <= j < self.n_buses):
                 raise ConfigError(f"line ({i},{j}) references unknown bus")
             if j in parent or j == 0:
@@ -228,8 +247,8 @@ def _adn_structure(cfg: AdnConfig, weights) -> _Structure:
         # terminal energy equal to initial
         for k, e in enumerate(cfg.es_units):
             for t in range(T):
-                m.add_constraint({ch[k, t]: 1.0, des[k, t]: e.p_max}, LE, e.p_max)
-                m.add_constraint({dis[k, t]: 1.0, des[k, t]: -e.p_max}, LE, 0.0)
+                m.add_row([ch[k, t], des[k, t]], [1.0, e.p_max], LE, e.p_max)
+                m.add_row([dis[k, t], des[k, t]], [1.0, -e.p_max], LE, 0.0)
                 cols = [stored[k, t], ch[k, t], dis[k, t]]
                 vals = [1.0, -e.eta_c * dt, dt / e.eta_d]
                 if t == 0:
@@ -243,9 +262,9 @@ def _adn_structure(cfg: AdnConfig, weights) -> _Structure:
         # trading: one balancing direction at a time, net exchange within the
         # interconnection limit
         for t in range(T):
-            m.add_constraint({tp[t]: 1.0, dts[t]: cfg.p_trade_max}, LE,
-                             cfg.p_trade_max)
-            m.add_constraint({tm[t]: 1.0, dts[t]: -cfg.p_trade_max}, LE, 0.0)
+            m.add_row([tp[t], dts[t]], [1.0, cfg.p_trade_max], LE,
+                      cfg.p_trade_max)
+            m.add_row([tm[t], dts[t]], [1.0, -cfg.p_trade_max], LE, 0.0)
             net = [pt[t], tp[t], tm[t]]
             m.add_row(net, [1.0, 1.0, -1.0], LE, cfg.p_trade_max)
             m.add_row(net, [1.0, 1.0, -1.0], GE, -cfg.p_trade_max)

@@ -18,17 +18,14 @@ KMEANS_RESTARTS = 8
 
 
 def standardize(scenario_set: ScenarioSet):
-    """Flatten scenarios to (N, U*T) with per-source z-scoring.
-
-    Returns (X, means, stds); constant sources get std 1 so the inverse
-    transform stays exact.
-    """
+    """Flatten scenarios to (N, U*T) with per-source z-scoring; a constant
+    source gets std 1, so its entries are all 0."""
     raw = np.stack([s.values for s in scenario_set.scenarios])  # (N, U, T)
     means = raw.mean(axis=(0, 2))
     stds = raw.std(axis=(0, 2))
     stds = np.where(stds > 0.0, stds, 1.0)
     z = (raw - means[None, :, None]) / stds[None, :, None]
-    return z.reshape(len(scenario_set), -1), means, stds
+    return z.reshape(len(scenario_set), -1)
 
 
 def _partition_result(scenario_set, labels, method) -> ReductionResult:
@@ -55,7 +52,7 @@ def _nearest_member(X, members, centroid) -> int:
 def kmeans_reduce(scenario_set: ScenarioSet, k: int, seed: int = 0) -> ReductionResult:
     """Lloyd's k-means on standardized vectors, best of seeded restarts,
     final centroids replaced by their nearest member scenario."""
-    X, _, _ = standardize(scenario_set)
+    X = standardize(scenario_set)
     n = len(scenario_set)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}]")
@@ -118,7 +115,7 @@ def kmedoids_reduce(scenario_set: ScenarioSet, k: int) -> ReductionResult:
     Deterministic: the greedy build and the swap search break ties by
     lowest index.
     """
-    X, _, _ = standardize(scenario_set)
+    X = standardize(scenario_set)
     n = len(scenario_set)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}]")
@@ -164,7 +161,7 @@ def hierarchical_reduce(scenario_set: ScenarioSet, k: int) -> ReductionResult:
     """Agglomerative average-linkage clustering cut at k clusters; each
     cluster is represented by the member minimizing its summed
     within-cluster distance."""
-    X, _, _ = standardize(scenario_set)
+    X = standardize(scenario_set)
     n = len(scenario_set)
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}]")
@@ -193,7 +190,7 @@ def hierarchical_reduce(scenario_set: ScenarioSet, k: int) -> ReductionResult:
 def severity_scores(scenario_set: ScenarioSet) -> np.ndarray:
     """Distribution-space severity: peak over time of summed standardized
     load minus summed standardized renewable infeed."""
-    X, _, _ = standardize(scenario_set)
+    X = standardize(scenario_set)
     z = X.reshape(len(scenario_set), scenario_set.num_sources,
                   scenario_set.horizon)
     load_rows = [u for u, r in enumerate(scenario_set.source_roles) if r == "load"]
@@ -214,7 +211,7 @@ def worst_case_select(scenario_set: ScenarioSet, k: int) -> ReductionResult:
     # descending score, ties by lowest index
     order = sorted(range(n), key=lambda i: (-scores[i], i))
     reps = sorted(order[:k])
-    X, _, _ = standardize(scenario_set)
+    X = standardize(scenario_set)
     assignment = {}
     for i in range(n):
         dists = np.linalg.norm(X[reps] - X[i], axis=1)

@@ -202,16 +202,11 @@ def _clustering_model(d: np.ndarray, gamma: np.ndarray, beta: float | None,
             w = float(gamma[i] * d[i, j])
             if w != 0.0:
                 m.add_objective(v[i, j], w, group="spdd")
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                m.add_constraint({v[j, j]: 1.0, u[j]: -1.0}, EQ, 0.0)
-            else:
-                m.add_constraint({v[i, j]: 1.0, u[j]: -1.0}, LE, 0.0)
-        m.add_constraint({v[i, j]: 1.0 for j in range(n)}, EQ, 1.0)
+            m.add_row([v[i, j], u[j]], [1.0, -1.0], EQ if i == j else LE, 0.0)
+        m.add_row([v[i, j] for j in range(n)], [1.0] * n, EQ, 1.0)
 
     if fixed_k is not None:
-        m.add_constraint({u[j]: 1.0 for j in range(n)}, EQ, float(fixed_k))
+        m.add_row(u, [1.0] * n, EQ, float(fixed_k))
     else:
         for j in range(n):
             m.add_objective(u[j], float(beta) / n, group="reduction_degree")

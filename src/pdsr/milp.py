@@ -149,9 +149,9 @@ class MixedBinaryModel:
     The rows are kept in flat buffers: the column indices and
     coefficients of every row, stored row after row (``row_cols``,
     ``row_vals``), and one length, relation and right-hand side per row
-    (``row_len``, ``row_rel``, ``row_rhs``).  The problem compilers emit a
-    row with one :meth:`add_row` call; :meth:`add_constraint` takes a
-    ``{column: coefficient}`` dict and checks it eagerly.
+    (``row_len``, ``row_rel``, ``row_rhs``).  Every row, of a problem
+    compiler or of the clustering MILP, is added by one :meth:`add_row`
+    call and checked with the assembled arrays.
 
     A model holds one snapshot of its solver arrays, assembled by the first
     solve, and one HiGHS instance with its LP relaxation, created by the
@@ -236,32 +236,15 @@ class MixedBinaryModel:
         new._arrays = new._highs = None
         return new
 
-    def add_constraint(self, coeffs: dict[int, float], relation: str, rhs: float):
-        """Add ``sum(a * x[j] for j, a in coeffs.items()) <relation> rhs``,
-        checking the columns, coefficients and right-hand side now; zero
-        coefficients are kept."""
-        if not coeffs:
-            raise ModelError("constraint references no variables")
-        n = len(self.var_names)
-        for j, a in coeffs.items():
-            if not 0 <= j < n:
-                raise ModelError(f"constraint references undeclared variable {j}")
-            if not math.isfinite(a):
-                raise ModelError("non-finite constraint coefficient")
-        if not math.isfinite(rhs):
-            raise ModelError("non-finite right-hand side")
-        self._push_row(list(coeffs), list(coeffs.values()), relation,
-                       float(rhs))
-
     def add_row(self, cols: list[int], vals: list[float], relation: str,
                 rhs: float):
-        """Add ``sum(vals[k] * x[cols[k]]) <relation> rhs``, the row of a
-        problem compiler.  The compiler folds the row's data terms into
-        ``rhs`` as ``rhs - data``, ``data`` summed from ``0.0`` in term
-        order, so the same data gives the same bits.  Zero
-        coefficients are dropped, and a row left with none is a compiler
-        fault and raises; the columns and values are checked with the
-        assembled arrays (see :meth:`_assembled`)."""
+        """Add ``sum(vals[k] * x[cols[k]]) <relation> rhs``.  A problem
+        compiler folds the row's data terms into ``rhs`` as ``rhs - data``,
+        ``data`` summed from ``0.0`` in term order, so the same data gives
+        the same bits.  Zero coefficients are dropped; a row left with none
+        and an unknown relation raise here, while the columns, coefficients
+        and right-hand side are checked with the assembled arrays (see
+        :meth:`_assembled`)."""
         if len(cols) != len(vals):
             raise ModelError(f"row has {len(cols)} columns and "
                              f"{len(vals)} coefficients")
@@ -270,9 +253,6 @@ class MixedBinaryModel:
             vals = [a for a in vals if a != 0.0]
         if not vals:
             raise ModelError("row has no nonzero coefficient")
-        self._push_row(cols, vals, relation, rhs)
-
-    def _push_row(self, cols, vals, relation: str, rhs: float):
         # _assembled reads any relation but <= and >= as an equality
         if relation not in (LE, EQ, GE):
             raise ModelError(f"unknown relation {relation!r}")
@@ -309,12 +289,12 @@ class MixedBinaryModel:
 
     def validate(self, bounds=None):
         """Reject bad bounds (the model's, or the ``(lb, ub)`` override) and
-        non-finite objective or row data.  The bounds are checked on every
-        call: a lower bound of NaN or +inf, an upper bound of NaN or -inf, a
-        binary outside [0, 1] and ``lb > ub`` raise, naming the column.
-        :meth:`add_row` skips :meth:`add_constraint`'s eager check, so all
-        rows are checked on the assembled arrays, together with the
-        objective, once per assembly (see :meth:`_assembled`)."""
+        bad objective or row data; returns the checked ``(lb, ub)`` as float
+        arrays.  The bounds are checked on every call: a lower bound of NaN
+        or +inf, an upper bound of NaN or -inf, a binary outside [0, 1] and
+        ``lb > ub`` raise, naming the column.  The rows are checked on the
+        assembled arrays, together with the objective, once per assembly
+        (see :meth:`_assembled`)."""
         lb, ub = self._bounds(bounds)
         if lb.shape != (self.num_vars,) or ub.shape != (self.num_vars,):
             raise ModelError(f"bounds must hold {self.num_vars} values each")
@@ -335,6 +315,7 @@ class MixedBinaryModel:
             raise ModelError(f"variable {name!r} has lb > ub "
                              f"({float(lb[j])!r} > {float(ub[j])!r})")
         self._assembled()
+        return lb, ub
 
     def max_violation(self, x: np.ndarray, bounds=None) -> float:
         """Largest constraint or bound violation of ``x`` (equalities
@@ -425,7 +406,6 @@ class MixedBinaryModel:
         cols = np.array(self.row_cols, dtype=np.intp)
         vals = np.array(self.row_vals, dtype=float)
         if cols.size and not (cols.min() >= 0 and cols.max() < n):
-            # add_row skips add_constraint's index check
             raise ModelError("constraint references an undeclared variable")
         rows = np.repeat(np.arange(m, dtype=np.int32),
                          np.array(self.row_len, dtype=np.intp))
@@ -528,11 +508,10 @@ def solve_milp(model: MixedBinaryModel, gap_tol: float = DEFAULT_GAP_TOL,
     cross-checks this routine against brute-force enumeration and an
     independent reference branch-and-bound.
     """
-    model.validate(bounds)
+    bounds = model.validate(bounds)
     if not (math.isfinite(gap_tol) and gap_tol >= 0):
         raise ModelError(f"gap_tol must be finite and >= 0, got {gap_tol}")
     arrays = model._assembled()
-    bounds = model._bounds(bounds)
     start = None
     if time_limit is None and arrays.integrality.any():
         root, start = _root_step(model, arrays, bounds, gap_tol)

@@ -240,14 +240,23 @@ def load_scenarios(values_path, probabilities_path=None) -> ScenarioSet:
     return ScenarioSet(tuple(scenarios), probs, tuple(src_order))
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted where the csv module quotes it."""
+    out = io.StringIO()
+    csv.writer(out).writerow([text])
+    return out.getvalue()[:-2]  # the writer's "\r\n"
+
+
 def dump_values_csv(scenario_set: ScenarioSet) -> str:
     """Serialize values to the long CSV format (lossless float repr)."""
     out = io.StringIO()
     out.write("scenario_id,source,t,value\n")
+    sources = [_csv_field(src) for src in scenario_set.source_names]
     for s in scenario_set.scenarios:
-        for u, src in enumerate(scenario_set.source_names):
+        sid = _csv_field(s.id)
+        for u, src in enumerate(sources):
             for t in range(scenario_set.horizon):
-                out.write(f"{s.id},{src},{t},{float(s.values[u, t])!r}\n")
+                out.write(f"{sid},{src},{t},{float(s.values[u, t])!r}\n")
     return out.getvalue()
 
 
@@ -255,7 +264,7 @@ def dump_probabilities_csv(scenario_set: ScenarioSet) -> str:
     out = io.StringIO()
     out.write("scenario_id,probability\n")
     for s, p in zip(scenario_set.scenarios, scenario_set.probabilities):
-        out.write(f"{s.id},{float(p)!r}\n")
+        out.write(f"{_csv_field(s.id)},{float(p)!r}\n")
     return out.getvalue()
 
 

@@ -131,8 +131,8 @@ def _uc_structure(cfg: UcConfig, weights) -> _Structure:
                 m.add_row([v, u[t]], [1.0, -1.0], EQ, 0.0 - float(gen.u0))
             else:
                 m.add_row([v, u[t], u[t - 1]], [1.0, -1.0, 1.0], EQ, 0.0)
-            m.add_constraint({sc: 1.0, v: -gen.cost_start}, GE, 0.0)
-            m.add_constraint({sc: 1.0, v: gen.cost_stop}, GE, 0.0)
+            m.add_row([sc, v], [1.0, -gen.cost_start], GE, 0.0)
+            m.add_row([sc, v], [1.0, gen.cost_stop], GE, 0.0)
             m.add_objective(sc, 1.0, group="da_gen")
             # stay on (off) for the minimum run after a start (stop);
             # windows truncated at the end of the horizon

@@ -269,11 +269,13 @@ def random_lp(rng, n_vars=None, n_rows=None):
         act = sum(a * x0[j] for j, a in zip(nz, coeffs.values()))
         kind = rng.integers(0, 3)
         if kind == 0:
-            m.add_constraint(coeffs, LE, act + float(rng.uniform(0.05, 1.0)))
+            m.add_row(list(coeffs), list(coeffs.values()), LE,
+                      act + float(rng.uniform(0.05, 1.0)))
         elif kind == 1:
-            m.add_constraint(coeffs, GE, act - float(rng.uniform(0.05, 1.0)))
+            m.add_row(list(coeffs), list(coeffs.values()), GE,
+                      act - float(rng.uniform(0.05, 1.0)))
         else:
-            m.add_constraint(coeffs, EQ, act)
+            m.add_row(list(coeffs), list(coeffs.values()), EQ, act)
     return m
 
 
@@ -341,9 +343,11 @@ def random_milp(rng, max_binaries=12, max_cont=8):
         coeffs = {handles[k]: float(rng.normal()) for k in nz}
         act = sum(a * point[k] for k, a in zip(nz, coeffs.values()))
         if rng.integers(0, 2):
-            m.add_constraint(coeffs, LE, act + float(rng.uniform(0.05, 1.0)))
+            m.add_row(list(coeffs), list(coeffs.values()), LE,
+                      act + float(rng.uniform(0.05, 1.0)))
         else:
-            m.add_constraint(coeffs, GE, act - float(rng.uniform(0.05, 1.0)))
+            m.add_row(list(coeffs), list(coeffs.values()), GE,
+                      act - float(rng.uniform(0.05, 1.0)))
     return m, bs
 
 
@@ -408,8 +412,8 @@ def with_direction_binaries(model) -> MixedBinaryModel:
         dn = down[name[3:]]
         cap = model.ub[up]
         d = model.add_var("DG[" + name[3:], 0.0, 1.0, binary=True)
-        model.add_constraint({up: 1.0, d: -cap}, LE, 0.0)
-        model.add_constraint({dn: 1.0, d: cap}, LE, cap)
+        model.add_row([up, d], [1.0, -cap], LE, 0.0)
+        model.add_row([dn, d], [1.0, cap], LE, cap)
         model.gating.append((d, dn, up))
     return model
 

@@ -1,6 +1,7 @@
 """Distribution-network compile: structure, physics, recourse behavior."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -222,3 +223,59 @@ def test_wrong_length_decision_rejected():
     short = FirstStageDecision(z.values[:-1], z.objective_at_source)
     with pytest.raises(ConfigError, match="first-stage decision"):
         evaluate_with_fixed_first_stage(problem, short, ss.scenarios[1])
+
+
+def _with_line(i, **values):
+    """``small_config`` with line ``i``'s ``r`` or ``x`` replaced."""
+    cfg = small_config()
+    lines = list(cfg.lines)
+    a, b, r, x = lines[i]
+    lines[i] = (a, b, values.get("r", r), values.get("x", x))
+    return dataclasses.replace(cfg, lines=lines)
+
+
+def _with_unit(**values):
+    """``small_config`` with fields of its storage unit replaced."""
+    cfg = small_config()
+    unit = dataclasses.replace(cfg.es_units[0], **values)
+    return dataclasses.replace(cfg, es_units=[unit])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: small_config(p_trade_max=math.nan), "^p_trade_max must be finite and >= 0"),
+    (lambda: small_config(p_trade_max=-1.0), "^p_trade_max must be finite and >= 0"),
+    (lambda: small_config(v_min_sq=-1.0), "^v_min_sq must satisfy 0 <= v_min_sq <= v_max_sq"),
+    (lambda: small_config(v_min_sq=1.5), "^v_min_sq must satisfy 0 <= v_min_sq <= v_max_sq"),
+    (lambda: small_config(v_max_sq=math.nan), "^v_max_sq must be finite"),
+    (lambda: small_config(buy_mult=math.inf), "^buy_mult must be finite"),
+    (lambda: small_config(reactive_ratio=math.nan),
+     "^reactive_ratio must be finite"),
+    (lambda: _with_line(2, r=-0.01), r"^line \(1,3\): r must be"),
+    (lambda: _with_line(0, r=math.nan), r"^line \(0,1\): r must be"),
+    (lambda: _with_line(1, x=math.inf), r"^line \(1,2\): x must be finite"),
+    (lambda: _with_unit(p_max=-1.0), "^es unit 0: p_max and e_max must be >= 0"),
+    (lambda: _with_unit(e_max=-1.0), "^es unit 0: p_max and e_max must be >= 0"),
+    (lambda: _with_unit(e_max=math.nan), "^es unit 0: e_max must be finite"),
+    (lambda: _with_unit(price=math.nan), "^es unit 0: price must be finite"),
+    (lambda: _with_unit(soc0=math.nan), "^es unit 0: soc0 must be finite"),
+], ids=["nan_trade_limit", "negative_trade_limit", "negative_v_min",
+        "v_min_above_v_max", "nan_v_max", "inf_buy_mult", "nan_reactive_ratio",
+        "negative_r", "nan_r", "inf_x", "negative_p_max", "negative_e_max",
+        "nan_e_max", "nan_price", "nan_soc0"])
+def test_bad_adn_numbers_rejected_at_load(make, message):
+    # each of these once loaded: some solved as if valid, the rest failed
+    # at solve time naming a column instead of the config field
+    with pytest.raises(ConfigError, match=message):
+        make()
+
+
+def test_negative_x_reactive_ratio_and_capacity_price_load_and_solve():
+    # series compensation, capacitive loads and capacity the operator is
+    # paid to hold are modelled, so they stay accepted
+    cfg = dataclasses.replace(_with_line(1, x=-0.005), reactive_ratio=-0.2)
+    cfg = dataclasses.replace(
+        cfg, es_units=[dataclasses.replace(cfg.es_units[0], price=-3.0)])
+    ss = small_set()
+    model = AdnProblem(cfg, ss.source_names).build_model(
+        ss.scenarios, ss.probabilities)
+    assert solve_milp(model).status == "optimal"

@@ -66,7 +66,7 @@ def test_kmeans_near_optimal_sse():
     for seed in range(10):
         pts = [np.abs(rng.normal(5.0, 2.0, (1, 2))) for _ in range(8)]
         ss = make_set(pts)
-        X, _, _ = standardize(ss)
+        X = standardize(ss)
         result = kmeans_reduce(ss, 2, seed=seed)
         assert result.extras["sse"] <= brute_force_sse(X, 2) * 1.05 + 1e-9
 
@@ -91,7 +91,7 @@ def test_kmedoids_vs_exhaustive():
     for seed in range(6):
         pts = [np.abs(rng.normal(5.0, 2.0, (1, 2))) for _ in range(8)]
         ss = make_set(pts)
-        X, _, _ = standardize(ss)
+        X = standardize(ss)
         D = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
         best = min(np.min(D[:, list(meds)], axis=1).sum()
                    for meds in itertools.combinations(range(8), 3))
@@ -122,7 +122,7 @@ def test_linkage_heights_monotone():
     from scipy.cluster.hierarchy import linkage
     rng = np.random.default_rng(3)
     ss = make_set([np.abs(rng.normal(5, 2, (1, 4))) for _ in range(12)])
-    X, _, _ = standardize(ss)
+    X = standardize(ss)
     Z = linkage(X, method="average", metric="euclidean")
     heights = Z[:, 2]
     assert np.all(np.diff(heights) >= -1e-12)
@@ -177,7 +177,9 @@ def test_standardize_inverse_exact():
     rng = np.random.default_rng(6)
     pts = [np.abs(rng.normal(5, 2, (2, 3))) for _ in range(4)]
     ss = make_set(pts, sources=("wt1", "load1"))
-    X, means, stds = standardize(ss)
+    X = standardize(ss)
     raw = np.stack([s.values for s in ss.scenarios])
+    means = raw.mean(axis=(0, 2))
+    stds = raw.std(axis=(0, 2))
     rebuilt = X.reshape(raw.shape) * stds[None, :, None] + means[None, :, None]
     assert np.allclose(rebuilt, raw, atol=1e-12)

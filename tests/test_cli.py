@@ -317,8 +317,8 @@ def test_bad_make_desk_arguments_rejected(tmp_path, capsys, argv, flag):
 
 
 def test_non_finite_config_value_rejected(instance, tmp_path, capsys):
-    # json.load accepts NaN; the line resistance lands in compiler rows,
-    # which must not reach HiGHS
+    # json.load accepts NaN; the line resistance would land in compiler
+    # rows, so the config is rejected when it loads, naming the field
     config = json.loads((instance / "config.json").read_text())
     config["lines"][0][2] = float("nan")
     (tmp_path / "bad.json").write_text(json.dumps(config))
@@ -326,7 +326,7 @@ def test_non_finite_config_value_rejected(instance, tmp_path, capsys):
     args[args.index("--config") + 1] = tmp_path / "bad.json"
     capsys.readouterr()
     assert main([str(a) for a in ["project", *args]]) == 1
-    assert "non-finite" in capsys.readouterr().err
+    assert "line (0,1): r must be finite" in capsys.readouterr().err
     assert not (tmp_path / "run" / "F.csv").exists()
 
 

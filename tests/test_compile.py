@@ -1,24 +1,32 @@
-"""The problem compilers pin their output: every assembled solver array,
-the bounds, the names, the gating triples (ADN only: a UC program has
-none) and the objective groups of the ADN and UC desk programs hash to
-fixed digests.  A change to how a compiler emits its rows must reproduce
-each of them bit for bit; the zero-handling case pins that compiler rows
-drop zero coefficients while ``add_constraint`` rows keep theirs.  A
-one-scenario program stamped from a problem's kept structure must hash
-like the same program compiled on a fresh problem, and stay independent
-of the programs stamped before it."""
+"""The compiled programs pin their output: every assembled solver array,
+the bounds, the names, the gating triples (ADN only: a UC program and the
+clustering MILP have none) and the objective groups of the ADN and UC desk
+programs and of the clustering MILP hash to fixed digests.  A change to how
+a model emits its rows must reproduce each of them bit for bit.  Every row
+goes through ``MixedBinaryModel.add_row``, which drops zero coefficients:
+the zero-handling case, a UC desk whose start-up cost is 0, pins that its
+start-cost row holds no ``V`` entry.  A one-scenario program stamped from a
+problem's kept structure must hash like the same program compiled on a
+fresh problem, and stay independent of the programs stamped before it.
+
+Running this file prints every pin for the code as it is, in the form of
+``EXPECTED`` and ``EXPECTED_CLUSTERING`` below."""
 
 import dataclasses
 import hashlib
+import json
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pdsr.adn import AdnProblem, make_desk_instance
+from pdsr.clustering import _clustering_model, compute_pdd
 from pdsr.errors import ModelError
-from pdsr.milp import LE
+from pdsr.milp import DEFAULT_GAP_TOL, LE
+from pdsr.projection import ProblemSpaceMatrix
 from pdsr.scenarios import Scenario
 from pdsr.uc import UcProblem, make_uc_desk_instance
 
@@ -163,12 +171,12 @@ EXPECTED = {
     ('uc_zero', 'one'): {
         'c': '5d8e1fe29800cd70',
         'integrality': '0c190217a6b8beda',
-        'indptr': '7405f1146a04a023',
-        'indices': '3f40a4a2b0be2e0c',
-        'data': 'e17402960cc1aaba',
+        'indptr': 'adeb41abc3eab092',
+        'indices': '3e61c382fbb41aa8',
+        'data': '79a6f4f003ce6d64',
         'lower': '353e8bf366cc1ba4',
         'upper': '1f950ab2d734185f',
-        'entry_col': '708598289f50c54c',
+        'entry_col': '7fb3b98aa7d3299b',
         'lb': '49c87821400c7630',
         'ub': '2dd4dba7104e22c2',
         'var_names': '0b07605cbd583d69',
@@ -178,12 +186,12 @@ EXPECTED = {
     ('uc_zero', 'full'): {
         'c': '89679122c37742c7',
         'integrality': '10a7cb39a7357750',
-        'indptr': '5036dbec40666c6b',
-        'indices': '9d8d1b36ceccc059',
-        'data': '69a8b3e8259a5a08',
+        'indptr': '478ddb083a05268a',
+        'indices': '450993c72046e2e5',
+        'data': '0a5aff5735b1ba18',
         'lower': '1e3ea6f6e3323799',
         'upper': 'b25b07c7862fc599',
-        'entry_col': '13e01c8c02d52ea3',
+        'entry_col': '276ab1537df26934',
         'lb': '3b5f0a70052c7825',
         'ub': 'e1028d7a268cc9ea',
         'var_names': 'cdb4fb842172bb42',
@@ -193,12 +201,12 @@ EXPECTED = {
     ('uc_zero', 'subset'): {
         'c': '2132cef070a7b093',
         'integrality': 'da1bd68dd8ed176d',
-        'indptr': '417c70bcecbd332f',
-        'indices': '6dc73c2711366406',
-        'data': '457cf53427186ac9',
+        'indptr': '3439e4db1dd42033',
+        'indices': '615311f4bbce8a42',
+        'data': '190d317bbbfb0365',
         'lower': 'aaa4005f2f5176ef',
         'upper': 'a434b07c95f9f9c6',
-        'entry_col': '3743cd177598a07d',
+        'entry_col': 'd3836df33141b422',
         'lb': '564b5c03e1e963d1',
         'ub': 'c8e938fdb496740e',
         'var_names': 'a7812198024ae137',
@@ -211,6 +219,65 @@ EXPECTED = {
 @pytest.mark.parametrize("problem, selection", sorted(EXPECTED))
 def test_compiled_arrays_match_their_digests(problem, selection):
     assert _digests(_model(problem, selection)) == EXPECTED[problem, selection]
+
+
+# the clustering MILP on the distances of the seed-0 adn6 desk, from the
+# projection matrix its benchmark reference records (no solve runs here)
+_REFERENCE_F = (Path(__file__).resolve().parent.parent / "perfbench"
+                / "reference" / "adn6-pipeline.json")
+
+_CLUSTERINGS = {"fixed_k": dict(beta=None, fixed_k=4),
+                "beta": dict(beta=100.0, fixed_k=None)}
+
+
+def _clustering(case):
+    with open(_REFERENCE_F) as fh:
+        F = np.array(json.load(fh)["instances"][0]["F"])
+    n = len(F)
+    pdd = compute_pdd(ProblemSpaceMatrix(F, [], [f"s{i}" for i in range(n)],
+                                         "", DEFAULT_GAP_TOL))
+    model, _, _ = _clustering_model(pdd.values, np.full(n, 1.0 / n),
+                                    **_CLUSTERINGS[case])
+    return model
+
+
+EXPECTED_CLUSTERING = {
+    'fixed_k': {
+        'c': '9ab369352af82ca8',
+        'integrality': 'ad1cdb9ff68f44b5',
+        'indptr': 'feab1f9493a5937d',
+        'indices': '378bb295b4690c10',
+        'data': 'd1525206ba61cee6',
+        'lower': 'a1ed8a8e077f8019',
+        'upper': 'e7a49cab2e2308cf',
+        'entry_col': '1afaaf4665259dd7',
+        'lb': '52a3e0804d93dc52',
+        'ub': '09ac88f11d677f2e',
+        'var_names': 'ee50b8f862572975',
+        'gating': '4f53cda18c2baa0c',
+        'obj_groups': 'cd7e32644b77a621',
+    },
+    'beta': {
+        'c': '8df0eed779a68de8',
+        'integrality': 'ad1cdb9ff68f44b5',
+        'indptr': '6a7e9dfaef2ed204',
+        'indices': '2d341bc47d6fdfb3',
+        'data': '4cd8775c9cc27d30',
+        'lower': '24611f85cea8c68f',
+        'upper': '9b9e8cb8e44cfc3a',
+        'entry_col': 'de2dbf352d785b9a',
+        'lb': '52a3e0804d93dc52',
+        'ub': '09ac88f11d677f2e',
+        'var_names': 'ee50b8f862572975',
+        'gating': '4f53cda18c2baa0c',
+        'obj_groups': 'a75413d22179b146',
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLUSTERINGS))
+def test_clustering_arrays_match_their_digests(case):
+    assert _digests(_clustering(case)) == EXPECTED_CLUSTERING[case]
 
 
 def _desk(problem, seed):
@@ -334,10 +401,19 @@ def test_stamped_data_is_checked(source, scale, message):
             problem.build_model([bad], [1.0])._assembled()
 
 
-if __name__ == "__main__":  # prints EXPECTED for the compilers as they are
-    for problem in _PROBLEMS:
-        for selection in _SELECTIONS:
-            print(f"    {(problem, selection)!r}: {{")
-            for key, value in _digests(_model(problem, selection)).items():
-                print(f"        {key!r}: {value!r},")
-            print("    },")
+def _print_pins(name, models):
+    print(f"{name} = {{")
+    for key, model in models:
+        print(f"    {key!r}: {{")
+        for part, value in _digests(model).items():
+            print(f"        {part!r}: {value!r},")
+        print("    },")
+    print("}")
+
+
+if __name__ == "__main__":  # prints every pin for the code as it is
+    _print_pins("EXPECTED", [((problem, selection), _model(problem, selection))
+                             for problem in _PROBLEMS
+                             for selection in _SELECTIONS])
+    _print_pins("EXPECTED_CLUSTERING", [(case, _clustering(case))
+                                        for case in _CLUSTERINGS])

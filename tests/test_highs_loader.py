@@ -25,7 +25,7 @@ def tiny_objective():
     y = m.add_var("y", 0.0, 1.0, binary=True)
     m.add_objective(b, -1.0)
     m.add_objective(y, -1.0)
-    m.add_constraint({{b: 2.0, y: 2.0}}, LE, 3.0)
+    m.add_row([b, y], [2.0, 2.0], LE, 3.0)
     return solve_milp(m).objective
 """
 

@@ -94,7 +94,7 @@ def _unbounded_lp():
     x = m.add_var("x", 0.0)
     y = m.add_var("y", 0.0)
     m.add_objective(x, -1.0)
-    m.add_constraint({x: 1.0, y: -1.0}, LE, 1.0)
+    m.add_row([x, y], [1.0, -1.0], LE, 1.0)
     return m
 
 
@@ -102,7 +102,7 @@ def _infeasible_lp():
     m = MixedBinaryModel()
     x = m.add_var("x", 0.0, 1.0)
     m.add_objective(x, 1.0)
-    m.add_constraint({x: -1.0}, LE, -2.0)
+    m.add_row([x], [-1.0], LE, -2.0)
     return m
 
 

@@ -28,7 +28,7 @@ def simple_model():
     m = MixedBinaryModel()
     x = m.add_var("x", 0.0, 10.0)
     m.add_objective(x, 1.0)
-    m.add_constraint({x: 1.0}, GE, 3.0)
+    m.add_row([x], [1.0], GE, 3.0)
     return m, x
 
 
@@ -46,7 +46,7 @@ def test_lp_symmetric_vertex():
     y = m.add_var("y", 0.0, math.inf)
     m.add_objective(x, -1.0)
     m.add_objective(y, -1.0)
-    m.add_constraint({x: 1.0, y: 1.0}, LE, 1.0)
+    m.add_row([x, y], [1.0, 1.0], LE, 1.0)
     sol = solve_lp(m)
     assert sol.objective == pytest.approx(-1.0, abs=1e-9)
 
@@ -58,7 +58,7 @@ def test_lp_statuses():
     assert solve_lp(m).status == "unbounded"
     m2 = MixedBinaryModel()
     x = m2.add_var("x", 0.0, 1.0)
-    m2.add_constraint({x: 1.0}, GE, 2.0)
+    m2.add_row([x], [1.0], GE, 2.0)
     assert solve_lp(m2).status == "infeasible"
 
 
@@ -67,12 +67,18 @@ def test_model_validation():
     with pytest.raises(ModelError):
         m.add_var("b", -0.5, 1.0, binary=True)
     x = m.add_var("x", 0.0, 1.0)
-    with pytest.raises(ModelError):
-        m.add_constraint({x + 7: 1.0}, LE, 1.0)
-    with pytest.raises(ModelError):
-        m.add_constraint({}, LE, 0.0)
-    with pytest.raises(ModelError):
-        m.add_constraint({x: math.nan}, LE, 0.0)
+    # an empty row raises when it is added; an undeclared column and a NaN
+    # coefficient when the rows are assembled
+    with pytest.raises(ModelError, match="no nonzero coefficient"):
+        m.add_row([], [], LE, 0.0)
+    m.add_row([x + 7], [1.0], LE, 1.0)
+    with pytest.raises(ModelError, match="undeclared variable"):
+        m.validate()
+    m = MixedBinaryModel()
+    x = m.add_var("x", 0.0, 1.0)
+    m.add_row([x], [math.nan], LE, 0.0)
+    with pytest.raises(ModelError, match="non-finite constraint coefficient"):
+        m.validate()
 
 
 def test_expression_row_with_cancelled_coefficients_rejected():
@@ -95,7 +101,7 @@ def test_row_listing_a_column_twice_rejected(monkeypatch):
     m = MixedBinaryModel()
     x = m.add_var("x", 0.0, 1.0)
     y = m.add_var("y", 0.0, 1.0)
-    m.add_constraint({x: 1.0}, LE, 1.0)
+    m.add_row([x], [1.0], LE, 1.0)
     m.add_row([x, y, y], [1.0, 2.0, -1.0], LE, 1.0)
     with pytest.raises(ModelError, match="row 1 lists 'y' twice"):
         solve_milp(m)
@@ -110,9 +116,8 @@ def test_row_with_mismatched_columns_and_coefficients_rejected():
 
 
 @pytest.mark.parametrize("add", [
-    lambda m, x: m.add_constraint({x: 1.0}, "<", 3.0),
     lambda m, x: m.add_row([x], [1.0], "<", 3.0),
-], ids=["coefficient_row", "expression_row"])
+], ids=["expression_row"])
 def test_unknown_relation_rejected(add):
     # a compiler row with "<" once solved as the equality x = 3
     m = MixedBinaryModel()
@@ -153,7 +158,7 @@ def test_non_finite_coefficient_names_its_variable():
     y = m.add_var("y", 0.0, 1.0)
     z = m.add_var("z", 0.0, 1.0)
     m.add_row([z, x], [math.nan, 1.0], LE, 1.0)
-    m.add_constraint({y: 1.0}, LE, 1.0)
+    m.add_row([y], [1.0], LE, 1.0)
     with pytest.raises(ModelError, match=r"non-finite constraint coefficient on 'z'"):
         m.validate()
 
@@ -193,7 +198,7 @@ def test_bad_bounds_name_their_variable(spoil, message):
     x = m.add_var("x", 0.0, 1.0)
     m.add_var("y", 0.0, 1.0)
     m.add_var("b", 0.0, 1.0, binary=True)
-    m.add_constraint({x: 1.0}, LE, 1.0)
+    m.add_row([x], [1.0], LE, 1.0)
     spoil(m)
     with pytest.raises(ModelError, match=message):
         m.validate()
@@ -211,7 +216,7 @@ def test_bad_bound_override_rejected_before_solving(monkeypatch, spoil,
     m = MixedBinaryModel()
     x = m.add_var("x", 0.0, 1.0)
     y = m.add_var("y", 0.0, 1.0)
-    m.add_constraint({x: 1.0, y: 1.0}, LE, 1.5)
+    m.add_row([x, y], [1.0, 1.0], LE, 1.5)
     lb, ub = np.array(m.lb), np.array(m.ub)
     spoil(lb, ub)
 
@@ -276,7 +281,7 @@ def test_integral_relaxation_single_node():
     b2 = m.add_var("b2", 0.0, 1.0, binary=True)
     m.add_objective(b1, 1.0)
     m.add_objective(b2, 2.0)
-    m.add_constraint({b1: 1.0, b2: 1.0}, EQ, 1.0)
+    m.add_row([b1, b2], [1.0, 1.0], EQ, 1.0)
     lp = solve_lp(m)
     sol = solve_milp_reference(m)
     assert sol.node_count == 1
@@ -434,7 +439,7 @@ def _lp_weak_model():
     y = m.add_var("y", 0.0, 1.0, binary=True)
     m.add_objective(b, -1.0)
     m.add_objective(y, -1.0)
-    m.add_constraint({b: 2.0, y: 2.0}, LE, 3.0)
+    m.add_row([b, y], [2.0, 2.0], LE, 3.0)
     return m
 
 
@@ -562,16 +567,16 @@ def test_max_violation_rows_and_bounds():
     m = MixedBinaryModel()
     x = m.add_var("x", 0.0, 2.0)
     y = m.add_var("y", -1.0, 1.0)
-    m.add_constraint({x: 1.0, y: 1.0}, LE, 2.0)
-    m.add_constraint({x: 1.0}, GE, 0.5)
-    m.add_constraint({x: 1.0, y: -1.0}, EQ, 0.0)
+    m.add_row([x, y], [1.0, 1.0], LE, 2.0)
+    m.add_row([x], [1.0], GE, 0.5)
+    m.add_row([x, y], [1.0, -1.0], EQ, 0.0)
     assert m.max_violation(np.array([1.0, 1.0])) == 0.0
     assert m.max_violation(np.array([1.5, 1.0])) == pytest.approx(0.5)
     assert m.max_violation(np.array([0.2, 0.2])) == pytest.approx(0.3)
     assert m.max_violation(np.array([1.0, 0.25])) == pytest.approx(0.75)
     assert m.max_violation(np.array([2.5, 2.5])) == pytest.approx(3.0)
     # the cached rows follow a later mutation
-    m.add_constraint({y: 1.0}, LE, 0.0)
+    m.add_row([y], [1.0], LE, 0.0)
     assert m.max_violation(np.array([1.0, 1.0])) == pytest.approx(1.0)
 
 
@@ -613,8 +618,34 @@ def _gated_model():
     b = m.add_var("b", 0.0, 1.0, binary=True)
     m.add_objective(x, -1.0)
     m.add_objective(b, 0.5)
-    m.add_constraint({x: 1.0, b: -10.0}, LE, 0.0)
+    m.add_row([x, b], [1.0, -10.0], LE, 0.0)
     return m, x, b
+
+
+@pytest.mark.parametrize("override", [False, True], ids=["own", "override"])
+def test_solve_uses_the_bounds_validate_checked(monkeypatch, override):
+    # validate returns the bounds it checked, as float arrays, and every
+    # HiGHS call of the solve reads exactly those arrays
+    m = _lp_weak_model()
+    bounds = ([0, 0], [1, 1]) if override else None
+    checked, seen = [], []
+    validate, highs_milp = MixedBinaryModel.validate, pdsr.milp.highs_milp
+
+    def record_validate(model, bounds=None):
+        checked.append(validate(model, bounds))
+        return checked[-1]
+
+    def record_highs(*args, **kwargs):
+        seen.append(kwargs["bounds"])
+        return highs_milp(*args, **kwargs)
+
+    monkeypatch.setattr(MixedBinaryModel, "validate", record_validate)
+    monkeypatch.setattr(pdsr.milp, "highs_milp", record_highs)
+    assert solve_milp(m, bounds=bounds).objective == pytest.approx(-1.0)
+    (lb, ub), = checked
+    assert lb.dtype == ub.dtype == np.float64
+    assert lb.tolist() == [0.0, 0.0] and ub.tolist() == [1.0, 1.0]
+    assert seen and all(s[0] is lb and s[1] is ub for s in seen)
 
 
 def test_bound_override_leaves_model_bounds():
@@ -644,7 +675,7 @@ def test_model_grown_after_a_solve_reaches_the_next_lp(monkeypatch, change):
     m, x, b = _gated_model()
     assert solve_milp(m).objective == pytest.approx(-9.5)
     if change == "row":        # x <= 4: LP point x = 4, b = 0.4
-        m.add_constraint({x: 1.0}, LE, 4.0)
+        m.add_row([x], [1.0], LE, 4.0)
         expected, seen = -3.5, lambda p: p[x] <= 4.0 + 1e-9
     elif change == "rhs":      # x <= 10 b - 6: LP point x = 4, b = 1
         m.set_rhs(0, -6.0)

@@ -138,6 +138,26 @@ def test_round_trip_bit_identical(tmp_path):
     assert v2.read_bytes() == vpath.read_bytes()
 
 
+def test_round_trip_quotes_ids_and_sources(tmp_path):
+    # an id or source name holding a comma or a quote loads from a quoted
+    # field, and must be written back quoted to load again
+    rng = np.random.default_rng(43)
+    ids = ["a,b", 'say "hi"', "plain"]
+    scens = tuple(Scenario(sid, rng.uniform(0.0, 5.0, (2, 3))) for sid in ids)
+    ss = ScenarioSet(scens, np.array([0.5, 0.25, 0.25]), ("load1,north", "wt1"))
+    vpath, ppath = tmp_path / "v.csv", tmp_path / "p.csv"
+    save_scenarios(ss, vpath, ppath)
+    back = load_scenarios(vpath, ppath)
+    assert back.ids() == ids
+    assert back.source_names == ss.source_names
+    for a, b in zip(ss.scenarios, back.scenarios):
+        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(ss.probabilities, back.probabilities)
+    v2 = tmp_path / "v2.csv"
+    save_scenarios(back, v2)
+    assert v2.read_bytes() == vpath.read_bytes()
+
+
 def test_subset_renormalizes():
     scens = tuple(Scenario(f"s{i}", [[float(i)]]) for i in range(4))
     ss = ScenarioSet(scens, np.array([0.1, 0.2, 0.3, 0.4]), ("price",))
