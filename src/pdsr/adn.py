@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConfigError
 from .milp import GE, LE, EQ
 from .scenarios import Scenario, ScenarioSet, _pick_bad, _smooth_noise
-from .tsso import (NetworkConfig, TssoProblem, _penalized_recourse,
+from .tsso import (NetworkConfig, TssoProblem, _integer, _penalized_recourse,
                    _Structure)
 
 
@@ -94,6 +94,7 @@ class AdnConfig(NetworkConfig):
             if not (0 <= e.soc_min <= e.soc0 <= e.soc_max <= 1):
                 raise ConfigError(f"es unit {k}: SoC bounds must satisfy "
                                   "0 <= min <= initial <= max <= 1")
+            _integer(f"es unit {k}: node", e.node)
             if not 0 <= e.node < self.n_buses:
                 raise ConfigError(f"es unit {k}: node out of range")
         super().validate()

@@ -4,14 +4,16 @@ All methods operate on flattened, per-source z-scored scenario vectors and
 must return member scenarios as representatives (a synthetic centroid has
 no dispatch problem to evaluate), so every method yields the same
 ReductionResult contract as the problem-driven path: a full partition with
-probability-mass weights.
+probability-mass weights.  k-means and the worst-case selection are
+heuristics; k-medoids is exact, the problem-driven clustering MILP run on
+Euclidean distances.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .clustering import ReductionResult
+from .clustering import PddMatrix, ReductionResult, solve_clustering
 from .scenarios import ScenarioSet
 
 KMEANS_RESTARTS = 8
@@ -110,50 +112,19 @@ def _kmeans_pp(X, k, rng) -> np.ndarray:
 
 
 def kmedoids_reduce(scenario_set: ScenarioSet, k: int) -> ReductionResult:
-    """PAM (build + best-improvement swap) on Euclidean distances.
+    """Exact k-medoids: the p-median on standardized Euclidean distances.
 
-    Deterministic: the greedy build and the swap search break ties by
-    lowest index.
+    It is the clustering MILP ``pdsr`` solves, to a proven gap, on another
+    distance.  Weighting each scenario's distance to its medoid by its
+    probability, as ``pdsr`` does, minimizes the expected distance to the
+    reduced set; with equal probabilities it is the unweighted cost.  Ties
+    between equal-cost medoid sets are the solver's deterministic choice.
     """
     X = standardize(scenario_set)
-    n = len(scenario_set)
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}]")
     D = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
-
-    medoids = [int(np.argmin(D.sum(axis=1)))]
-    while len(medoids) < k:
-        current = np.min(D[:, medoids], axis=1)
-        gains = [(np.maximum(current - D[:, c], 0.0).sum(), -c)
-                 for c in range(n) if c not in medoids]
-        best_gain, neg_c = max(gains)
-        medoids.append(-neg_c)
-
-    def total_cost(meds):
-        return float(np.min(D[:, meds], axis=1).sum())
-
-    cost = total_cost(medoids)
-    while True:
-        meds = sorted(medoids)
-        best = (cost, None)
-        for mi in range(len(meds)):
-            for c in range(n):
-                if c in medoids:
-                    continue
-                trial = meds[:mi] + [c] + meds[mi + 1:]
-                tc = total_cost(trial)
-                if tc < best[0] - 1e-12:
-                    best = (tc, trial)
-        if best[1] is None:
-            break
-        cost, medoids = best
-
-    medoids = sorted(medoids)
-    assignment = {i: medoids[int(np.argmin(D[i, medoids]))] for i in range(n)}
-    for m in medoids:
-        assignment[m] = m
-    result = _partition_result(scenario_set, assignment, "kd_e")
-    result.extras["cost"] = cost
+    result = solve_clustering(PddMatrix(D), scenario_set.probabilities,
+                              fixed_k=k)
+    result.method = "kd_e"
     return result
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CacheError, InconsistencyError, RecourseError
+from .errors import CacheError, InconsistencyError, PdsrError
 from .milp import DEFAULT_GAP_TOL
 from .parallel import pmap
 from .scenarios import ScenarioSet, dump_values_csv, dump_probabilities_csv
@@ -89,9 +89,10 @@ def build_problem_space_matrix(problem: TssoProblem, scenario_set: ScenarioSet,
     over the HiGHS LP instance of the program before it, the diagonal's
     first (:meth:`~pdsr.milp.MixedBinaryModel.take_highs`), and its first
     LP starts from that one's basis.  A row is a fixed sequence of solves,
-    so the matrix does not depend on the worker count.  The timings are
-    the busy seconds of the diagonal and the cross solves, summed over
-    rows.
+    so the matrix does not depend on the worker count.  A toolkit error in
+    a diagonal or a cell is raised again, of its class, naming the cell.
+    The timings are the busy seconds of the diagonal and the cross solves,
+    summed over rows.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -101,27 +102,27 @@ def build_problem_space_matrix(problem: TssoProblem, scenario_set: ScenarioSet,
     def row(i: int):
         values = np.empty(n)
         t0 = time.monotonic()
-        last = problem.build_model([scenarios[i]], [1.0])
         try:
+            last = problem.build_model([scenarios[i]], [1.0])
             z, values[i] = solve_scenario_specific(
                 problem, scenarios[i], gap_tol=gap_tol, source_index=i,
                 model=last)
-        except RecourseError as exc:
-            raise RecourseError(
-                f"scenario-specific solve failed at i={i}: {exc}")
+        except PdsrError as exc:
+            raise type(exc)(
+                f"scenario-specific solve failed at i={i}: {exc}") from exc
         t1 = time.monotonic()
         for j in range(n):
             if j == i:
                 continue
-            model = problem.build_model([scenarios[j]], [1.0])
-            model.take_highs(last)
             try:
+                model = problem.build_model([scenarios[j]], [1.0])
+                model.take_highs(last)
                 values[j] = evaluate_with_fixed_first_stage(
                     problem, decision=z, scenario=scenarios[j],
                     gap_tol=gap_tol, model=model)
-            except RecourseError as exc:
-                raise RecourseError(
-                    f"cross evaluation failed at (i={i}, j={j}): {exc}")
+            except PdsrError as exc:
+                raise type(exc)(
+                    f"cross evaluation failed at (i={i}, j={j}): {exc}") from exc
             last = model
         return z, values, t1 - t0, time.monotonic() - t1
 

@@ -46,6 +46,9 @@ class Scenario:
     values: np.ndarray  # shape (num_sources, T)
 
     def __post_init__(self):
+        if self.id != self.id.strip():  # load_scenarios strips each field
+            raise ScenarioFormatError(
+                f"scenario id {self.id!r} has leading or trailing blanks")
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise ScenarioFormatError(f"scenario {self.id!r}: values must be 2-D")

@@ -21,6 +21,7 @@ verification's programs, is a copy of it plus a data write.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass
@@ -40,18 +41,26 @@ class NetworkConfig:
     ($/MWh).  The horizon needs ``t_steps >= 1`` and a finite
     ``dt_hours > 0``, the penalties must be finite and >= 0 and the fixed
     loads finite.  Every bus named by a source or a fixed load must lie in
-    ``[0, n_buses)``.  Subclasses normalize their own fields before calling
+    ``[0, n_buses)``, and bus indices and counts must be integers.
+    Subclasses normalize their own fields before calling
     ``super().__post_init__()`` and extend :meth:`validate`.
     """
 
     def __post_init__(self):
         self.lines = [tuple(l) for l in self.lines]
-        self.fixed_loads = {int(k): list(v) for k, v in self.fixed_loads.items()}
-        self.res_sources = {k: int(v) for k, v in self.res_sources.items()}
-        self.load_sources = {k: int(v) for k, v in self.load_sources.items()}
+        # a JSON object key spells its bus as a string
+        self.fixed_loads = {int(k) if str(k).lstrip("-").isdecimal() else k:
+                            list(v) for k, v in self.fixed_loads.items()}
+        self.res_sources = dict(self.res_sources)
+        self.load_sources = dict(self.load_sources)
         self.validate()
 
     def validate(self):
+        _integer("n_buses", self.n_buses)
+        _integer("t_steps", self.t_steps)
+        for i, j, *_ in self.lines:
+            _integer(f"line ({i},{j}): start", i)
+            _integer(f"line ({i},{j}): end", j)
         if self.t_steps < 1:
             raise ConfigError("t_steps must be >= 1")
         if not (math.isfinite(self.dt_hours) and self.dt_hours > 0):
@@ -61,6 +70,7 @@ class NetworkConfig:
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0")
         for bus, series in self.fixed_loads.items():
+            _integer("fixed_loads key", bus)
             if not 0 <= bus < self.n_buses:
                 raise ConfigError(f"fixed load at bad bus {bus}")
             if len(series) != self.t_steps:
@@ -69,6 +79,7 @@ class NetworkConfig:
                 raise ConfigError(f"fixed_loads at bus {bus} must be finite")
         for name, bus in [*self.res_sources.items(),
                           *self.load_sources.items()]:
+            _integer(f"source {name!r} bus", bus)
             if not 0 <= bus < self.n_buses:
                 raise ConfigError(f"source {name!r} mapped to bad bus {bus}")
 
@@ -80,6 +91,13 @@ class NetworkConfig:
     @classmethod
     def from_dict(cls, d: dict):
         return cls(**d)
+
+
+def _integer(name: str, value):
+    """Raise ConfigError naming ``name`` unless ``value`` is an integer
+    (1.5, 6.0 and True are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 # guards the first build of a problem's kept structure; module-level, as

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError
 from .milp import GE, LE, EQ
 from .scenarios import Scenario, ScenarioSet, _pick_bad, _smooth_noise
-from .tsso import (NetworkConfig, TssoProblem, _penalized_recourse,
+from .tsso import (NetworkConfig, TssoProblem, _integer, _penalized_recourse,
                    _Structure)
 
 
@@ -71,6 +71,7 @@ class UcConfig(NetworkConfig):
         super().__post_init__()
 
     def validate(self):
+        _integer("reference_bus", self.reference_bus)
         if not 0 <= self.reference_bus < self.n_buses:
             raise ConfigError("reference bus out of range")
         for (i, j, b) in self.lines:
@@ -88,6 +89,8 @@ class UcConfig(NetworkConfig):
             if g.cost_reg_up + g.cost_reg_down < 0:
                 raise ConfigError(f"generator {k}: cost_reg_up + cost_reg_down "
                                   "must be >= 0")
+            for name in ("bus", "min_up", "min_down"):
+                _integer(f"generator {k}: {name}", getattr(g, name))
             if g.min_up < 1 or g.min_down < 1:
                 raise ConfigError(f"generator {k}: minimum up/down times must "
                                   "be >= 1 step")

@@ -7,6 +7,7 @@ import pytest
 
 from pdsr.baselines import (hierarchical_reduce, kmeans_reduce, kmedoids_reduce,
                             severity_scores, standardize, worst_case_select)
+from pdsr.milp import DEFAULT_GAP_TOL
 from pdsr.scenarios import Scenario, ScenarioSet
 
 
@@ -83,22 +84,27 @@ def test_kmeans_reseeds_each_empty_cluster_from_its_own_point():
     assert result.extras["sse"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_kmedoids_vs_exhaustive():
-    # single-swap PAM converges to a local optimum; it must stay near the
-    # enumerated global one and usually hit it exactly
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "weighted"])
+def test_kmedoids_is_the_exact_weighted_p_median(uniform):
+    # k-medoids solves the probability-weighted p-median to a proven gap:
+    # its cost is the enumerated optimum over every medoid set, within the
+    # gap, with every scenario on a nearest medoid
     rng = np.random.default_rng(2)
-    exact = 0
-    for seed in range(6):
+    for _ in range(6):
         pts = [np.abs(rng.normal(5.0, 2.0, (1, 2))) for _ in range(8)]
-        ss = make_set(pts)
+        ss = make_set(pts, probs=None if uniform else rng.dirichlet(np.ones(8)))
+        gamma = ss.probabilities
         X = standardize(ss)
         D = np.linalg.norm(X[:, None, :] - X[None, :, :], axis=2)
-        best = min(np.min(D[:, list(meds)], axis=1).sum()
+        best = min(gamma @ np.min(D[:, list(meds)], axis=1)
                    for meds in itertools.combinations(range(8), 3))
         result = kmedoids_reduce(ss, 3)
-        assert result.extras["cost"] <= best * 1.15 + 1e-9
-        exact += result.extras["cost"] <= best + 1e-9
-    assert exact >= 3
+        assert result.method == "kd_e" and result.k == 3
+        result.validate(gamma)
+        cost = sum(gamma[i] * D[i, r] for i, r in result.assignment.items())
+        assert best - 1e-12 <= cost <= best + DEFAULT_GAP_TOL * cost + 1e-12
+        for i, r in result.assignment.items():
+            assert D[i, r] <= D[i, result.representatives].min() + 1e-12
 
 
 def test_hierarchical_merges_closest_pair_first():

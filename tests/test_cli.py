@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -327,6 +328,80 @@ def test_non_finite_config_value_rejected(instance, tmp_path, capsys):
     capsys.readouterr()
     assert main([str(a) for a in ["project", *args]]) == 1
     assert "line (0,1): r must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "F.csv").exists()
+
+
+def _set(*path_value):
+    """Config edit: set the entry at ``path`` (keys and list indices)."""
+    *path, key, value = path_value
+
+    def edit(config):
+        for step in path:
+            config = config[step]
+        config[key] = value
+    return edit
+
+
+def _move_fixed_load(key):
+    def edit(config):
+        loads = config["fixed_loads"]
+        loads[key] = loads.pop(next(iter(loads)))
+    return edit
+
+
+@pytest.fixture(scope="module")
+def uc_instance(tmp_path_factory):
+    base = tmp_path_factory.mktemp("uc_desk")
+    rc = main(["make-desk", "--problem", "uc", "--N", "3", "--T", "6",
+               "--seed", "0", "--out", str(base)])
+    assert rc == 0
+    return base
+
+
+@pytest.mark.parametrize("problem, edit, field", [
+    ("adn", _set("n_buses", 4.5), "n_buses"),
+    ("adn", _set("t_steps", 12.0), "t_steps"),
+    ("adn", _set("res_sources", "wt1", 1.5), "source 'wt1' bus"),
+    ("adn", _set("load_sources", "load1", 2.5), "source 'load1' bus"),
+    ("adn", _move_fixed_load("1.5"), "fixed_loads key"),
+    ("adn", _set("lines", 0, 1, 1.5), r"line \(0,1.5\): end"),
+    ("adn", _set("es_units", 0, "node", 1.5), "es unit 0: node"),
+    ("uc", _set("t_steps", 6.0), "t_steps"),
+    ("uc", _move_fixed_load("1.5"), "fixed_loads key"),
+    ("uc", _set("lines", 0, 0, 1.5), r"line \(1.5,1\): start"),
+    ("uc", _set("generators", 1, "bus", 1.5), "generator 1: bus"),
+    ("uc", _set("reference_bus", 0.5), "reference_bus"),
+    ("uc", _set("generators", 1, "min_up", 1.5), "generator 1: min_up"),
+    ("uc", _set("generators", 0, "min_down", 2.5), "generator 0: min_down"),
+], ids=["adn_n_buses", "adn_t_steps_float", "adn_res_source",
+        "adn_load_source", "adn_fixed_load_key", "adn_line_end",
+        "adn_es_node", "uc_t_steps_float", "uc_fixed_load_key",
+        "uc_line_start", "uc_generator_bus", "uc_reference_bus",
+        "uc_min_up", "uc_min_down"])
+def test_fractional_index_rejected_at_load(instance, uc_instance, tmp_path,
+                                           capsys, problem, edit, field):
+    # each of these once loaded and solved with a bus that names no bus,
+    # or escaped the command as a KeyError, ValueError or TypeError
+    # traceback; the config is rejected when it loads, naming the field
+    from pdsr.adn import AdnConfig
+    from pdsr.errors import ConfigError
+    from pdsr.uc import UcConfig
+    desk = instance if problem == "adn" else uc_instance
+    config = json.loads((desk / "config.json").read_text())
+    edit(config)
+    load = AdnConfig.from_dict if problem == "adn" else UcConfig.from_dict
+    message = f"^{field} must be an integer, got "
+    with pytest.raises(ConfigError, match=message):
+        load(json.loads(json.dumps(config)))
+    (tmp_path / "bad.json").write_text(json.dumps(config))
+    args = common(desk, tmp_path / "run")
+    args[1] = problem
+    args[args.index("--config") + 1] = tmp_path / "bad.json"
+    capsys.readouterr()
+    assert main([str(a) for a in ["project", *args]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert re.search(message[1:], err)
     assert not (tmp_path / "run" / "F.csv").exists()
 
 

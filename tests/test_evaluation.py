@@ -461,10 +461,10 @@ def test_each_decision_solved_and_verified_once(monkeypatch):
 
 
 def test_compare_verifies_each_distinct_decision_once(monkeypatch):
-    # on this instance km_e and hc pick different representatives whose
+    # on this instance kd_e and hc pick different representatives whose
     # reduced programs reach one decision: it is verified once
     import pdsr.evaluation
-    cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
+    cfg, ss = make_uc_desk_instance(seed=5, n_scenarios=8, t_steps=6)
     problem = UcProblem(cfg, ss.source_names)
     matrix = build_problem_space_matrix(problem, ss)
 
@@ -525,12 +525,12 @@ def test_verification_holds_at_most_workers_programs(desk, monkeypatch):
 
 
 def test_failed_verification_fails_only_rows_sharing_its_decision(monkeypatch):
-    # on this instance methods with different representatives reach one
-    # reduced decision; when that decision cannot be verified, exactly
-    # their rows fail, with the error met on the lowest-index failing
-    # scenario, and every other row is unchanged
+    # on this instance methods with different representatives (kd_e and
+    # hc) reach one reduced decision; when that decision cannot be
+    # verified, exactly their rows fail, with the error met on the
+    # lowest-index failing scenario, and every other row is unchanged
     import pdsr.evaluation
-    cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=8, t_steps=6)
+    cfg, ss = make_uc_desk_instance(seed=5, n_scenarios=8, t_steps=6)
     problem = UcProblem(cfg, ss.source_names)
     matrix = build_problem_space_matrix(problem, ss)
     methods = ["pdsr", "km_e", "kd_e", "hc", "ws"]

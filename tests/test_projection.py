@@ -8,7 +8,7 @@ import pytest
 import pdsr.milp
 from oracles import scenario_subset
 from pdsr.adn import AdnProblem, make_desk_instance
-from pdsr.errors import CacheError
+from pdsr.errors import CacheError, ModelError, SolverError
 from pdsr.milp import MixedBinaryModel
 from pdsr.projection import (build_problem_space_matrix, fingerprint,
                              load_matrix, save_matrix)
@@ -107,6 +107,42 @@ def test_every_cell_takes_over_the_instance(desk, monkeypatch, workers):
     assert taken == [True] * (n * (n - 1))
     warm = [was_warm for _, was_warm in first_lp.values()]
     assert sorted(warm) == [False] * n + [True] * (n * (n - 1))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("error, stage, where", [
+    (SolverError, "cell", "cross evaluation failed at (i=1, j=2)"),
+    (ModelError, "diagonal", "scenario-specific solve failed at i=2"),
+], ids=["solver_error_in_cell", "model_error_in_diagonal"])
+def test_failing_subproblem_names_its_cell(desk, monkeypatch, workers, error,
+                                           stage, where):
+    """Any toolkit error of a diagonal or a cell keeps its class and names
+    the cell, not only a recourse failure."""
+    import pdsr.projection
+    problem, ss = desk
+    ids = ss.ids()
+    diagonal = pdsr.projection.solve_scenario_specific
+    cell = pdsr.projection.evaluate_with_fixed_first_stage
+
+    def failing_diagonal(problem, scenario, **kwargs):
+        if stage == "diagonal" and scenario.id == ids[2]:
+            raise error("injected")
+        return diagonal(problem, scenario, **kwargs)
+
+    def failing_cell(problem, decision, scenario, **kwargs):
+        if (stage == "cell" and decision.source_scenario == 1
+                and scenario.id == ids[2]):
+            raise error("injected")
+        return cell(problem, decision, scenario, **kwargs)
+
+    monkeypatch.setattr(pdsr.projection, "solve_scenario_specific",
+                        failing_diagonal)
+    monkeypatch.setattr(pdsr.projection, "evaluate_with_fixed_first_stage",
+                        failing_cell)
+    with pytest.raises(error) as info:
+        build_problem_space_matrix(problem, ss, workers=workers)
+    assert type(info.value) is error
+    assert str(info.value) == f"{where}: injected"
 
 
 def test_save_load_round_trip(tmp_path, matrix):

@@ -120,6 +120,14 @@ def test_duplicate_ids_rejected():
         ScenarioSet(scens, np.array([0.5, 0.5]), ("load1",))
 
 
+@pytest.mark.parametrize("sid", [" a", "a "], ids=["leading", "trailing"])
+def test_blank_edged_id_rejected(sid):
+    # load_scenarios strips every field, so such an id would save and then
+    # read back as another id, or clash with "a" as a duplicate
+    with pytest.raises(ScenarioFormatError, match="leading or trailing blanks"):
+        Scenario(sid, [[1.0]])
+
+
 def test_round_trip_bit_identical(tmp_path):
     rng = np.random.default_rng(42)
     scens = tuple(Scenario(f"s{i}", rng.uniform(0.0, 5.0, (3, 4)))
