@@ -4,7 +4,12 @@ Every command is a pure function of its flags and input files: identical
 inputs give byte-identical primary outputs.  Wall-clock timings therefore
 go to stdout and a ``*.timings.json`` sidecar, never into the primary
 artifacts.  The projection cache (``F.csv`` + ``F.meta.json``) lives in the
-output directory unless ``PDSR_CACHE_DIR`` overrides it.
+output directory unless ``PDSR_CACHE_DIR`` overrides it.  Beside it,
+``solves.json`` records under the same fingerprint the stochastic programs
+``evaluate`` and ``compare`` solved (the full-set benchmark, the reduced
+and the drop-one programs), so a later command solves none of them again.
+Verification outcomes and time-limited benchmark solves are not recorded;
+:mod:`pdsr.evaluation` says why.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .errors import CacheError, ConfigError, PdsrError
 from .evaluation import compare_methods, evaluate_reduction
 from .milp import DEFAULT_GAP_TOL
 from .projection import (build_problem_space_matrix, fingerprint, load_matrix,
-                         save_matrix)
+                         load_solves, save_matrix, save_solves)
 from .scenarios import load_scenarios, save_scenarios
 from .uc import UcConfig, UcProblem, make_uc_desk_instance
 
@@ -74,6 +79,18 @@ def _ensure_matrix(args, problem, scenario_set):
     seconds = time.monotonic() - t0
     save_matrix(matrix, cache)
     return matrix, seconds, False
+
+
+def _load_record(args, problem, matrix):
+    """The programs solved before on the projected scenario set, under the
+    fingerprint of ``matrix``."""
+    return load_solves(_cache_dir(args) / "solves.json", matrix.fingerprint,
+                       len(problem.first_stage_names()))
+
+
+def _save_record(args, record):
+    if record.added:
+        save_solves(record, _cache_dir(args) / "solves.json")
 
 
 def cmd_project(args) -> int:
@@ -173,16 +190,19 @@ def cmd_evaluate(args) -> int:
     result = _load_reduction(args.reduction, scenario_set.probabilities)
     matrix, tau_p, _ = _ensure_matrix(args, problem, scenario_set)
     pdd = compute_pdd(matrix, mu=args.mu, scenario_set=scenario_set)
+    record = _load_record(args, problem, matrix)
     report = evaluate_reduction(problem, scenario_set, result, matrix, pdd,
                                 gap_tol=args.gap_tol, workers=args.workers,
                                 with_se=not args.no_se,
                                 worst_case_bound=args.worst_case_bound,
-                                benchmark_time_limit=args.benchmark_time_limit)
+                                benchmark_time_limit=args.benchmark_time_limit,
+                                record=record)
     path = Path(args.out) / "report.json"
     _json_dump(path, report.to_json_dict())
     timings = dict(report.timings)
     timings["projection_seconds"] = tau_p
     _json_dump(Path(args.out) / "report.timings.json", timings)
+    _save_record(args, record)
     og = "n/a" if report.og_pct is None else f"{report.og_pct:.4f}%"
     print(f"evaluation: og={og} spdd={report.spdd:.6g} "
           f"captured_worst_case={report.captured_worst_case} -> {path}")
@@ -203,12 +223,14 @@ def cmd_compare(args) -> int:
         if m in methods[:k]:
             raise PdsrError(f"--methods names {m!r} twice")
     matrix, tau_p, _ = _ensure_matrix(args, problem, scenario_set)
+    record = _load_record(args, problem, matrix)
     rows, timings = compare_methods(problem, scenario_set, methods, args.K,
                                     matrix, seed=args.seed,
                                     gap_tol=args.gap_tol,
                                     workers=args.workers, mu=args.mu,
                                     worst_case_bound=args.worst_case_bound,
-                                    benchmark_time_limit=args.benchmark_time_limit)
+                                    benchmark_time_limit=args.benchmark_time_limit,
+                                    record=record)
     timings["projection"] = {"seconds": tau_p}
     base = Path(args.out)
     _json_dump(base / "table.json", rows)
@@ -223,6 +245,7 @@ def cmd_compare(args) -> int:
                              else ("" if r.get(c) is None else r.get(c))
                              for c in cols])
     _json_dump(base / "table.timings.json", timings)
+    _save_record(args, record)
     print(f"compared {len(rows) - 1} methods (+benchmark) -> {base / 'table.csv'}")
     return 0
 

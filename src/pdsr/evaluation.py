@@ -7,6 +7,17 @@ per-representative effectiveness) measure the loss actually incurred by
 dispatching on the reduced set and verifying against the full one.  A
 command solves all its decisions first, then verifies them together in one
 scenario-by-scenario pass (:func:`verification_costs`).
+
+The decisions come from stochastic programs: the full-set benchmark, each
+reduced program and each drop-one program.  Each is solved once for a
+:class:`~pdsr.projection.SolveRecord`, which names a program by its
+scenario indices and weights; the CLI keeps that record beside ``F.csv``,
+so ``compare`` after ``evaluate`` solves neither the benchmark nor a
+reduction ``evaluate`` solved.  A benchmark solved under a time limit is
+neither looked up nor recorded: it skips the root step and depends on wall
+time.  Verification outcomes are not recorded either: a scenario's program
+solves a command's decisions warm, one after another, so the last bits of
+an outcome depend on the other decisions of the command.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from .clustering import (PddMatrix, ReductionResult, compute_pdd, pddbi,
 from .errors import PdsrError
 from .milp import DEFAULT_GAP_TOL, GAP_LIMIT
 from .parallel import pmap
-from .projection import ProblemSpaceMatrix, solve_benchmark
+from .projection import ProblemSpaceMatrix, SolveRecord, solve_benchmark
 from .scenarios import ScenarioSet
 from .tsso import (FirstStageDecision, TssoProblem,
                    evaluate_with_fixed_first_stage, solve_stochastic)
@@ -100,26 +111,42 @@ def _raised(outcomes: list) -> list:
 
 
 def _benchmark(problem: TssoProblem, scenario_set: ScenarioSet, gap_tol: float,
-               time_limit: float | None):
+               time_limit: float | None, record: SolveRecord):
     """Full-set (decision, objective), or None when the time limit ends the
-    solve (with or without an incumbent)."""
+    solve (with or without an incumbent).  A solve without a time limit is
+    looked up in, and added to, ``record``."""
+    program = (range(len(scenario_set)), scenario_set.probabilities)
+    zb = record.get(*program) if time_limit is None else None
+    if zb is not None:
+        return zb, zb.objective_at_source
     zb, bench_obj, sol = solve_benchmark(problem, scenario_set, gap_tol=gap_tol,
                                          time_limit=time_limit)
-    return None if sol.status == GAP_LIMIT else (zb, bench_obj)
+    if sol.status == GAP_LIMIT:
+        return None
+    if time_limit is None:
+        record.put(*program, zb)
+    return zb, bench_obj
 
 
 def _reduced_decision(problem: TssoProblem, scenario_set: ScenarioSet,
                       result: ReductionResult, gap_tol: float,
+                      record: SolveRecord,
                       drop: int | None = None) -> FirstStageDecision:
     """Decision of the program on the representatives of ``result`` with
-    their weights; with ``drop``, on the others, weights renormalized."""
+    their weights; with ``drop``, on the others, weights renormalized.
+    Looked up in ``record``, and added to it when solved here."""
     keep = [r for r in result.representatives if r != drop]
     weights = [result.weights[r] for r in keep]
     if drop is not None:
         mass = sum(weights)
         weights = [w / mass for w in weights]
-    return solve_stochastic(problem, [scenario_set.scenarios[r] for r in keep],
-                            weights, gap_tol=gap_tol)[0]
+    decision = record.get(keep, weights)
+    if decision is None:
+        decision = solve_stochastic(
+            problem, [scenario_set.scenarios[r] for r in keep], weights,
+            gap_tol=gap_tol)[0]
+        record.put(keep, weights, decision)
+    return decision
 
 
 @dataclass
@@ -213,15 +240,21 @@ def evaluate_reduction(problem: TssoProblem, scenario_set: ScenarioSet,
                        pdd: PddMatrix, gap_tol: float = DEFAULT_GAP_TOL,
                        workers: int = 1, with_se: bool = True,
                        worst_case_bound: float = 2.0,
-                       benchmark_time_limit: float | None = None) -> EvaluationReport:
+                       benchmark_time_limit: float | None = None,
+                       record: SolveRecord | None = None) -> EvaluationReport:
     """Assemble the full evaluation report for one reduction.
 
     The scenario effectiveness (``se``) is None without ``with_se``, with
     one representative, or when the benchmark is not computed or its
-    objective is too close to zero for a percent gap."""
+    objective is too close to zero for a percent gap.  ``record`` holds
+    programs solved before on ``scenario_set`` at ``gap_tol`` (default:
+    none) and gains those solved here; it changes what is solved, never a
+    result."""
+    record = SolveRecord() if record is None else record
     timings = {}
     t0 = time.monotonic()
-    bench = _benchmark(problem, scenario_set, gap_tol, benchmark_time_limit)
+    bench = _benchmark(problem, scenario_set, gap_tol, benchmark_time_limit,
+                       record)
     timings["benchmark_seconds"] = time.monotonic() - t0
     bench_obj = float(bench[1]) if bench else None
 
@@ -229,7 +262,8 @@ def evaluate_reduction(problem: TssoProblem, scenario_set: ScenarioSet,
     reps = result.representatives
     with_se = (with_se and result.k >= 2 and bench_obj is not None
                and abs(bench_obj) >= 1e-6)
-    decisions = [_reduced_decision(problem, scenario_set, result, gap_tol, drop)
+    decisions = [_reduced_decision(problem, scenario_set, result, gap_tol,
+                                   record, drop)
                  for drop in [None, *(reps if with_se else [])]]
     timings["reduction_seconds"] = time.monotonic() - t0
 
@@ -264,7 +298,8 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
                     seed: int = 0, gap_tol: float = DEFAULT_GAP_TOL,
                     workers: int = 1, mu: float = 0.0,
                     worst_case_bound: float = 2.0,
-                    benchmark_time_limit: float | None = None):
+                    benchmark_time_limit: float | None = None,
+                    record: SolveRecord | None = None):
     """Run every requested reduction method at the same K and score it.
 
     ``matrix`` is the projection of ``scenario_set``; the worst-case flags
@@ -272,13 +307,17 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
     timings): ``rows`` hold only deterministic fields (one per method plus
     a benchmark row); wall-clock timings are keyed by method in the second
     mapping.  A method whose reduction, solve or verification fails yields
-    a row marked failed instead of aborting the comparison.
+    a row marked failed instead of aborting the comparison.  ``record`` is
+    as for :func:`evaluate_reduction`; through it, methods that pick the
+    same reduction share one solve.
     """
+    record = SolveRecord() if record is None else record
     gamma = scenario_set.probabilities
     wc = detect_worst_case(matrix, bound=worst_case_bound)
 
     t0 = time.monotonic()
-    bench = _benchmark(problem, scenario_set, gap_tol, benchmark_time_limit)
+    bench = _benchmark(problem, scenario_set, gap_tol, benchmark_time_limit,
+                       record)
     timings = {"benchmark": {"solve_seconds": time.monotonic() - t0}}
 
     bench_row = {"method": "benchmark", "status": "ok", "k": len(scenario_set),
@@ -289,8 +328,6 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
                  "representatives": list(range(len(scenario_set)))}
     rows = [bench_row]
 
-    # methods that pick the same reduction share one solve
-    solved: dict[tuple, FirstStageDecision] = {}
     reduced = []      # (row, representatives, decision) awaiting verification
     for name in methods:
         row, tm = {"method": name, "k": k}, {}
@@ -305,13 +342,10 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
                 result = run_baseline(name, scenario_set, k, seed=seed)
             tm["clustering_seconds"] = time.monotonic() - t0
             t0 = time.monotonic()
-            reps = result.representatives
-            key = (tuple(reps), tuple(result.weights[r] for r in reps))
-            if key not in solved:
-                solved[key] = _reduced_decision(problem, scenario_set, result,
-                                                gap_tol)
+            decision = _reduced_decision(problem, scenario_set, result,
+                                         gap_tol, record)
             tm["reduction_seconds"] = time.monotonic() - t0
-            reduced.append((row, reps, solved[key]))
+            reduced.append((row, result.representatives, decision))
         except Exception as exc:  # per-method isolation, row marked failed
             row["status"] = f"failed: {exc}"
 

@@ -11,13 +11,18 @@ independent of worker count and scheduling.
 The matrix is cached as a CSV with scenario-id headers plus a JSON sidecar
 carrying the fingerprint, decisions, and timings; a cache is only reusable
 when problem configuration, scenario data, and gap tolerance all match.
+The stochastic programs solved on the scenario set are recorded under the
+same fingerprint (:class:`SolveRecord`), so a later command reuses them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -221,6 +226,89 @@ def load_matrix(path, expected_fingerprint: str) -> ProblemSpaceMatrix:
                          f"{len(ids)} scenarios")
     return ProblemSpaceMatrix(values, decisions, list(ids), fp, gap_tol,
                               extra)
+
+
+@dataclass
+class SolveRecord:
+    """Stochastic programs solved on one scenario set, under its
+    :func:`fingerprint`: each program, named by its scenario indices and
+    weights, maps to its decision and objective.  A program's first solve
+    depends on nothing before it (the :mod:`pdsr.milp` determinism
+    contract), so :meth:`get` returns what solving it again would, for a
+    program solved without a time limit (:mod:`pdsr.evaluation`)."""
+
+    fingerprint: str | None = None
+    programs: dict = field(default_factory=dict)  # key -> (values, objective)
+    added: bool = False                           # an entry since loading
+
+    @staticmethod
+    def _key(indices, weights) -> tuple:
+        return (tuple(int(i) for i in indices),
+                tuple(repr(float(w)) for w in weights))
+
+    def get(self, indices, weights) -> FirstStageDecision | None:
+        """The recorded decision of the program, or None."""
+        hit = self.programs.get(self._key(indices, weights))
+        return None if hit is None else FirstStageDecision(*hit)
+
+    def put(self, indices, weights, decision: FirstStageDecision):
+        self.programs[self._key(indices, weights)] = (
+            decision.values, decision.objective_at_source)
+        self.added = True
+
+
+def load_solves(path, expected_fingerprint: str, n_first: int) -> SolveRecord:
+    """The record saved at ``path``; never raises, as it is a cache: a
+    missing or unreadable file, a wrong shape, another fingerprint, a
+    non-finite value or a decision of other than ``n_first`` values reads
+    as an empty record."""
+    record = SolveRecord(expected_fingerprint)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if payload["fingerprint"] != expected_fingerprint:
+            return record
+        programs = {}
+        for p in payload["programs"]:
+            indices, weights = p["scenarios"], [float(w) for w in p["weights"]]
+            values = np.array([float(v) for v in p["values"]])
+            objective = float(p["objective"])
+            if (not all(type(i) is int for i in indices)
+                    or values.shape != (n_first,)
+                    or not np.isfinite([*weights, *values, objective]).all()):
+                return record
+            programs[SolveRecord._key(indices, weights)] = (values, objective)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return record  # a JSONDecodeError is a ValueError
+    record.programs = programs
+    return record
+
+
+def save_solves(record: SolveRecord, path):
+    """Write the record whole: into a temporary file in the same directory,
+    then moved over ``path``.  Floats are written as ``repr`` strings, so
+    they round-trip exactly; a write that fails leaves ``path`` as it was
+    and raises nothing, as the record is a cache."""
+    p = Path(path)
+    payload = {"fingerprint": record.fingerprint,
+               "programs": [{"scenarios": list(indices),
+                             "weights": list(weights),
+                             "values": [repr(float(v)) for v in values],
+                             "objective": repr(float(objective))}
+                            for (indices, weights), (values, objective)
+                            in record.programs.items()]}
+    try:
+        fd, tmp = tempfile.mkstemp(dir=p.parent, prefix=p.name, suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, p)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def solve_benchmark(problem: TssoProblem, scenario_set: ScenarioSet,

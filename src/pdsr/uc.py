@@ -46,7 +46,7 @@ class Generator:
     cost_reg_down: float    # cost_reg_up + cost_reg_down >= 0 (module doc)
     min_up: int = 1
     min_down: int = 1
-    u0: int = 0             # committed before the horizon
+    u0: int = 0             # 1 when committed before the horizon, else 0
     p0: float = 0.0         # output before the horizon
 
 
@@ -89,8 +89,11 @@ class UcConfig(NetworkConfig):
             if g.cost_reg_up + g.cost_reg_down < 0:
                 raise ConfigError(f"generator {k}: cost_reg_up + cost_reg_down "
                                   "must be >= 0")
-            for name in ("bus", "min_up", "min_down"):
+            for name in ("bus", "min_up", "min_down", "u0"):
                 _integer(f"generator {k}: {name}", getattr(g, name))
+            if g.u0 not in (0, 1):
+                raise ConfigError(f"generator {k}: u0 must be 0 or 1, "
+                                  f"got {g.u0!r}")
             if g.min_up < 1 or g.min_down < 1:
                 raise ConfigError(f"generator {k}: minimum up/down times must "
                                   "be >= 1 step")

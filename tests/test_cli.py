@@ -530,3 +530,155 @@ def test_compare_benchmark_time_limit_reports_null_gap(instance, tmp_path):
     table = json.loads((out / "table.json").read_text())
     assert table[0]["method"] == "benchmark" and table[0]["og_pct"] is None
     assert [r["status"] for r in table[1:]] == ["ok", "ok"]
+
+
+def _readme_run(instance, out, *evaluate_args):
+    """cluster --K 2, evaluate and compare in ``out``; returns the outputs."""
+    out.mkdir(exist_ok=True)
+    run_ok(["cluster", *common(instance, out), "--K", "2"])
+    run_ok(["evaluate", *common(instance, out), "--reduction",
+            out / "reduction.json", *evaluate_args])
+    run_ok(["compare", *common(instance, out), "--methods", "pdsr,km_e,ws",
+            "--K", "2"])
+    return {name: (out / name).read_bytes()
+            for name in ("report.json", "table.json", "table.csv")}
+
+
+def test_compare_after_evaluate_reuses_its_programs(instance, tmp_path,
+                                                    monkeypatch):
+    # compare reads the benchmark and the pdsr reduced program that
+    # evaluate recorded beside F.csv, and writes what a compare in a fresh
+    # directory writes; evaluate against a full record solves nothing
+    import pdsr.evaluation
+    from pdsr.projection import load_solves
+    solved = []
+    for name in ("solve_benchmark", "solve_stochastic"):
+        solve = getattr(pdsr.evaluation, name)
+        monkeypatch.setattr(pdsr.evaluation, name,
+                            lambda *a, _solve=solve, _name=name, **kw:
+                            solved.append(_name) or _solve(*a, **kw))
+    out = tmp_path / "run"
+    out.mkdir()
+    run_ok(["cluster", *common(instance, out), "--K", "2"])
+    run_ok(["evaluate", *common(instance, out), "--reduction",
+            out / "reduction.json"])
+    # the benchmark, the reduced program and its two drop-one programs
+    assert solved == ["solve_benchmark"] + ["solve_stochastic"] * 3
+    solved.clear()
+    run_ok(["compare", *common(instance, out), "--methods", "pdsr,km_e,ws",
+            "--K", "2"])
+    after_evaluate = solved[:]
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    run_ok(["compare", *common(instance, fresh), "--methods", "pdsr,km_e,ws",
+            "--K", "2"])
+    for name in ("table.json", "table.csv"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+    # the fresh compare solves the benchmark and each distinct reduction;
+    # after evaluate, all but the benchmark and pdsr's reduction
+    assert solved[:len(after_evaluate)] == after_evaluate
+    assert solved[len(after_evaluate):] == ["solve_benchmark",
+                                            *after_evaluate, "solve_stochastic"]
+
+    report, record = (out / "report.json").read_bytes(), (out / "solves.json")
+    before = record.read_bytes()
+    solved.clear()
+    run_ok(["evaluate", *common(instance, out), "--reduction",
+            out / "reduction.json"])
+    assert solved == []
+    assert (out / "report.json").read_bytes() == report
+    assert record.read_bytes() == before   # nothing added, nothing written
+    # evaluate's four programs and the reduction only km_e or ws picked,
+    # read back as written
+    fp = json.loads((out / "F.meta.json").read_text())["fingerprint"]
+    programs = json.loads(before)["programs"]
+    loaded = load_solves(record, fp, len(programs[0]["values"])).programs
+    assert len(loaded) == len(programs) == 5
+    for p, (values, objective) in zip(programs, loaded.values()):
+        assert [repr(float(v)) for v in values] == p["values"]
+        assert repr(objective) == p["objective"]
+
+
+def _record_other_fingerprint(text):
+    # the values are wrong too, so reading them would show in the report
+    payload = json.loads(text)
+    payload["fingerprint"] = "0" * 64
+    for p in payload["programs"]:
+        p["values"] = ["0.0"] * len(p["values"])
+    return json.dumps(payload)
+
+
+def _record_invalid_json(text):
+    return text[:len(text) // 2]
+
+
+def _record_short_decision(text):
+    payload = json.loads(text)
+    payload["programs"][0]["values"].pop()
+    return json.dumps(payload)
+
+
+def _record_nan_value(text):
+    payload = json.loads(text)
+    payload["programs"][0]["values"][0] = "nan"
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("corrupt", [_record_other_fingerprint,
+                                     _record_invalid_json,
+                                     _record_short_decision,
+                                     _record_nan_value],
+                         ids=["other_fingerprint", "invalid_json",
+                              "short_decision", "nan_value"])
+def test_bad_record_is_read_as_empty_and_rewritten(instance, tmp_path,
+                                                   corrupt):
+    outputs = _readme_run(instance, tmp_path / "good")
+    good = (tmp_path / "good" / "solves.json").read_text()
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "solves.json").write_text(corrupt(good))
+    assert _readme_run(instance, out) == outputs
+    # the same programs, solved again in the same order
+    assert (out / "solves.json").read_text() == good
+
+
+def test_time_limited_benchmark_is_not_recorded(instance, tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    args = ["compare", *common(instance, out), "--methods", "pdsr,km_e",
+            "--K", "2"]
+    run_ok([*args, "--benchmark-time-limit", "1e-9"])
+    payload = json.loads((out / "solves.json").read_text())
+    assert payload["programs"]
+    assert all(p["scenarios"] != list(range(4)) for p in payload["programs"])
+    run_ok(args)
+    table = json.loads((out / "table.json").read_text())
+    assert table[0]["og_pct"] == 0.0
+    assert table[0]["objective_on_full"] is not None
+    # a recorded benchmark is not read by a time-limited solve either
+    run_ok(["cluster", *common(instance, out), "--K", "2"])
+    run_ok(["evaluate", *common(instance, out), "--reduction",
+            out / "reduction.json", "--benchmark-time-limit", "1e-9"])
+    report = json.loads((out / "report.json").read_text())
+    assert report["benchmark_objective"] is None
+
+
+@pytest.mark.parametrize("u0", [0.5, 2, True])
+def test_initial_commitment_must_be_zero_or_one(uc_instance, tmp_path,
+                                                capsys, u0):
+    # u0 = 0.5 or 2 once loaded and solved to another objective
+    from pdsr.errors import ConfigError
+    from pdsr.uc import UcConfig
+    config = json.loads((uc_instance / "config.json").read_text())
+    config["generators"][1]["u0"] = u0
+    with pytest.raises(ConfigError, match="^generator 1: u0 must be "):
+        UcConfig.from_dict(json.loads(json.dumps(config)))
+    (tmp_path / "bad.json").write_text(json.dumps(config))
+    args = common(uc_instance, tmp_path / "run")
+    args[1] = "uc"
+    args[args.index("--config") + 1] = tmp_path / "bad.json"
+    capsys.readouterr()
+    assert main([str(a) for a in ["project", *args]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: generator 1: u0 must be ")
+    assert not (tmp_path / "run" / "F.csv").exists()

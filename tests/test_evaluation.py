@@ -12,7 +12,8 @@ from pdsr.evaluation import (compare_methods, detect_worst_case,
                              evaluate_reduction, pddbi, spdd,
                              verification_costs)
 from pdsr.milp import INFEASIBLE, Solution
-from pdsr.projection import ProblemSpaceMatrix, build_problem_space_matrix, solve_benchmark
+from pdsr.projection import (ProblemSpaceMatrix, SolveRecord,
+                             build_problem_space_matrix, solve_benchmark)
 from pdsr.scenarios import ScenarioSet
 from pdsr.uc import UcProblem, make_uc_desk_instance
 
@@ -458,6 +459,38 @@ def test_each_decision_solved_and_verified_once(monkeypatch):
     assert distinct < m
     assert len(calls) == (distinct + 1) * (n + 1)
     assert len(compiles) == 1 + distinct + n
+
+
+def test_shared_record_skips_programs_solved_before(monkeypatch):
+    # with the record evaluate_reduction filled, compare_methods solves
+    # neither the benchmark nor pdsr's reduced program again, and its rows
+    # equal those of a fresh comparison
+    import pdsr.tsso
+    config, ss = make_desk_instance(seed=3, n_scenarios=6, t_steps=12,
+                                    buses=5, bad_fraction=0.2)
+    problem = AdnProblem(config, ss.source_names)
+    matrix = build_problem_space_matrix(problem, ss)
+    pdd = compute_pdd(matrix)
+    red = solve_clustering(pdd, ss.probabilities, fixed_k=4)
+    methods = ["pdsr", "km_e", "kd_e", "hc", "ws"]
+    calls, compiles = [], []
+    solve, build = pdsr.tsso.solve_milp, problem.build_model
+    monkeypatch.setattr(pdsr.tsso, "solve_milp",
+                        lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    monkeypatch.setattr(problem, "build_model",
+                        lambda *a, **kw: compiles.append(1) or build(*a, **kw))
+
+    fresh, _ = compare_methods(problem, ss, methods, red.k, matrix=matrix)
+    counts = len(calls), len(compiles)
+    record = SolveRecord()
+    evaluate_reduction(problem, ss, red, matrix, pdd, record=record)
+    assert len(record.programs) == red.k + 2
+    calls.clear()
+    compiles.clear()
+    rows, _ = compare_methods(problem, ss, methods, red.k, matrix=matrix,
+                              record=record)
+    assert rows == fresh
+    assert (len(calls), len(compiles)) == (counts[0] - 2, counts[1] - 2)
 
 
 def test_compare_verifies_each_distinct_decision_once(monkeypatch):
