@@ -11,8 +11,8 @@ length is folded into the cost coefficients at compile time.
 
 The compiler builds the program's structure (:func:`_adn_structure`) and
 writes the scenario data into it: the bus loads and renewable output as
-slack bounds and balance right-hand sides, and the price as trading and
-balancing costs (``tsso._Structure``).
+slack bounds and balance right-hand sides, the price and the scenario
+weight into the costs (``tsso._Structure``).
 """
 
 from __future__ import annotations
@@ -133,10 +133,10 @@ class AdnConfig(NetworkConfig):
         return ch
 
 
-def _adn_structure(cfg: AdnConfig, weights) -> _Structure:
-    """The dispatch program over one scenario per weight, without its
-    scenario data: the slack bounds, the balance right-hand sides and the
-    price-dependent trading and balancing costs."""
+def _adn_structure(cfg: AdnConfig, n: int) -> _Structure:
+    """The dispatch program over ``n`` scenarios, without their data and
+    weights: the slack bounds, the balance right-hand sides and the
+    weighted penalty and price-dependent trading and balancing costs."""
     T, dt = cfg.t_steps, cfg.dt_hours
     parent = cfg.parents()
     children = cfg.children()
@@ -154,7 +154,7 @@ def _adn_structure(cfg: AdnConfig, weights) -> _Structure:
         m.add_objective(ecap[k], e.price, group="da_storage")
 
     # -- second stage ------------------------------------------------------
-    for s, w in enumerate(weights):
+    for s in range(n):
         tp = [m.add_var(f"Tp[{s},{t}]", 0.0, cfg.p_trade_max) for t in range(T)]
         tm = [m.add_var(f"Tm[{s},{t}]", 0.0, cfg.p_trade_max) for t in range(T)]
         dts = [m.add_var(f"DT[{s},{t}]", 0.0, 1.0, binary=True) for t in range(T)]
@@ -166,7 +166,7 @@ def _adn_structure(cfg: AdnConfig, weights) -> _Structure:
                 volt[b, t] = m.add_var(f"V[{b},{s},{t}]", cfg.v_min_sq, cfg.v_max_sq)
                 fp[b, t] = m.add_var(f"Fp[{b},{s},{t}]", -math.inf, math.inf)
                 fq[b, t] = m.add_var(f"Fq[{b},{s},{t}]", -math.inf, math.inf)
-        shed, curt = _penalized_recourse(st, w, s)
+        shed, curt = _penalized_recourse(st, s)
         ch = {}
         dis = {}
         stored = {}
@@ -182,11 +182,11 @@ def _adn_structure(cfg: AdnConfig, weights) -> _Structure:
             m.gating.append((dts[t], tp[t], tm[t]))
 
         # objective: day-ahead trading (scenario-weighted price), intraday
-        # balancing (penalty costs are priced with the slacks)
+        # balancing (penalty costs are added with the slacks)
         for t in range(T):
-            st.add_price_cost(s, pt[t], w, t, "da_trade")
-            st.add_price_cost(s, tp[t], w * cfg.buy_mult, t, "in_balance")
-            st.add_price_cost(s, tm[t], w * cfg.sell_mult, t, "in_balance")
+            st.add_cost(s, pt[t], "da_trade", 1.0, t)
+            st.add_cost(s, tp[t], "in_balance", cfg.buy_mult, t)
+            st.add_cost(s, tm[t], "in_balance", cfg.sell_mult, t)
 
         # voltage drop along each line; the root is the reference at 1 pu
         for b in range(1, cfg.n_buses):
@@ -282,8 +282,8 @@ class AdnProblem(TssoProblem):
     def build_model(self, scenarios, weights):
         return self._compiled(scenarios, weights)
 
-    def _structure(self, weights):
-        return _adn_structure(self.config, weights)
+    def _structure(self, n):
+        return _adn_structure(self.config, n)
 
     def first_stage_summary(self, decision):
         T = self.config.t_steps

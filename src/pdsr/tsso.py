@@ -11,11 +11,11 @@ The two network problems (``adn``, ``uc``) share their config handling
 (:class:`NetworkConfig`), their problem class (:class:`TssoProblem`) and
 the compile steps that map scenario sources to buses and add those slacks.
 Their compilers build a program's structure, which depends only on the
-config and the scenario weights, and a data writer then writes each
-scenario's data into it (:class:`_Structure`).  A problem keeps the
-structure of its one-scenario, unit-weight program, so every later compile
-of such a program, the projection's cells and diagonals and the
-verification's programs, is a copy of it plus a data write.
+config and the scenario count, and a data writer then writes each
+scenario's data and weight into it (:class:`_Structure`).  A problem keeps
+one structure per scenario count, so every compile, of the projection's
+cells and diagonals, the verification's programs, the full set and the
+reduced and drop-one sets, is a copy of a kept structure plus a data write.
 """
 
 from __future__ import annotations
@@ -100,9 +100,9 @@ def _integer(name: str, value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-# guards the first build of a problem's kept structure; module-level, as
-# problems are deep-copied and a lock is not
-_SINGLE_LOCK = threading.Lock()
+# guards the first build of each of a problem's kept structures;
+# module-level, as problems are deep-copied and a lock is not
+_STRUCTURE_LOCK = threading.Lock()
 
 
 class TssoProblem(ABC):
@@ -110,16 +110,16 @@ class TssoProblem(ABC):
     ordering; its first stage is the ``_Structure.n_first`` leading columns
     of every program it compiles.
 
-    It keeps the structure of its one-scenario, unit-weight program after
-    its first use (:meth:`_single_structure`); the config must not change
-    after that."""
+    It keeps the structure of its programs over ``n`` scenarios after the
+    first compile of one (:meth:`_kept_structure`); the config must not
+    change after that."""
 
     kind = ""  # problem tag of the cache fingerprint
 
     def __init__(self, config: NetworkConfig, source_names):
         self.config = config
         self.source_names = tuple(source_names)
-        self._single = None  # _Structure of the one-scenario, unit-weight program
+        self._structures: dict[int, _Structure] = {}  # scenario count -> kept
 
     @abstractmethod
     def build_model(self, scenarios, weights) -> MixedBinaryModel:
@@ -135,8 +135,8 @@ class TssoProblem(ABC):
         """Problem-specific scalar summary of a first-stage decision."""
 
     @abstractmethod
-    def _structure(self, weights: list[float]) -> "_Structure":
-        """The structure of the program over ``len(weights)`` scenarios."""
+    def _structure(self, n: int) -> "_Structure":
+        """The structure of the program over ``n`` scenarios."""
 
     def fingerprint_payload(self) -> dict:
         """Canonical configuration dict used for cache fingerprints."""
@@ -145,40 +145,36 @@ class TssoProblem(ABC):
 
     def first_stage_names(self) -> list[str]:
         """Names of the first-stage columns, in decision-vector order."""
-        structure = self._single_structure()
+        structure = self._kept_structure(1)
         return structure.model.var_names[:structure.n_first]
 
-    def _single_structure(self) -> "_Structure":
-        """The kept structure of the one-scenario, unit-weight program.
-        The first call builds it and assembles its matrix under a lock, so
-        threads asking at once build one and every copy of it shares one
-        matrix object, as :meth:`~pdsr.milp.MixedBinaryModel.take_highs`
-        needs."""
-        if self._single is None:
-            with _SINGLE_LOCK:
-                if self._single is None:
-                    structure = self._structure([1.0])
+    def _kept_structure(self, n: int) -> "_Structure":
+        """The kept structure of the program over ``n`` scenarios.  The
+        first call for ``n`` builds it and assembles its matrix under a
+        lock, so threads asking at once build one and every copy of it
+        shares one matrix object, as
+        :meth:`~pdsr.milp.MixedBinaryModel.take_highs` needs."""
+        structure = self._structures.get(n)
+        if structure is None:
+            with _STRUCTURE_LOCK:
+                structure = self._structures.get(n)
+                if structure is None:
+                    structure = self._structure(n)
                     structure.model._assembled_matrix()
-                    self._single = structure
-        return self._single
+                    self._structures[n] = structure
+        return structure
 
     def _compiled(self, scenarios, weights) -> MixedBinaryModel:
-        """The program over ``scenarios``, each with its weight, its
-        structure built here and the scenarios' data written into it; a
-        weight count other than the scenario count raises ValueError.  A
-        one-scenario, unit-weight program is a copy of the kept structure
-        instead, which is never written to."""
+        """The program over ``scenarios``, each with its weight: a copy of
+        the kept structure of their count with the scenarios' data and
+        weights written into it.  A weight count other than the scenario
+        count raises ValueError."""
         weights = [float(w) for w in weights]
         if len(weights) != len(scenarios):
             raise ValueError(f"{len(scenarios)} scenarios but {len(weights)} "
                              "weights")
-        if weights != [1.0]:
-            structure = self._structure(weights)
-            return structure.write(structure.model, scenarios,
-                                   self.source_names)
-        structure = self._single_structure()
-        return structure.write(structure.model.copy(), scenarios,
-                               self.source_names)
+        return self._kept_structure(len(scenarios)).write(
+            scenarios, weights, self.source_names)
 
 
 def _source_rows(cfg: NetworkConfig, source_names, scenarios,
@@ -201,17 +197,18 @@ def _source_rows(cfg: NetworkConfig, source_names, scenarios,
 
 
 class _Structure:
-    """A network program without its scenario data, and the writer of
-    that data (:meth:`write`).
+    """A network program without its scenario data and weights, and the
+    writer of both (:meth:`write`).
 
     The data are the upper bounds of the shedding and curtailment slacks,
     the right-hand sides of the balance rows that fold those bounds, and
-    the price-dependent costs; the rest depends only on the config and the
-    scenario weights.  A compiler builds ``model`` with zero placeholders
-    for the data through :func:`_penalized_recourse`,
-    :meth:`add_data_row` and :meth:`add_price_cost`, which record where
-    each datum goes.  It adds the first-stage columns first, the same for
-    every weight vector, and records their count in ``n_first``."""
+    the scenario costs, each weighted by its scenario's weight; the rest
+    depends only on the config and the scenario count.  A compiler builds
+    ``model`` with zero placeholders for the data through
+    :func:`_penalized_recourse`, :meth:`add_data_row` and :meth:`add_cost`,
+    which record where each datum goes.  It adds the first-stage columns
+    first, the same for every scenario count, and records their count in
+    ``n_first``."""
 
     def __init__(self, cfg: NetworkConfig, price_source: str | None = None):
         self.cfg = cfg
@@ -231,8 +228,9 @@ class _Structure:
         self.res_buses = sorted(res.items())
         # per scenario, the slack columns in _slack_bounds order
         self.slacks: list[list[int]] = []
-        # (scenario, column, group, factor, t): cost factor * price[t] * dt
-        self.costs: list[tuple[int, int, str, float, int]] = []
+        # (scenario, column, group, a, t): cost weight * a * price[t] * dt,
+        # the price 1.0 when t is None
+        self.costs: list[tuple[int, int, str, float, int | None]] = []
         # (row, ((coef, slack column), ...)): rhs 0.0 - sum of coef * bound
         self.data_rows: list[tuple[int, tuple]] = []
 
@@ -244,30 +242,29 @@ class _Structure:
             self.data_rows.append((len(self.model.row_len), tuple(terms)))
         self.model.add_row(cols, vals, relation, 0.0)
 
-    def add_price_cost(self, s: int, col: int, factor: float, t: int,
-                       group: str):
-        """Price ``col`` at ``factor * price[t] * dt`` in ``group``, with
-        the price of scenario ``s``."""
-        self.costs.append((s, col, group, factor, t))
+    def add_cost(self, s: int, col: int, group: str, a: float,
+                 t: int | None):
+        """Cost ``col`` at ``weight * a * price[t] * dt`` in ``group``, with
+        the weight and price of scenario ``s``; ``t`` None prices at 1.0."""
+        self.costs.append((s, col, group, a, t))
         self.model.add_objective(col, 0.0, group=group)
 
-    def write(self, model: MixedBinaryModel, scenarios,
-              source_names) -> MixedBinaryModel:
-        """Write the data of ``scenarios``, one per scenario of the
-        structure, into ``model`` (``self.model`` or a copy of it) and
-        return it.  The slack bounds are checked as
-        :meth:`MixedBinaryModel.add_var` checks bounds, and the costs
-        accumulate onto the placeholders in scenario order."""
-        cfg = self.cfg
+    def write(self, scenarios, weights, source_names) -> MixedBinaryModel:
+        """A copy of ``self.model`` with the data of ``scenarios``, one per
+        scenario of the structure, and their ``weights`` written into it.
+        The slack bounds are checked as :meth:`MixedBinaryModel.add_var`
+        checks bounds, and the costs accumulate onto the placeholders in
+        record order."""
+        cfg, model = self.cfg, self.model.copy()
         extra = () if self.price_source is None else (self.price_source,)
         src = _source_rows(cfg, source_names, scenarios, extra)
         for scen, slacks in zip(scenarios, self.slacks):
             for j, bound in zip(slacks, self._slack_bounds(scen, src)):
                 model.set_bounds(j, 0.0, bound)
-        prices = [scen.values[src[self.price_source]]
-                  for scen in scenarios] if self.costs else []
-        for s, j, group, factor, t in self.costs:
-            model.add_objective(j, factor * prices[s][t] * cfg.dt_hours,
+        price_row = src.get(self.price_source)
+        for s, j, group, a, t in self.costs:
+            price = 1.0 if t is None else scenarios[s].values[price_row, t]
+            model.add_objective(j, weights[s] * a * price * cfg.dt_hours,
                                 group=group)
         ub = model.ub
         for row, terms in self.data_rows:
@@ -296,27 +293,25 @@ class _Structure:
         return bounds
 
 
-def _penalized_recourse(st: _Structure, w: float, s: int):
+def _penalized_recourse(st: _Structure, s: int):
     """Add scenario ``s``'s shedding ``Ls[b,s,t]`` at every load bus, then
-    its curtailment ``Rc[b,s,t]`` at every renewable bus, priced (weight
-    ``w``) into group ``in_penalty``; their upper bounds, what the bus
-    holds, are scenario data.
+    its curtailment ``Rc[b,s,t]`` at every renewable bus, costed into group
+    ``in_penalty``; their upper bounds, what the bus holds, are scenario
+    data.
 
     Returns (shed, curt), the slack columns keyed by (bus, t).
     """
     m, cfg = st.model, st.cfg
-    T, dt = cfg.t_steps, cfg.dt_hours
     shed, curt = {}, {}
-    shed_cost = w * cfg.penalty_shed * dt
-    curtail_cost = w * cfg.penalty_curtail * dt
     for b, _ in st.load_buses:
-        for t in range(T):
+        for t in range(cfg.t_steps):
             shed[b, t] = m.add_var(f"Ls[{b},{s},{t}]", 0.0, 0.0)
-            m.add_objective(shed[b, t], shed_cost, group="in_penalty")
+            st.add_cost(s, shed[b, t], "in_penalty", cfg.penalty_shed, None)
     for b, _ in st.res_buses:
-        for t in range(T):
+        for t in range(cfg.t_steps):
             curt[b, t] = m.add_var(f"Rc[{b},{s},{t}]", 0.0, 0.0)
-            m.add_objective(curt[b, t], curtail_cost, group="in_penalty")
+            st.add_cost(s, curt[b, t], "in_penalty", cfg.penalty_curtail,
+                        None)
     st.slacks.append([*shed.values(), *curt.values()])
     return shed, curt
 

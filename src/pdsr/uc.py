@@ -14,7 +14,8 @@ optimal value.  A program carries only the commitments as binaries.
 
 The compiler builds the program's structure (:func:`_uc_structure`) and
 writes the scenario data into it: the bus loads and renewable output as
-slack bounds and balance right-hand sides (``tsso._Structure``).
+slack bounds and balance right-hand sides, the scenario weight into the
+costs (``tsso._Structure``).
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ class UcConfig(NetworkConfig):
         for (i, j, b) in self.lines:
             if not (0 <= i < self.n_buses and 0 <= j < self.n_buses) or i == j:
                 raise ConfigError(f"bad line ({i},{j})")
+            if not math.isfinite(b):
+                raise ConfigError(f"line ({i},{j}): susceptance must be finite")
         for k, g in enumerate(self.generators):
             for f in fields(g):
                 if not math.isfinite(getattr(g, f.name)):
@@ -102,9 +105,10 @@ class UcConfig(NetworkConfig):
         super().validate()
 
 
-def _uc_structure(cfg: UcConfig, weights) -> _Structure:
-    """The commitment program over one scenario per weight, without its
-    scenario data: the slack bounds and the balance right-hand sides.
+def _uc_structure(cfg: UcConfig, n: int) -> _Structure:
+    """The commitment program over ``n`` scenarios, without their data and
+    weights: the slack bounds, the balance right-hand sides and the
+    weighted regulation and penalty costs.
     Start/shut indicators stay continuous in [-1, 1]; they are integral
     once the commitments are.  Up and down regulation get no direction
     binary, as regulating both ways never pays once ``cost_reg_up +
@@ -167,7 +171,7 @@ def _uc_structure(cfg: UcConfig, weights) -> _Structure:
 
     # -- second stage: regulation, DC flow, recourse ------------------------
     ref = cfg.reference_bus
-    for s, w in enumerate(weights):
+    for s in range(n):
         # the reference bus angle is the constant 0, not a variable
         theta = {(b, t): m.add_var(f"Th[{b},{s},{t}]", -cfg.angle_bound,
                                    cfg.angle_bound)
@@ -182,9 +186,9 @@ def _uc_structure(cfg: UcConfig, weights) -> _Structure:
                 pg[g, t] = m.add_var(f"Pg[{g},{s},{t}]", 0.0, gen.p_max)
                 up[g, t] = m.add_var(f"Rp[{g},{s},{t}]", 0.0, gen.p_max)
                 dn[g, t] = m.add_var(f"Rm[{g},{s},{t}]", 0.0, gen.p_max)
-                m.add_objective(up[g, t], w * gen.cost_reg_up, group="in_reg")
-                m.add_objective(dn[g, t], w * gen.cost_reg_down, group="in_reg")
-        shed, curt = _penalized_recourse(st, w, s)
+                st.add_cost(s, up[g, t], "in_reg", gen.cost_reg_up, None)
+                st.add_cost(s, dn[g, t], "in_reg", gen.cost_reg_down, None)
+        shed, curt = _penalized_recourse(st, s)
 
         for g, gen in enumerate(gens):
             p, u = p_fs[g], u_fs[g]
@@ -252,8 +256,8 @@ class UcProblem(TssoProblem):
     def build_model(self, scenarios, weights):
         return self._compiled(scenarios, weights)
 
-    def _structure(self, weights):
-        return _uc_structure(self.config, weights)
+    def _structure(self, n):
+        return _uc_structure(self.config, n)
 
     def first_stage_summary(self, decision):
         ng = len(self.config.generators)

@@ -663,15 +663,14 @@ def test_time_limited_benchmark_is_not_recorded(instance, tmp_path):
     assert report["benchmark_objective"] is None
 
 
-@pytest.mark.parametrize("u0", [0.5, 2, True])
-def test_initial_commitment_must_be_zero_or_one(uc_instance, tmp_path,
-                                                capsys, u0):
-    # u0 = 0.5 or 2 once loaded and solved to another objective
+def _uc_config_rejected(uc_instance, tmp_path, capsys, edit, message):
+    """``edit`` of the UC desk config fails ``UcConfig.from_dict`` with
+    ``message``, and ``pdsr project`` on it exits 1 printing ``message``."""
     from pdsr.errors import ConfigError
     from pdsr.uc import UcConfig
     config = json.loads((uc_instance / "config.json").read_text())
-    config["generators"][1]["u0"] = u0
-    with pytest.raises(ConfigError, match="^generator 1: u0 must be "):
+    edit(config)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         UcConfig.from_dict(json.loads(json.dumps(config)))
     (tmp_path / "bad.json").write_text(json.dumps(config))
     args = common(uc_instance, tmp_path / "run")
@@ -679,6 +678,25 @@ def test_initial_commitment_must_be_zero_or_one(uc_instance, tmp_path,
     args[args.index("--config") + 1] = tmp_path / "bad.json"
     capsys.readouterr()
     assert main([str(a) for a in ["project", *args]]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: generator 1: u0 must be ")
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "run" / "F.csv").exists()
+
+
+@pytest.mark.parametrize("u0", [0.5, 2, True])
+def test_initial_commitment_must_be_zero_or_one(uc_instance, tmp_path,
+                                                capsys, u0):
+    # u0 = 0.5 or 2 once loaded and solved to another objective
+    _uc_config_rejected(uc_instance, tmp_path, capsys,
+                        _set("generators", 1, "u0", u0),
+                        "generator 1: u0 must be ")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+def test_line_susceptance_must_be_finite(uc_instance, tmp_path, capsys,
+                                         value):
+    # a non-finite susceptance lands in the flow rows and used to fail only
+    # at the first solve, as a non-finite constraint coefficient
+    _uc_config_rejected(uc_instance, tmp_path, capsys,
+                        _set("lines", 1, 2, value),
+                        "line (1,2): susceptance must be finite")

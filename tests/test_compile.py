@@ -5,9 +5,11 @@ programs and of the clustering MILP hash to fixed digests.  A change to how
 a model emits its rows must reproduce each of them bit for bit.  Every row
 goes through ``MixedBinaryModel.add_row``, which drops zero coefficients:
 the zero-handling case, a UC desk whose start-up cost is 0, pins that its
-start-cost row holds no ``V`` entry.  A one-scenario program stamped from a
-problem's kept structure must hash like the same program compiled on a
-fresh problem, and stay independent of the programs stamped before it.
+start-cost row holds no ``V`` entry.  A problem keeps one structure per
+scenario count, and its scenario weights are data: a program stamped from
+a kept structure, whether of one scenario or of several with any weights,
+must hash like the same program compiled on a fresh problem, and stay
+independent of the programs stamped before it.
 
 Running this file prints every pin for the code as it is, in the form of
 ``EXPECTED`` and ``EXPECTED_CLUSTERING`` below."""
@@ -320,7 +322,27 @@ def test_stamped_program_matches_a_fresh_compile(problem, seed):
         stamped = kept.build_model([scen], [1.0])
         fresh = cls(cfg, ss.source_names).build_model([scen], [1.0])
         assert _digests(stamped) == _digests(fresh), scen.id
-    assert kept._single.model._matrix is stamped._matrix
+    assert kept._structures[1].model._matrix is stamped._matrix
+
+
+@pytest.mark.parametrize("problem", sorted(_PROBLEMS))
+def test_multi_scenario_programs_match_a_fresh_compile(problem):
+    # the full set, then two three-scenario programs with other scenarios
+    # and weights, all on one problem: weights are data, so both
+    # three-scenario programs are copies of one kept structure
+    cls, cfg, ss = _desk(problem, 0)
+    kept = cls(cfg, ss.source_names)
+    programs = [(ss.scenarios, ss.probabilities),
+                _SELECTIONS["subset"](ss),
+                ([ss.scenarios[i] for i in (1, 2, 4)], [0.25, 0.25, 0.5])]
+    models = []
+    for scenarios, weights in programs:
+        models.append(kept.build_model(scenarios, weights))
+        fresh = cls(cfg, ss.source_names).build_model(scenarios, weights)
+        assert _digests(models[-1]) == _digests(fresh)
+    assert _digests(models[0]) == EXPECTED[problem, "full"]
+    assert _digests(models[1]) == EXPECTED[problem, "subset"]
+    assert models[1]._matrix is models[2]._matrix
 
 
 @pytest.mark.parametrize("problem", sorted(_PROBLEMS))

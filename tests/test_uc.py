@@ -136,6 +136,26 @@ def test_regulation_exclusive_in_optimum():
             assert x[j] * x[model.var_names.index(twin)] <= 1e-6
 
 
+def test_regulation_charged_per_mwh():
+    # cost_reg_up and cost_reg_down are $/MWh, like the penalties: a
+    # half-hour step charges each regulated MW half its cost
+    cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=4, t_steps=6)
+    cfg.dt_hours = 0.5
+    problem = UcProblem(cfg, ss.source_names)
+    model = problem.build_model(ss.scenarios, ss.probabilities)
+    x = solve_milp(model).x
+    expected = 0.0
+    for j, name in enumerate(model.var_names):
+        if name[:3] in ("Rp[", "Rm["):
+            g, s, _ = map(int, name[3:-1].split(","))
+            gen = cfg.generators[g]
+            cost = gen.cost_reg_up if name[1] == "p" else gen.cost_reg_down
+            expected += ss.probabilities[s] * x[j] * cost
+    assert expected > 0.0
+    assert model.group_value("in_reg", x) == pytest.approx(0.5 * expected,
+                                                           rel=1e-12)
+
+
 def test_angles_bounded_reference_absent():
     cfg, ss = make_uc_desk_instance(seed=0, n_scenarios=2, t_steps=6)
     model = UcProblem(cfg, ss.source_names).build_model(ss.scenarios,
