@@ -9,6 +9,23 @@ The objective is day-ahead trading plus procurement cost, expected intraday
 balancing cost, and expected penalty cost of shedding/curtailment; time-step
 length is folded into the cost coefficients at compile time.
 
+Balancing has no trade-direction binary.  The root bus exchanges
+``PT + Tp - Tm``, and ``Tp`` costs ``buy_mult * price`` and ``Tm``
+``sell_mult * price``, both multipliers > 0.  At a price >= 0, cutting
+``Tp`` and ``Tm`` both by their minimum keeps every row and costs no more,
+so some optimum never trades both ways and a binary forbidding it would not
+change the optimal value; the data writer rejects a negative price
+(``tsso._Structure.write``).  The storage binaries ``DE`` stay, one per
+unit, scenario and step, the program's only binaries.
+
+Each storage step carries a step window, ``eta_c*dt*Ec + dt/eta_d*Ed <=
+(soc_max - soc_min)*E``.  It is valid: ``DE`` stops a step from charging
+and discharging at once, and the one nonzero term is then the step's change
+of stored energy, which the SoC window ``[soc_min*E, soc_max*E]`` bounds,
+``soc0`` lying inside it.  It tightens the LP relaxation, which without it
+burns surplus by charging and discharging at once through a store of zero
+capacity (``Ec = Ed/(eta_c*eta_d)``, ``W = 0``).
+
 The compiler builds the program's structure (:func:`_adn_structure`) and
 writes the scenario data into it: the bus loads and renewable output as
 slack bounds and balance right-hand sides, the price and the scenario
@@ -65,6 +82,8 @@ class AdnConfig(NetworkConfig):
     penalty_shed: float = 1000.0     # $/MWh
     penalty_curtail: float = 280.0   # $/MWh
     reactive_ratio: float = 0.33     # Q = ratio * P for every load
+
+    line_fields = ("r", "x")
 
     def __post_init__(self):
         self.es_units = [e if isinstance(e, EsUnit) else EsUnit(**e)
@@ -157,7 +176,6 @@ def _adn_structure(cfg: AdnConfig, n: int) -> _Structure:
     for s in range(n):
         tp = [m.add_var(f"Tp[{s},{t}]", 0.0, cfg.p_trade_max) for t in range(T)]
         tm = [m.add_var(f"Tm[{s},{t}]", 0.0, cfg.p_trade_max) for t in range(T)]
-        dts = [m.add_var(f"DT[{s},{t}]", 0.0, 1.0, binary=True) for t in range(T)]
         volt = {}
         fp = {}
         fq = {}
@@ -178,8 +196,6 @@ def _adn_structure(cfg: AdnConfig, n: int) -> _Structure:
                 stored[k, t] = m.add_var(f"W[{e.node},{s},{t}]", 0.0, e.e_max)
                 des[k, t] = m.add_var(f"DE[{e.node},{s},{t}]", 0.0, 1.0, binary=True)
                 m.gating.append((des[k, t], ch[k, t], dis[k, t]))
-        for t in range(T):
-            m.gating.append((dts[t], tp[t], tm[t]))
 
         # objective: day-ahead trading (scenario-weighted price), intraday
         # balancing (penalty costs are added with the slacks)
@@ -244,8 +260,8 @@ def _adn_structure(cfg: AdnConfig, n: int) -> _Structure:
                 vals.append(-1.0)
                 st.add_data_row(cols, vals, EQ, terms)
 
-        # storage: gating, stored-energy dynamics, SoC window in MWh,
-        # terminal energy equal to initial
+        # storage: gating, stored-energy dynamics, SoC window in MWh, the
+        # step window (module docstring), terminal energy equal to initial
         for k, e in enumerate(cfg.es_units):
             for t in range(T):
                 m.add_row([ch[k, t], des[k, t]], [1.0, e.p_max], LE, e.p_max)
@@ -258,14 +274,13 @@ def _adn_structure(cfg: AdnConfig, n: int) -> _Structure:
                     m.add_row(cols + [stored[k, t - 1]], vals + [-1.0], EQ, 0.0)
                 m.add_row([stored[k, t], ecap[k]], [1.0, -e.soc_max], LE, 0.0)
                 m.add_row([stored[k, t], ecap[k]], [1.0, -e.soc_min], GE, 0.0)
+                m.add_row([ch[k, t], dis[k, t], ecap[k]],
+                          [e.eta_c * dt, dt / e.eta_d, -(e.soc_max - e.soc_min)],
+                          LE, 0.0)
             m.add_row([stored[k, T - 1], ecap[k]], [1.0, -e.soc0], EQ, 0.0)
 
-        # trading: one balancing direction at a time, net exchange within the
-        # interconnection limit
+        # trading: net exchange within the interconnection limit
         for t in range(T):
-            m.add_row([tp[t], dts[t]], [1.0, cfg.p_trade_max], LE,
-                      cfg.p_trade_max)
-            m.add_row([tm[t], dts[t]], [1.0, -cfg.p_trade_max], LE, 0.0)
             net = [pt[t], tp[t], tm[t]]
             m.add_row(net, [1.0, 1.0, -1.0], LE, cfg.p_trade_max)
             m.add_row(net, [1.0, 1.0, -1.0], GE, -cfg.p_trade_max)

@@ -309,7 +309,11 @@ def compare_methods(problem: TssoProblem, scenario_set: ScenarioSet,
     mapping.  A method whose reduction, solve or verification fails yields
     a row marked failed instead of aborting the comparison.  ``record`` is
     as for :func:`evaluate_reduction`; through it, methods that pick the
-    same reduction share one solve.
+    same reduction share one solve.  Every decision is verified on one
+    warm program per scenario after the decisions before it
+    (:func:`verification_costs`), so a row's last bits depend on the
+    method list, not on its own decision alone; its values agree within
+    ``gap_tol``.
     """
     record = SolveRecord() if record is None else record
     gamma = scenario_set.probabilities

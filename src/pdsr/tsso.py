@@ -42,12 +42,19 @@ class NetworkConfig:
     ``dt_hours > 0``, the penalties must be finite and >= 0 and the fixed
     loads finite.  Every bus named by a source or a fixed load must lie in
     ``[0, n_buses)``, and bus indices and counts must be integers.
-    Subclasses normalize their own fields before calling
-    ``super().__post_init__()`` and extend :meth:`validate`.
+    Each line is a list of its two buses and the subclass's
+    ``line_fields``, each a real number.  Subclasses normalize their own
+    fields before calling ``super().__post_init__()`` and extend
+    :meth:`validate`.
     """
 
+    line_fields: tuple[str, ...] = ()  # a line's fields after its buses
+
     def __post_init__(self):
-        self.lines = [tuple(l) for l in self.lines]
+        if not isinstance(self.lines, (list, tuple)):
+            raise ConfigError(f"lines must be a list, got {self.lines!r}")
+        self.lines = [_line(k, line, self.line_fields)
+                      for k, line in enumerate(self.lines)]
         # a JSON object key spells its bus as a string
         self.fixed_loads = {int(k) if str(k).lstrip("-").isdecimal() else k:
                             list(v) for k, v in self.fixed_loads.items()}
@@ -98,6 +105,20 @@ def _integer(name: str, value):
     (1.5, 6.0 and True are not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _line(k: int, line, names) -> tuple:
+    """Line ``k`` as a tuple; raises ConfigError naming its position unless
+    it is a list of two buses and one real number per name in ``names``
+    (the buses are checked by :meth:`NetworkConfig.validate`)."""
+    shape = ", ".join(("from", "to", *names))
+    if not isinstance(line, (list, tuple)) or len(line) != 2 + len(names):
+        raise ConfigError(f"line {k} must be [{shape}], got {line!r}")
+    for name, value in zip(names, line[2:]):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"line {k}: {name} must be a real number, "
+                              f"got {value!r}")
+    return tuple(line)
 
 
 # guards the first build of each of a problem's kept structures;
@@ -254,7 +275,9 @@ class _Structure:
         scenario of the structure, and their ``weights`` written into it.
         The slack bounds are checked as :meth:`MixedBinaryModel.add_var`
         checks bounds, and the costs accumulate onto the placeholders in
-        record order."""
+        record order.  A negative price raises ConfigError naming its
+        scenario and step: the ADN program leaves out trade-direction
+        binaries, which is exact only at prices >= 0 (``pdsr.adn``)."""
         cfg, model = self.cfg, self.model.copy()
         extra = () if self.price_source is None else (self.price_source,)
         src = _source_rows(cfg, source_names, scenarios, extra)
@@ -262,6 +285,14 @@ class _Structure:
             for j, bound in zip(slacks, self._slack_bounds(scen, src)):
                 model.set_bounds(j, 0.0, bound)
         price_row = src.get(self.price_source)
+        if price_row is not None:
+            for scen in scenarios:
+                steps = np.flatnonzero(scen.values[price_row] < 0.0)
+                if steps.size:
+                    t = int(steps[0])
+                    raise ConfigError(
+                        f"scenario {scen.id!r}: price at step {t} is "
+                        f"{float(scen.values[price_row, t])!r}, must be >= 0")
         for s, j, group, a, t in self.costs:
             price = 1.0 if t is None else scenarios[s].values[price_row, t]
             model.add_objective(j, weights[s] * a * price * cfg.dt_hours,

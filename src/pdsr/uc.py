@@ -66,6 +66,8 @@ class UcConfig(NetworkConfig):
     angle_bound: float = math.pi / 3
     reference_bus: int = 0
 
+    line_fields = ("susceptance",)
+
     def __post_init__(self):
         self.generators = [g if isinstance(g, Generator) else Generator(**g)
                            for g in self.generators]

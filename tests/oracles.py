@@ -7,8 +7,9 @@ Everything here recomputes expected values from first principles
 best-first branch-and-bound over those LPs.  None of it calls
 ``solve_milp``, the routine it checks.  The last sections hold a
 fixed-decision model, the regulation-direction binaries the UC compiler
-leaves out, the gap of one reduction and small scenario-set helpers the
-tests share and no pipeline command uses.
+leaves out, the trade-direction binaries and step-window rows the ADN
+compiler leaves out and adds, the gap of one reduction and small
+scenario-set helpers the tests share and no pipeline command uses.
 """
 
 import itertools
@@ -416,6 +417,51 @@ def with_direction_binaries(model) -> MixedBinaryModel:
         model.add_row([dn, d], [1.0, cap], LE, cap)
         model.gating.append((d, dn, up))
     return model
+
+
+# -- ADN trade direction and step windows ------------------------------------
+
+
+def with_trade_direction_binaries(model) -> MixedBinaryModel:
+    """``model``, a compiled ADN program, with a trade-direction binary
+    ``DT`` per balancing pair, found by the ``Tp[``/``Tm[`` names: ``Tp +
+    cap·DT <= cap`` and ``Tm <= cap·DT``, ``cap`` the pair's ``Tp`` upper
+    bound (the interconnection limit), and its gating triple: the
+    formulation that forbids trading both ways, which ``pdsr.adn`` shows
+    redundant at prices >= 0.  ``model`` is changed in place and
+    returned."""
+    names = model.var_names
+    sell = {name[3:]: j for j, name in enumerate(names)
+            if name.startswith("Tm[")}
+    for buy, name in [(j, name) for j, name in enumerate(names)
+                      if name.startswith("Tp[")]:
+        tm = sell[name[3:]]
+        cap = model.ub[buy]
+        d = model.add_var("DT[" + name[3:], 0.0, 1.0, binary=True)
+        model.add_row([buy, d], [1.0, cap], LE, cap)
+        model.add_row([tm, d], [1.0, -cap], LE, 0.0)
+        model.gating.append((d, buy, tm))
+    return model
+
+
+def without_step_window_rows(model) -> MixedBinaryModel:
+    """A new model holding ``model``, a compiled ADN program, without its
+    step-window rows, found as the rows over an ``Ec[`` and an ``Ed[``
+    column and at most an ``E[`` one besides: the formulation before those
+    rows, which ``pdsr.adn`` shows valid.  ``model`` is left as it is."""
+    names = model.var_names
+    new = MixedBinaryModel()
+    for j, name in enumerate(names):
+        new.add_var(name, model.lb[j], model.ub[j], binary=model.is_binary[j])
+    new.obj = dict(model.obj)
+    new.obj_groups = {g: dict(terms) for g, terms in model.obj_groups.items()}
+    new.gating = list(model.gating)
+    for terms, rel, rhs in model_rows(model):
+        kinds = {names[j].split("[")[0] for j, _ in terms}
+        if len(kinds) == len(terms) and kinds - {"E"} == {"Ec", "Ed"}:
+            continue
+        new.add_row([j for j, _ in terms], [a for _, a in terms], rel, rhs)
+    return new
 
 
 # -- reduction gaps ----------------------------------------------------------

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bad_scenario_ids
+from oracles import (bad_scenario_ids, fixed_model,
+                     with_trade_direction_binaries, without_step_window_rows)
 from pdsr.adn import AdnConfig, AdnProblem, EsUnit, make_desk_instance
 from pdsr.errors import ConfigError
 from pdsr.milp import DEFAULT_GAP_TOL, solve_milp
@@ -43,8 +44,8 @@ def small_set(n=2, t=3, seed=0):
 
 
 def test_binary_count_formula():
-    # binaries: one storage state per unit and one balancing state, each
-    # per scenario and period
+    # binaries: one storage state per unit, scenario and period; balancing
+    # has no direction binary (pdsr.adn)
     for s_count, t_count, n_es in ((1, 3, 1), (3, 3, 1), (2, 4, 2)):
         es = [EsUnit(node=1, p_max=0.3, e_max=0.6, price=12.0)][:n_es]
         if n_es == 2:
@@ -54,7 +55,62 @@ def test_binary_count_formula():
         ss = small_set(n=s_count, t=t_count)
         model = AdnProblem(cfg, ss.source_names).build_model(
             ss.scenarios, ss.probabilities)
-        assert len(model.binary_indices) == s_count * t_count * (n_es + 1)
+        assert len(model.binary_indices) == s_count * t_count * n_es
+        assert all(model.var_names[j].startswith("DE[")
+                   for j in model.binary_indices)
+
+
+def _direction_binaries_without_windows(model):
+    return with_trade_direction_binaries(without_step_window_rows(model))
+
+
+_FORMULATIONS = [with_trade_direction_binaries, without_step_window_rows,
+                 _direction_binaries_without_windows]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_direction_binaries_and_step_windows_leave_the_optimum(seed):
+    # adding back a binary that forbids trading both ways, taking out the
+    # step-window rows, or both, changes no optimal value: on the full set,
+    # a weighted subset, every diagonal and a decision with and one
+    # without storage fixed on every scenario
+    cfg, ss = make_desk_instance(seed=seed, n_scenarios=6, t_steps=12,
+                                 buses=6)
+    problem = AdnProblem(cfg, ss.source_names)
+    sc = ss.scenarios
+    programs = [(sc, ss.probabilities), ([sc[5], sc[1], sc[3]], [0.5, 0.3, 0.2])]
+    programs += [([s], [1.0]) for s in sc]
+    for scenarios, weights in programs:
+        _, obj, _ = solve_stochastic(problem, scenarios, weights)
+        for formulation in _FORMULATIONS:
+            model = formulation(problem.build_model(scenarios, weights))
+            other = solve_milp(model).objective
+            assert other == pytest.approx(obj, rel=DEFAULT_GAP_TOL)
+    decisions = [solve_scenario_specific(problem, s)[0] for s in sc]
+    stored = [z for z in decisions if z.values[cfg.t_steps:].any()]
+    empty = [z for z in decisions if not z.values[cfg.t_steps:].any()]
+    assert stored and empty
+    for z in (stored[0], empty[0]):
+        for s in sc:
+            value = evaluate_with_fixed_first_stage(problem, z, s)
+            for formulation in _FORMULATIONS:
+                model = formulation(fixed_model(problem, z, s))
+                other = solve_milp(model).objective
+                assert other == pytest.approx(value, rel=DEFAULT_GAP_TOL)
+
+
+def test_trade_direction_binaries_bind_below_the_price_rule():
+    # the oracle has teeth: with sell_mult < -buy_mult (which validation
+    # rejects) trading both ways pays, and the binaries forbidding it
+    # raise the optimum
+    cfg, ss = make_desk_instance(seed=0, n_scenarios=2)
+    cfg.sell_mult = -cfg.buy_mult - 0.5
+    problem = AdnProblem(cfg, ss.source_names)
+    scen = [ss.scenarios[0]]
+    free = solve_milp(problem.build_model(scen, [1.0])).objective
+    gated = solve_milp(with_trade_direction_binaries(
+        problem.build_model(scen, [1.0]))).objective
+    assert gated - free > 100 * DEFAULT_GAP_TOL * abs(free)
 
 
 def test_non_radial_network_rejected():

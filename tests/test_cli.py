@@ -700,3 +700,48 @@ def test_line_susceptance_must_be_finite(uc_instance, tmp_path, capsys,
     _uc_config_rejected(uc_instance, tmp_path, capsys,
                         _set("lines", 1, 2, value),
                         "line (1,2): susceptance must be finite")
+
+
+@pytest.mark.parametrize("problem", ["adn", "uc"])
+@pytest.mark.parametrize("edit, message", [
+    (_set("lines", 0, [0, 1]), "line 0 must be [from, to, "),
+    (_set("lines", 0, 2, "0.01"), "line 0: {field} must be a real number, "
+                                  "got '0.01'"),
+    (_set("lines", 0, 5), "line 0 must be [from, to, "),
+    (_set("lines", 0, None), "line 0 must be [from, to, "),
+    (_set("lines", None), "lines must be a list, got None"),
+], ids=["short", "string_field", "number", "null", "no_list"])
+def test_line_of_the_wrong_shape_rejected(instance, uc_instance, tmp_path,
+                                          capsys, problem, edit, message):
+    # each once ended in a traceback where a compile step unpacked the
+    # line; the config is rejected when it loads, naming the line
+    desk = instance if problem == "adn" else uc_instance
+    message = message.format(field="r" if problem == "adn" else "susceptance")
+    config = json.loads((desk / "config.json").read_text())
+    edit(config)
+    (tmp_path / "bad.json").write_text(json.dumps(config))
+    args = common(desk, tmp_path / "run")
+    args[1] = problem
+    args[args.index("--config") + 1] = tmp_path / "bad.json"
+    capsys.readouterr()
+    assert main([str(a) for a in ["project", *args]]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "run" / "F.csv").exists()
+
+
+def test_negative_price_rejected(instance, tmp_path, capsys):
+    # the ADN program has no trade-direction binaries, which is exact only
+    # at prices >= 0; the error names the scenario and the step
+    lines = (instance / "scenarios.csv").read_text().splitlines(keepends=True)
+    k = next(k for k, line in enumerate(lines)
+             if line.startswith("s002,price,5,"))
+    lines[k] = "s002,price,5,-2.5\n"
+    (tmp_path / "bad.csv").write_text("".join(lines))
+    args = common(instance, tmp_path / "run")
+    args[args.index("--scenarios") + 1] = tmp_path / "bad.csv"
+    capsys.readouterr()
+    assert main([str(a) for a in ["project", *args]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "scenario 's002': price at step 5 is -2.5, must be >= 0" in err
+    assert not (tmp_path / "run" / "F.csv").exists()

@@ -26,7 +26,7 @@ import pytest
 
 from pdsr.adn import AdnProblem, make_desk_instance
 from pdsr.clustering import _clustering_model, compute_pdd
-from pdsr.errors import ModelError
+from pdsr.errors import ConfigError, ModelError
 from pdsr.milp import DEFAULT_GAP_TOL, LE
 from pdsr.projection import ProblemSpaceMatrix
 from pdsr.scenarios import Scenario
@@ -81,49 +81,49 @@ def _model(problem, selection):
 
 EXPECTED = {
     ('adn', 'one'): {
-        'c': '982e24462f9e72ac',
-        'integrality': '5e7b8f94082f4c92',
-        'indptr': 'ea31d30d5cd774dd',
-        'indices': 'eb96413769509fdb',
-        'data': 'b4b273a06b20cf04',
-        'lower': '23adf49bebcae6a2',
-        'upper': '84434d9db38ee63f',
-        'entry_col': '2f5a232f561b887a',
-        'lb': '1a78aab1d135da23',
-        'ub': '777d622d08baf67b',
-        'var_names': 'fdd356c632b95762',
-        'gating': '9711558428173138',
-        'obj_groups': '8a276b5b99c537d4',
+        'c': '4e1f7867d3af5f2f',
+        'integrality': 'e0870d35e0f787b6',
+        'indptr': 'e0e846f178851e5a',
+        'indices': '0e1f0a7e79fdd598',
+        'data': '3b4f6cbf2e345938',
+        'lower': '7d0c965d45ff9fd0',
+        'upper': '857fe345e6991821',
+        'entry_col': '5f7e7a2b2747edb0',
+        'lb': '6daf073624a49d24',
+        'ub': 'c299edab323f5759',
+        'var_names': 'eb6e967024de1c15',
+        'gating': '2f7fda3c7f11ff59',
+        'obj_groups': '67e4bb8cfdc2db85',
     },
     ('adn', 'full'): {
-        'c': 'f9d61197505a580a',
-        'integrality': '96846e40b4831618',
-        'indptr': '56c0bde6f87dd85d',
-        'indices': 'ceed1dd0b11ec4cc',
-        'data': '27d0d3eb39e63173',
-        'lower': '05f62350056a36c9',
-        'upper': '59783e47aebbd488',
-        'entry_col': '4c047a60d89d3929',
-        'lb': '860c6da4604b6443',
-        'ub': '28e998604c9ddac0',
-        'var_names': 'a0c864c311bbe398',
-        'gating': 'bc24637c7c740338',
-        'obj_groups': 'b6d2ac765a5a9b60',
+        'c': '3c0f4bcbc53e65d4',
+        'integrality': 'e3a4a4fefaac4b20',
+        'indptr': '687e1b8df95b9a0b',
+        'indices': '722b642cb7cc5d6f',
+        'data': 'a92ea38e1ab54523',
+        'lower': '913c7151b34bd148',
+        'upper': 'f8bbc7b75f1616cc',
+        'entry_col': '405d139a1488c0e4',
+        'lb': '34f89e477b0e286d',
+        'ub': '10cc250a809c1b45',
+        'var_names': 'fc51bfe54c1e27d5',
+        'gating': '425b9ef199231b62',
+        'obj_groups': '81e1a810c29c379a',
     },
     ('adn', 'subset'): {
-        'c': 'd3bac04cab7bc102',
-        'integrality': '49cf12cb9c7832a8',
-        'indptr': '69a26cdce95cceb4',
-        'indices': 'ccfed5e6039d84a1',
-        'data': '849267e49dfcb90f',
-        'lower': 'a90e327bf0b85d01',
-        'upper': '53d9a9e266fd4a98',
-        'entry_col': '256466159f354cc2',
-        'lb': 'cbfa9a582c340bd8',
-        'ub': '784e6e5f7d48a3c4',
-        'var_names': 'eba738294f1936a6',
-        'gating': '31864a18112f194b',
-        'obj_groups': '82dc552347d5c64f',
+        'c': '6a145c15964c7feb',
+        'integrality': 'c1ececffbca03299',
+        'indptr': '9a512966145ee726',
+        'indices': '356af68d2580ac2a',
+        'data': '8ced5fceb91bc0ac',
+        'lower': 'c272d248c3e1c78a',
+        'upper': '68c8e66dba4cb7e8',
+        'entry_col': '9c78206ad47870ef',
+        'lb': '81301faa764c0db0',
+        'ub': '1ca12f5fcfe676c3',
+        'var_names': '5d4556654faddb35',
+        'gating': '4ef3d2defa077e32',
+        'obj_groups': '4bb0d7b0594a4d5f',
     },
     ('uc', 'one'): {
         'c': '5d8e1fe29800cd70',
@@ -301,12 +301,12 @@ def _edited(ss, scenario, source, value):
 
 def _variants(problem, ss):
     """Scenarios to stamp one after another: plain ones, a zero renewable,
-    and on ADN a zero and a negative price."""
+    and on ADN a zero price (a negative one is rejected:
+    ``test_negative_price_is_rejected_where_it_is_written``)."""
     a, b = ss.scenarios[1], ss.scenarios[3]
     out = [a, b, _edited(ss, b, "wt1", None)]
     if problem == "adn":
-        out += [_edited(ss, a, "price", 0.0), _edited(ss, b, "price", -1.0),
-                _edited(ss, a, "pv1", None)]
+        out += [_edited(ss, a, "price", 0.0), _edited(ss, a, "pv1", None)]
     return out
 
 
@@ -421,6 +421,26 @@ def test_stamped_data_is_checked(source, scale, message):
     for problem in (kept, cls(cfg, ss.source_names)):
         with pytest.raises(ModelError, match=message):
             problem.build_model([bad], [1.0])._assembled()
+
+
+def test_negative_price_is_rejected_where_it_is_written():
+    # the ADN program has no trade-direction binaries, which is exact only
+    # at prices >= 0: a negative price is rejected on a stamped program,
+    # alone or among others, naming its scenario and step
+    cls, cfg, ss = _desk("adn", 0)
+    kept = cls(cfg, ss.source_names)
+    kept.build_model([ss.scenarios[0]], [1.0])
+    bad = _edited(ss, ss.scenarios[3], "price", -1.0)
+    message = r"^scenario 's003-price': price at step 0 is -\d"
+    for problem in (kept, cls(cfg, ss.source_names)):
+        with pytest.raises(ConfigError, match=message):
+            problem.build_model([bad], [1.0])
+        with pytest.raises(ConfigError, match=message):
+            problem.build_model([ss.scenarios[0], bad], [0.5, 0.5])
+    zero = bad.values.copy()
+    zero[ss.source_names.index("price"), 1:] = 0.0
+    zero[ss.source_names.index("price"), 0] = -0.0
+    kept.build_model([Scenario("zero", zero)], [1.0])
 
 
 def _print_pins(name, models):

@@ -21,7 +21,8 @@ from pdsr.tsso import _fixed_bounds, solve_scenario_specific
 from pdsr.uc import UcProblem, make_uc_desk_instance
 from oracles import (brute_force_milp, enumerate_vertices_optimum,
                      fixed_model, model_rows, random_lp, random_milp,
-                     scipy_constraints, solve_lp, solve_milp_reference)
+                     scipy_constraints, solve_lp, solve_milp_reference,
+                     without_step_window_rows)
 
 
 def simple_model():
@@ -508,6 +509,28 @@ def test_adn_cross_cell_branch_and_cut_matches_highs_defaults(monkeypatch):
     assert sol.status == "optimal" and sol.node_count == 1
     expected = _branch_and_cut_objective(model, gap)
     assert abs(sol.objective - expected) <= gap * abs(expected)
+
+
+def test_adn_cell_of_a_decision_without_storage_closes_at_the_root(
+        monkeypatch):
+    # cell (2, 1) of the seed-0 desk instance: decision 2 buys no storage.
+    # Without the step-window rows the LP relaxation burns surplus by
+    # charging and discharging a store of zero capacity at once, and its
+    # bound misses the gap; with them it proves the root step's point, so
+    # no branch-and-cut call is made
+    cfg, ss = make_desk_instance(seed=0, n_scenarios=6, t_steps=12, buses=6)
+    problem = AdnProblem(cfg, ss.source_names)
+    z, _ = solve_scenario_specific(problem, ss.scenarios[2])
+    assert not z.values[cfg.t_steps:].any()
+    model = fixed_model(problem, z, ss.scenarios[1])
+    calls, _ = _record_highs_calls(monkeypatch)
+    gap = 1e-4
+    sol = solve_milp(model, gap_tol=gap)
+    assert calls and not any(c.any() for c in calls)
+    assert sol.status == "optimal" and sol.node_count == 1
+    loose = solve_lp(without_step_window_rows(model)).objective
+    assert sol.objective - loose > gap * abs(sol.objective)
+    assert solve_lp(model).objective >= (1 - gap) * sol.objective
 
 
 def _adn_cross_cell():
