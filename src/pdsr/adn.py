@@ -35,14 +35,15 @@ weight into the costs (``tsso._Structure``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 from .milp import GE, LE, EQ
 from .scenarios import Scenario, ScenarioSet, _pick_bad, _smooth_noise
-from .tsso import (NetworkConfig, TssoProblem, _integer, _penalized_recourse,
+from .tsso import (_FINITE, _FRACTION, _NON_NEGATIVE, NetworkConfig,
+                   TssoProblem, _bus, _penalized_recourse, _records,
                    _Structure)
 
 
@@ -59,6 +60,10 @@ class EsUnit:
     eta_c: float = 0.95
     eta_d: float = 0.95
     price: float = 25.0     # $/MWh procured capacity
+
+    field_kinds = {"node": _bus, "p_max": _NON_NEGATIVE,
+                   "e_max": _NON_NEGATIVE, "eta_c": _FRACTION,
+                   "eta_d": _FRACTION}
 
 
 @dataclass
@@ -83,73 +88,36 @@ class AdnConfig(NetworkConfig):
     penalty_curtail: float = 280.0   # $/MWh
     reactive_ratio: float = 0.33     # Q = ratio * P for every load
 
-    line_fields = ("r", "x")
-
-    def __post_init__(self):
-        self.es_units = [e if isinstance(e, EsUnit) else EsUnit(**e)
-                         for e in self.es_units]
-        super().__post_init__()
+    # a negative x, reactive_ratio or storage price stays allowed: series
+    # compensation, capacitive loads, capacity the operator is paid to hold
+    field_kinds = {**NetworkConfig.field_kinds, "p_trade_max": _NON_NEGATIVE,
+                   "es_units": _records(EsUnit, "es unit")}
+    line_fields = {"r": _NON_NEGATIVE, "x": _FINITE}
 
     def validate(self):
-        # a negative x, reactive_ratio or capacity price stays allowed: series
-        # compensation, capacitive loads, capacity the operator is paid to hold
-        for name in ("v_min_sq", "v_max_sq", "buy_mult", "reactive_ratio"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        if not (math.isfinite(self.p_trade_max) and self.p_trade_max >= 0):
-            raise ConfigError("p_trade_max must be finite and >= 0")
         if not 0 <= self.v_min_sq <= self.v_max_sq:
             raise ConfigError("v_min_sq must satisfy 0 <= v_min_sq <= v_max_sq")
-        if not (0 < self.sell_mult < 1.0 < self.buy_mult):
-            raise ConfigError("price multipliers must satisfy buy > 1 > sell > 0")
+        if not 0 < self.sell_mult < 1.0 < self.buy_mult:
+            raise ConfigError("sell_mult and buy_mult must satisfy "
+                              "0 < sell_mult < 1 < buy_mult")
         for k, e in enumerate(self.es_units):
-            for f in fields(e):
-                if not math.isfinite(getattr(e, f.name)):
-                    raise ConfigError(f"es unit {k}: {f.name} must be finite")
-            if e.p_max < 0 or e.e_max < 0:
-                raise ConfigError(f"es unit {k}: p_max and e_max must be >= 0")
-            if not (0 < e.eta_c <= 1 and 0 < e.eta_d <= 1):
-                raise ConfigError(f"es unit {k}: efficiencies must be in (0, 1]")
-            if not (0 <= e.soc_min <= e.soc0 <= e.soc_max <= 1):
-                raise ConfigError(f"es unit {k}: SoC bounds must satisfy "
-                                  "0 <= min <= initial <= max <= 1")
-            _integer(f"es unit {k}: node", e.node)
-            if not 0 <= e.node < self.n_buses:
-                raise ConfigError(f"es unit {k}: node out of range")
-        super().validate()
-        self.parents()  # raises on a bad line and on a non-radial network
+            if not 0 <= e.soc_min <= e.soc0 <= e.soc_max <= 1:
+                raise ConfigError(f"es unit {k}: soc_min, soc0 and soc_max must "
+                                  "satisfy 0 <= soc_min <= soc0 <= soc_max <= 1")
+        self.parents()  # raises on a non-radial network
 
     def parents(self) -> dict[int, tuple[int, float, float]]:
-        """child bus -> (parent bus, r, x); validates the lines and the radial
-        feeder."""
-        parent: dict[int, tuple[int, float, float]] = {}
-        for (i, j, r, x) in self.lines:
-            if not (math.isfinite(r) and r >= 0):
-                raise ConfigError(f"line ({i},{j}): r must be finite and >= 0")
-            if not math.isfinite(x):
-                raise ConfigError(f"line ({i},{j}): x must be finite")
-            if not (0 <= i < self.n_buses and 0 <= j < self.n_buses):
-                raise ConfigError(f"line ({i},{j}) references unknown bus")
-            if j in parent or j == 0:
-                raise ConfigError("network is not a tree rooted at bus 0")
-            parent[j] = (i, float(r), float(x))
-        if len(parent) != self.n_buses - 1:
-            raise ConfigError("network is not a tree rooted at bus 0")
-        # every bus must reach the root
-        for j in parent:
-            seen, k = set(), j
-            while k != 0:
-                if k in seen:
-                    raise ConfigError("network contains a cycle")
-                seen.add(k)
-                k = parent[k][0]
+        """child bus -> (parent bus, r, x); raises ConfigError unless the
+        lines form a tree rooted at bus 0."""
+        parent = {j: (i, float(r), float(x)) for i, j, r, x in self.lines}
+        if 0 in parent or not len(parent) == len(self.lines) == self.n_buses - 1:
+            raise ConfigError("lines must form a tree rooted at bus 0")
+        for k in parent:  # every bus reaches the root within n - 1 steps
+            for _ in parent:
+                k = parent[k][0] if k else 0
+            if k:
+                raise ConfigError("lines contain a cycle")
         return parent
-
-    def children(self) -> dict[int, list[int]]:
-        ch: dict[int, list[int]] = {b: [] for b in range(self.n_buses)}
-        for j, (i, _, _) in self.parents().items():
-            ch[i].append(j)
-        return ch
 
 
 def _adn_structure(cfg: AdnConfig, n: int) -> _Structure:
@@ -158,7 +126,9 @@ def _adn_structure(cfg: AdnConfig, n: int) -> _Structure:
     weighted penalty and price-dependent trading and balancing costs."""
     T, dt = cfg.t_steps, cfg.dt_hours
     parent = cfg.parents()
-    children = cfg.children()
+    children: dict[int, list[int]] = {b: [] for b in range(cfg.n_buses)}
+    for j, (i, _, _) in parent.items():
+        children[i].append(j)
 
     st = _Structure(cfg, price_source=cfg.price_source)
     m = st.model

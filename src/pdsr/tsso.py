@@ -20,16 +20,126 @@ reduced and drop-one sets, is a copy of a kept structure plus a data write.
 
 from __future__ import annotations
 
-import math
 import numbers
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, RecourseError
 from .milp import DEFAULT_GAP_TOL, GAP_LIMIT, MixedBinaryModel, OPTIMAL, solve_milp
+
+
+# the largest float; an integer beyond it is taken as not finite
+_LARGEST = float(np.finfo(float).max)
+# the ranges of number fields: what an error adds to "finite", the test
+_FINITE = ("", lambda v: True)
+_NON_NEGATIVE = (" and >= 0", lambda v: v >= 0)
+_POSITIVE = (" and > 0", lambda v: v > 0)
+_AT_LEAST_ONE = (" and >= 1", lambda v: v >= 1)
+_FRACTION = (" and in (0, 1]", lambda v: 0 < v <= 1)
+# the type each scalar annotation names, a string as annotations are postponed
+_TYPES = {"int": (numbers.Integral, "an integer"), "str": (str, "a string"),
+          "float": (numbers.Real, "a real number")}
+
+
+def _of(path: str, value, kind, noun: str):
+    """``value``; raises ConfigError if it is a bool or not a ``kind``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{path} must be {noun}, got {value!r}")
+    return value
+
+
+def _scalar(path: str, value, annotation: str, limits=_FINITE):
+    """``value``, of the annotated type and, a number, finite in ``limits``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and annotation != "str" and not (abs(value) <= _LARGEST
+                                             and limits[1](value)):
+        raise ConfigError(f"{path} must be finite{limits[0]}, got {value!r}")
+    return _of(path, value, *_TYPES[annotation])
+
+
+def _bus(cfg, path: str, value):
+    if not 0 <= _scalar(path, value, "int") < cfg.n_buses:
+        raise ConfigError(f"{path} must be in [0, {cfg.n_buses}), got bad "
+                          f"bus {value!r}")
+    return value
+
+
+def _sources(cfg, path: str, value) -> dict:
+    value = _of(path, value, dict, "an object mapping sources to buses")
+    return {name: _bus(cfg, f"source {name!r} bus", bus)
+            for name, bus in value.items()}
+
+
+def _series(cfg, path: str, value) -> dict:
+    value = _of(path, value, dict, "an object mapping buses to series")
+    series = {}
+    for key, loads in value.items():
+        # a JSON object key spells its bus as a string
+        decimal = isinstance(key, str) and key.removeprefix("-").isdecimal()
+        bus = _bus(cfg, f"{path} key", int(key) if decimal else key)
+        at = f"{path} at bus {bus}"
+        if not isinstance(loads, (list, tuple)) or len(loads) != cfg.t_steps:
+            raise ConfigError(f"{at} must be a list of {cfg.t_steps} reals, "
+                              f"got {loads!r}")
+        series[bus] = [_scalar(at, v, "float") for v in loads]
+    return series
+
+
+def _lines(cfg, path: str, value) -> list[tuple]:
+    """Each line as a tuple.  A line of the wrong shape, or a field that is
+    not a number, is named by the line's position, the rest by its buses."""
+    names = cfg.line_fields
+    for k, line in enumerate(_of(path, value, (list, tuple), "a list")):
+        if not isinstance(line, (list, tuple)) or len(line) != 2 + len(names):
+            shape = ", ".join(("from", "to", *names))
+            raise ConfigError(f"line {k} must be [{shape}], got {line!r}")
+        at = f"line ({line[0]},{line[1]}): "
+        _bus(cfg, at + "start", line[0])
+        _bus(cfg, at + "end", line[1])
+        for name, v in zip(names, line[2:]):
+            _of(f"line {k}: {name}", v, numbers.Real, "a real number")
+            _scalar(at + name, v, "float", names[name])
+    return [tuple(line) for line in value]
+
+
+def _records(cls, label: str):
+    """The kind of a list of ``cls`` records; record ``k`` is named
+    ``f"{label} {k}"``."""
+    def check(cfg, path, value) -> list:
+        records = _of(path, value, (list, tuple), "a list")
+        return [_checked(cfg, f"{label} {k}", cls, r) for k, r in enumerate(records)]
+    return check
+
+
+def _record(name: str, cls, d):
+    """``cls(**d)``; ``d`` must be an object whose keys are fields of
+    ``cls``, every field without a default among them."""
+    known = {f.name: f for f in fields(cls)}
+    for key in _of(name, d, dict, "an object"):
+        if key not in known:
+            raise ConfigError(f"{name}: unknown key {key!r}")
+    for f in known.values():
+        if f.name not in d and f.default is f.default_factory is MISSING:
+            raise ConfigError(f"{name}: missing key {f.name!r}")
+    return cls(**d)
+
+
+def _checked(cfg, name: str, cls, record):
+    """``record`` as a ``cls``, built from an object of its fields if need
+    be, with each field checked against its kind in ``cls.field_kinds``
+    and set normalised; ``name`` names the record."""
+    if not isinstance(record, cls):
+        record = _record(name, cls, record)
+    for f in fields(cls):
+        kind = cls.field_kinds.get(f.name, _FINITE)
+        path = f"{name}: {f.name}" if name else f.name
+        value = getattr(record, f.name)
+        setattr(record, f.name, kind(cfg, path, value) if callable(kind)
+                else _scalar(path, value, f.type, kind))
+    return record
 
 
 class NetworkConfig:
@@ -38,57 +148,26 @@ class NetworkConfig:
     Shared fields: ``n_buses``, ``lines``, ``t_steps``, ``dt_hours``,
     ``res_sources`` and ``load_sources`` (source name -> bus),
     ``fixed_loads`` (bus -> T MW), ``penalty_shed`` and ``penalty_curtail``
-    ($/MWh).  The horizon needs ``t_steps >= 1`` and a finite
-    ``dt_hours > 0``, the penalties must be finite and >= 0 and the fixed
-    loads finite.  Every bus named by a source or a fixed load must lie in
-    ``[0, n_buses)``, and bus indices and counts must be integers.
-    Each line is a list of its two buses and the subclass's
-    ``line_fields``, each a real number.  Subclasses normalize their own
-    fields before calling ``super().__post_init__()`` and extend
-    :meth:`validate`.
+    ($/MWh).
+
+    Each record class's ``field_kinds`` gives the kind of its fields: a
+    number field's type is its annotation, ``int`` or ``float``, and its
+    entry the range it lies in (with none, it need only be finite); other
+    kinds check and normalise a value (:func:`_lines`, ...).  Construction
+    checks the fields in order, ``n_buses`` and ``t_steps`` before the
+    kinds that read them, naming the field in the ConfigError; then
+    :meth:`validate` checks the rules between fields.
     """
 
-    line_fields: tuple[str, ...] = ()  # a line's fields after its buses
+    field_kinds = {"n_buses": _AT_LEAST_ONE, "lines": _lines,
+                   "t_steps": _AT_LEAST_ONE, "dt_hours": _POSITIVE,
+                   "res_sources": _sources, "load_sources": _sources,
+                   "fixed_loads": _series, "penalty_shed": _NON_NEGATIVE,
+                   "penalty_curtail": _NON_NEGATIVE}
+    line_fields = {}  # a line's fields after its buses -> their ranges
 
     def __post_init__(self):
-        if not isinstance(self.lines, (list, tuple)):
-            raise ConfigError(f"lines must be a list, got {self.lines!r}")
-        self.lines = [_line(k, line, self.line_fields)
-                      for k, line in enumerate(self.lines)]
-        # a JSON object key spells its bus as a string
-        self.fixed_loads = {int(k) if str(k).lstrip("-").isdecimal() else k:
-                            list(v) for k, v in self.fixed_loads.items()}
-        self.res_sources = dict(self.res_sources)
-        self.load_sources = dict(self.load_sources)
-        self.validate()
-
-    def validate(self):
-        _integer("n_buses", self.n_buses)
-        _integer("t_steps", self.t_steps)
-        for i, j, *_ in self.lines:
-            _integer(f"line ({i},{j}): start", i)
-            _integer(f"line ({i},{j}): end", j)
-        if self.t_steps < 1:
-            raise ConfigError("t_steps must be >= 1")
-        if not (math.isfinite(self.dt_hours) and self.dt_hours > 0):
-            raise ConfigError("dt_hours must be finite and > 0")
-        for name in ("penalty_shed", "penalty_curtail"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0")
-        for bus, series in self.fixed_loads.items():
-            _integer("fixed_loads key", bus)
-            if not 0 <= bus < self.n_buses:
-                raise ConfigError(f"fixed load at bad bus {bus}")
-            if len(series) != self.t_steps:
-                raise ConfigError(f"fixed load at bus {bus} has wrong length")
-            if not all(map(math.isfinite, series)):
-                raise ConfigError(f"fixed_loads at bus {bus} must be finite")
-        for name, bus in [*self.res_sources.items(),
-                          *self.load_sources.items()]:
-            _integer(f"source {name!r} bus", bus)
-            if not 0 <= bus < self.n_buses:
-                raise ConfigError(f"source {name!r} mapped to bad bus {bus}")
+        _checked(self, "", type(self), self).validate()
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -97,28 +176,7 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d: dict):
-        return cls(**d)
-
-
-def _integer(name: str, value):
-    """Raise ConfigError naming ``name`` unless ``value`` is an integer
-    (1.5, 6.0 and True are not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _line(k: int, line, names) -> tuple:
-    """Line ``k`` as a tuple; raises ConfigError naming its position unless
-    it is a list of two buses and one real number per name in ``names``
-    (the buses are checked by :meth:`NetworkConfig.validate`)."""
-    shape = ", ".join(("from", "to", *names))
-    if not isinstance(line, (list, tuple)) or len(line) != 2 + len(names):
-        raise ConfigError(f"line {k} must be [{shape}], got {line!r}")
-    for name, value in zip(names, line[2:]):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigError(f"line {k}: {name} must be a real number, "
-                              f"got {value!r}")
-    return tuple(line)
+        return _record("config", cls, d)
 
 
 # guards the first build of each of a problem's kept structures;
@@ -207,8 +265,9 @@ def _source_rows(cfg: NetworkConfig, source_names, scenarios,
     configured = set(cfg.res_sources) | set(cfg.load_sources) | set(extra)
     if set(names) != configured:
         raise ConfigError(
-            f"scenario sources {sorted(names)} do not match the configured "
-            f"sources {sorted(configured)}")
+            f"scenario sources {sorted(names)} do not match the config's "
+            f"sources {sorted(configured)} (res_sources, load_sources"
+            f"{', price_source' if extra else ''})")
     for s in scenarios:
         if s.values.shape != (len(names), cfg.t_steps):
             raise ConfigError(

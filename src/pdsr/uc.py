@@ -21,15 +21,16 @@ costs (``tsso._Structure``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 from .milp import GE, LE, EQ
 from .scenarios import Scenario, ScenarioSet, _pick_bad, _smooth_noise
-from .tsso import (NetworkConfig, TssoProblem, _integer, _penalized_recourse,
-                   _Structure)
+from .tsso import (_AT_LEAST_ONE, _FINITE, _NON_NEGATIVE, _POSITIVE,
+                   NetworkConfig, TssoProblem, _bus, _penalized_recourse,
+                   _records, _Structure)
 
 
 @dataclass
@@ -50,6 +51,11 @@ class Generator:
     u0: int = 0             # 1 when committed before the horizon, else 0
     p0: float = 0.0         # output before the horizon
 
+    field_kinds = {"bus": _bus, "p_min": _NON_NEGATIVE,
+                   "ramp_up": _NON_NEGATIVE, "ramp_down": _NON_NEGATIVE,
+                   "min_up": _AT_LEAST_ONE, "min_down": _AT_LEAST_ONE,
+                   "u0": (" and in [0, 1]", lambda v: 0 <= v <= 1)}
+
 
 @dataclass
 class UcConfig(NetworkConfig):
@@ -66,45 +72,26 @@ class UcConfig(NetworkConfig):
     angle_bound: float = math.pi / 3
     reference_bus: int = 0
 
-    line_fields = ("susceptance",)
-
-    def __post_init__(self):
-        self.generators = [g if isinstance(g, Generator) else Generator(**g)
-                           for g in self.generators]
-        super().__post_init__()
+    field_kinds = {**NetworkConfig.field_kinds,
+                   "generators": _records(Generator, "generator"),
+                   "angle_bound": _POSITIVE, "reference_bus": _bus}
+    line_fields = {"susceptance": _FINITE}
 
     def validate(self):
-        _integer("reference_bus", self.reference_bus)
-        if not 0 <= self.reference_bus < self.n_buses:
-            raise ConfigError("reference bus out of range")
-        for (i, j, b) in self.lines:
-            if not (0 <= i < self.n_buses and 0 <= j < self.n_buses) or i == j:
-                raise ConfigError(f"bad line ({i},{j})")
-            if not math.isfinite(b):
-                raise ConfigError(f"line ({i},{j}): susceptance must be finite")
+        for i, j, _ in self.lines:
+            if i == j:
+                raise ConfigError(f"line ({i},{j}) joins a bus to itself")
         for k, g in enumerate(self.generators):
-            for f in fields(g):
-                if not math.isfinite(getattr(g, f.name)):
-                    raise ConfigError(f"generator {k}: {f.name} must be finite")
-            if g.p_min < 0 or g.p_max < g.p_min:
-                raise ConfigError(f"generator {k}: limits must satisfy "
-                                  "0 <= min <= max")
-            if g.ramp_up < 0 or g.ramp_down < 0:
-                raise ConfigError(f"generator {k}: ramp limits must be >= 0")
+            if g.p_max < g.p_min:
+                raise ConfigError(f"generator {k}: p_min must be <= p_max")
             if g.cost_reg_up + g.cost_reg_down < 0:
                 raise ConfigError(f"generator {k}: cost_reg_up + cost_reg_down "
                                   "must be >= 0")
-            for name in ("bus", "min_up", "min_down", "u0"):
-                _integer(f"generator {k}: {name}", getattr(g, name))
-            if g.u0 not in (0, 1):
-                raise ConfigError(f"generator {k}: u0 must be 0 or 1, "
-                                  f"got {g.u0!r}")
-            if g.min_up < 1 or g.min_down < 1:
-                raise ConfigError(f"generator {k}: minimum up/down times must "
-                                  "be >= 1 step")
-            if not 0 <= g.bus < self.n_buses:
-                raise ConfigError(f"generator {k}: bus out of range")
-        super().validate()
+            # the first stage can stay as it was before the horizon
+            if not (g.p_min <= g.p0 <= g.p_max if g.u0 else g.p0 == 0):
+                within = "in [p_min, p_max]" if g.u0 else "0"
+                raise ConfigError(f"generator {k}: p0 must be {within} when "
+                                  f"u0 is {g.u0}, got {g.p0!r}")
 
 
 def _uc_structure(cfg: UcConfig, n: int) -> _Structure:

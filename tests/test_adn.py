@@ -309,8 +309,8 @@ def _with_unit(**values):
     (lambda: _with_line(2, r=-0.01), r"^line \(1,3\): r must be"),
     (lambda: _with_line(0, r=math.nan), r"^line \(0,1\): r must be"),
     (lambda: _with_line(1, x=math.inf), r"^line \(1,2\): x must be finite"),
-    (lambda: _with_unit(p_max=-1.0), "^es unit 0: p_max and e_max must be >= 0"),
-    (lambda: _with_unit(e_max=-1.0), "^es unit 0: p_max and e_max must be >= 0"),
+    (lambda: _with_unit(p_max=-1.0), "^es unit 0: p_max must be finite and >= 0"),
+    (lambda: _with_unit(e_max=-1.0), "^es unit 0: e_max must be finite and >= 0"),
     (lambda: _with_unit(e_max=math.nan), "^es unit 0: e_max must be finite"),
     (lambda: _with_unit(price=math.nan), "^es unit 0: price must be finite"),
     (lambda: _with_unit(soc0=math.nan), "^es unit 0: soc0 must be finite"),

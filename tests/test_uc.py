@@ -223,8 +223,8 @@ def test_bus_outside_network_rejected(field, value):
 
 @pytest.mark.parametrize("field, value, message", [
     ("cost_reg_down", -60.5, "cost_reg_up \\+ cost_reg_down must be >= 0"),
-    ("ramp_up", -1.0, "ramp limits must be >= 0"),
-    ("ramp_down", -0.1, "ramp limits must be >= 0"),
+    ("ramp_up", -1.0, "ramp_up must be finite and >= 0"),
+    ("ramp_down", -0.1, "ramp_down must be finite and >= 0"),
     ("cost_reg_up", float("nan"), "cost_reg_up must be finite"),
     ("cost_reg_down", float("inf"), "cost_reg_down must be finite"),
     ("ramp_down", float("nan"), "ramp_down must be finite"),
